@@ -432,60 +432,48 @@ def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _sweep_point(formula_id: str, g: dict, W: ChannelModel | None) -> BoundPoint:
-    if formula_id == "thm1_lower":
-        return thm1_lower(W, g["n"], g["E"], g["t"], g.get("mode", "auto"))
-    if formula_id == "thm2_upper":
-        return thm2_upper(W, g["n"], g["E"], g.get("mode", "auto"))
-    if formula_id == "cor1_lower":
-        return cor1_lower(g["d"], g["eta"], g["E"], g["t"], g["n"], g.get("y_size", 2))
-    if formula_id == "cor2_upper":
-        return cor2_upper(g["d"], g["eta"], g["E"])
-    if formula_id == "improved_good_lower":
-        return improved_good_lower(g["d"], g["eta"], g["E"], g["t"], g["n"],
-                                   g.get("y_size", 2))
-    if formula_id == "improved_bad_upper":
-        return improved_bad_upper(g["d"], g["eta"], g["E"])
-    if formula_id == "ex1_bern_lower":
-        return ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[0]
-    if formula_id == "ex1_bern_upper":
-        return ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[1]
-    if formula_id == "ex2_dmc_lower":
-        return ex2_dmc(W, g["E"], g["n"])[0]
-    if formula_id == "ex2_dmc_upper":
-        return ex2_dmc(W, g["E"], g["n"])[1]
-    if formula_id == "thm5_stein":
-        b = thm5_stein(g["omega"], g["E"], g.get("alpha", 2.0),
-                       g.get("lambda", 0.5), g.get("delta_part"))
-        return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max, "n0": b.n0})
-    if formula_id == "thm6_stein":
-        y = W.output_size if W is not None else g["y_size"]
-        b = thm6_stein(y, g["E"], g["n"], g.get("alpha", 2.0),
-                       g.get("delta_trunc", 0.5), g.get("lambda", 0.5),
-                       g.get("delta_part"))
-        return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max})
-    if formula_id == "power_capacity":
-        return power_capacity(W, g["A"])
-    if formula_id == "trend_lower":
-        return trend_lower_point(g["n"], g.get("d", 1.0),
-                                 g.get("c_ref", FIG_RECIPE_C), g.get("y_size", 2))
-    if formula_id == "trend_upper":
-        return trend_upper_point(g["n"], g.get("d", 1.0))
-    raise ValidationError(f"unknown formula id {formula_id!r}")
+def _thm5_point(g: dict, W: ChannelModel | None) -> BoundPoint:
+    b = thm5_stein(g["omega"], g["E"], g.get("alpha", 2.0), g.get("lambda", 0.5),
+                   g.get("delta_part"))
+    return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max, "n0": b.n0})
 
 
-def sweep(formula_id: str, grid, W: ChannelModel | None = None,
-          jobs: int = 1) -> BoundCurve:
-    """Evaluate one formula over an explicit list of grid-point dicts.
+def _thm6_point(g: dict, W: ChannelModel | None) -> BoundPoint:
+    y = W.output_size if W is not None else g["y_size"]
+    b = thm6_stein(y, g["E"], g["n"], g.get("alpha", 2.0), g.get("delta_trunc", 0.5),
+                   g.get("lambda", 0.5), g.get("delta_part"))
+    return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max})
 
-    Output order follows grid order regardless of `jobs`.
-    """
+
+#: formula_id -> evaluator of one grid point g (a dict) on channel W.  Entries
+#: look the formula functions up by module-global name at call time.
+FORMULAS = {
+    "thm1_lower": lambda g, W: thm1_lower(W, g["n"], g["E"], g["t"], g.get("mode", "auto")),
+    "thm2_upper": lambda g, W: thm2_upper(W, g["n"], g["E"], g.get("mode", "auto")),
+    "cor1_lower": lambda g, W: cor1_lower(g["d"], g["eta"], g["E"], g["t"], g["n"],
+                                          g.get("y_size", 2)),
+    "cor2_upper": lambda g, W: cor2_upper(g["d"], g["eta"], g["E"]),
+    "improved_good_lower": lambda g, W: improved_good_lower(
+        g["d"], g["eta"], g["E"], g["t"], g["n"], g.get("y_size", 2)),
+    "improved_bad_upper": lambda g, W: improved_bad_upper(g["d"], g["eta"], g["E"]),
+    "ex1_bern_lower": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[0],
+    "ex1_bern_upper": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[1],
+    "ex2_dmc_lower": lambda g, W: ex2_dmc(W, g["E"], g["n"])[0],
+    "ex2_dmc_upper": lambda g, W: ex2_dmc(W, g["E"], g["n"])[1],
+    "thm5_stein": _thm5_point,
+    "thm6_stein": _thm6_point,
+    "power_capacity": lambda g, W: power_capacity(W, g["A"]),
+    "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0),
+                                                  g.get("c_ref", FIG_RECIPE_C),
+                                                  g.get("y_size", 2)),
+    "trend_upper": lambda g, W: trend_upper_point(g["n"], g.get("d", 1.0)),
+}
+
+
+def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
+    """Evaluate one formula over an explicit list of grid-point dicts, in order."""
+    if formula_id not in FORMULAS:
+        raise ValidationError(f"unknown formula id {formula_id!r}")
+    point = FORMULAS[formula_id]
     grid = tuple(dict(g) for g in grid)
-    if jobs > 1 and len(grid) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            points = tuple(pool.map(lambda g: _sweep_point(formula_id, g, W), grid))
-    else:
-        points = tuple(_sweep_point(formula_id, g, W) for g in grid)
-    return BoundCurve(formula_id, grid, points)
+    return BoundCurve(formula_id, grid, tuple(point(g, W) for g in grid))

@@ -2,7 +2,8 @@
 
 A channel is a |X| x |Y| row-stochastic matrix.  Rows are renormalized on
 construction (the residual is recorded); a row-sum deviation beyond the hard
-tolerance is rejected outright.  Instances are immutable and safe to share.
+tolerance is rejected outright.  Instances are immutable and safe to share;
+they compare and hash by identity, so derived data can be cached per channel.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 from .errors import ValidationError
 
 ROW_SUM_HARD_TOL = 1e-6   # ingestion: reject beyond this
-ROW_SUM_SOFT_TOL = 1e-12  # invariant after renormalization
 ROW_EQUAL_TOL = 1e-12     # duplicate-row detection
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """Row-stochastic matrix W(y|x) with input labels and optional costs."""
 
@@ -38,25 +38,11 @@ class ChannelModel:
     def output_size(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, x: int) -> np.ndarray:
-        return self.matrix[x]
-
     def cost_vector(self) -> np.ndarray:
         """Cost per input; defaults to all zeros."""
         if self.cost is None:
             return np.zeros(self.n_inputs)
         return self.cost
-
-
-def check_distribution(p: np.ndarray, tol: float = ROW_SUM_SOFT_TOL) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValidationError("distribution must be a 1-d vector")
-    if np.any(p < 0):
-        raise ValidationError("distribution has negative entries")
-    if abs(float(p.sum()) - 1.0) > tol:
-        raise ValidationError(f"distribution sums to {p.sum()!r}, not 1")
-    return p
 
 
 def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
@@ -123,13 +109,6 @@ def bernoulli_family(a: float, k_max: int) -> ChannelModel:
     rows = [(1.0 - x, x) for x in xs]
     return make_channel([repr(x) for x in xs], rows,
                         family={"family": "bernoulli", "a": float(a), "k_max": int(k_max)})
-
-
-def bernoulli_inputs(W: ChannelModel) -> np.ndarray:
-    """The parameter x of each row of a binary-output channel (column of y=1)."""
-    if W.output_size != 2:
-        raise ValidationError("expected a binary-output channel")
-    return W.matrix[:, 1].copy()
 
 
 def load_channel(path) -> ChannelModel:
@@ -207,11 +186,6 @@ def dedupe_and_purge(W: ChannelModel) -> ChannelModel:
                         W.matrix[keep_sorted],
                         cost=None if W.cost is None else cost[keep_sorted],
                         family=W.family)
-
-
-def sqrt_image(W: ChannelModel) -> np.ndarray:
-    """Componentwise square roots of the rows: |X| unit vectors in R^|Y|."""
-    return np.sqrt(W.matrix)
 
 
 def channel_to_spec(W: ChannelModel) -> dict:

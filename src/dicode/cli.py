@@ -2,8 +2,11 @@
 
 Subcommands: construct, evaluate, bounds, geometry, channel check.
 Every command writes its outputs plus a run manifest into --out; reruns with
-the same manifest parameters produce byte-identical CSV/JSON regardless of
---jobs.  Exit codes: 0 success, 2 validation failure, 3 size-guard refusal.
+the same manifest parameters produce byte-identical CSV/JSON.  construct,
+evaluate, bounds and geometry accept --seed and --jobs: only
+`evaluate --method mc` uses --seed, and no subcommand uses --jobs (all work
+runs serially).  Exit codes: 0 success, 2 validation failure, 3 size-guard
+refusal.
 Diagnostics go to stderr as single `error code=... msg=...` lines.
 """
 
@@ -19,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import curves_to_csv, sweep
+from .bounds import FORMULAS, curves_to_csv, sweep
 from .channel import channel_to_spec, load_channel
 from .codebook import code_from_json, code_to_json, construct
 from .errors import SizeGuardError, ValidationError
@@ -179,11 +182,11 @@ def cmd_bounds(args) -> int:
     W = load_channel(args.channel) if args.channel else None
     if args.recipe == "fig2":
         ns = [int(round(v)) for v in _parse_axis(args.n_axis or "1e3:1e9:7:log")]
-        curves = [sweep("trend_lower", [{"n": n} for n in ns], jobs=args.jobs),
-                  sweep("trend_upper", [{"n": n} for n in ns], jobs=args.jobs)]
+        curves = [sweep("trend_lower", [{"n": n} for n in ns]),
+                  sweep("trend_upper", [{"n": n} for n in ns])]
     else:
         grid = _bounds_grid(args)
-        curves = [sweep(f, grid, W, jobs=args.jobs) for f in args.formula]
+        curves = [sweep(f, grid, W) for f in args.formula]
     csv_text = curves_to_csv(curves)
     out = Path(args.out)
     _write(out / "bounds.csv", csv_text)
@@ -273,8 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="channel spec file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed (fallback: DIRL_SEED, then 0)")
-        p.add_argument("--jobs", type=int, default=1, help="worker count")
+                       help="RNG seed, used only by `evaluate --method mc` "
+                            "(fallback: DIRL_SEED, then 0)")
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted for compatibility; changes nothing, "
+                            "every subcommand runs serially")
 
     p = sub.add_parser("construct", help="build a code for a channel")
     common(p)
@@ -295,10 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
     common(p, channel_required=False)
     p.add_argument("--formula", nargs="+", default=["thm1_lower"],
-                   help="formula ids (thm1_lower thm2_upper cor1_lower cor2_upper "
-                        "improved_good_lower improved_bad_upper ex1_bern_lower "
-                        "ex1_bern_upper ex2_dmc_lower ex2_dmc_upper thm5_stein "
-                        "thm6_stein power_capacity trend_lower trend_upper)")
+                   help=f"formula ids ({' '.join(FORMULAS)})")
     p.add_argument("--recipe", choices=("fig2",), default=None,
                    help="predefined capacity-trend sweep (d=1)")
     p.add_argument("--n-axis", help="blocklength axis, e.g. 1e3:1e9:7:log")

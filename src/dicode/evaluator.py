@@ -188,7 +188,8 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     (pair_mode "exhaustive").  Otherwise every pair gets the cheap analytic
     ceiling, the worst pair_budget pairs by that ceiling get the exact DP, and
     the reported hi endpoint keeps the analytic ceiling of the pairs that were
-    skipped, so it remains a true upper bound (pair_mode "screened").
+    skipped, so it remains a true upper bound (pair_mode "screened").  Each
+    pair's ceiling is computed once; pairs are ranked by its raw value.
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).
     """
@@ -197,11 +198,10 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     pairs = [(j, k) for j in range(code.size) for k in range(code.size) if j != k]
     exhaustive = len(pairs) <= pair_budget
     if not exhaustive:
-        ranked = sorted(
-            pairs,
-            key=lambda jk: -false_accept_bound(W, code.codewords[jk[1]],
-                                               code.codewords[jk[0]], code.delta),
-        )
+        bound = {(j, k): false_accept_bound(W, code.codewords[k], code.codewords[j],
+                                            code.delta)
+                 for j, k in pairs}
+        ranked = sorted(pairs, key=lambda jk: -bound[jk])
         evaluate, skipped = ranked[:pair_budget], ranked[pair_budget:]
     else:
         evaluate, skipped = pairs, []
@@ -214,9 +214,8 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         lo = max(lo, p_lo)
         hi = max(hi, p_hi)
     ceiling = 0.0
-    for j, k in skipped:
-        ceiling = max(ceiling, min(1.0, false_accept_bound(
-            W, code.codewords[k], code.codewords[j], code.delta)))
+    for jk in skipped:
+        ceiling = max(ceiling, min(1.0, bound[jk]))
     if skipped:
         hi = max(hi, ceiling)
     if exhaustive:

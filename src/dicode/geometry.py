@@ -10,7 +10,9 @@ packing or covering number.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -24,41 +26,51 @@ METRICS = ("euclidean", "total-variation")
 
 @dataclass(frozen=True)
 class PointCloud:
+    """Immutable cloud: the points are a read-only copy, so the distance
+    matrix can be built once and shared by every count on the cloud."""
+
     points: np.ndarray              # (m, d)
     metric: str = "euclidean"
     provenance: str = ""
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.array(self.points, dtype=float, ndmin=2)
         if self.metric not in METRICS:
             raise ValidationError(f"unknown metric {self.metric!r}")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
+        """Build the (m, m) pairwise distance matrix anew."""
         p = self.points
         if self.metric == "euclidean":
             diff = p[:, None, :] - p[None, :, :]
             return np.sqrt((diff**2).sum(axis=2))
         return 0.5 * np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
 
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """The distance matrix, built on first use and then shared read-only."""
+        dist = self.distance_matrix()
+        dist.flags.writeable = False
+        return dist
+
 
 @dataclass(frozen=True)
-class PackingResult:
+class CountResult:
+    """A packing or covering: its radius, centers (cloud indices), their
+    number, and whether the count is exact or a one-sided greedy bound."""
+
     radius: float
     center_indices: tuple[int, ...]
     count: int
     exact: bool
 
 
-@dataclass(frozen=True)
-class CoveringResult:
-    radius: float
-    center_indices: tuple[int, ...]
-    count: int
-    exact: bool
+PackingResult = CoveringResult = CountResult
 
 
 @dataclass(frozen=True)
@@ -182,7 +194,7 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     return sorted(best)
 
 
-def max_packing(cloud: PointCloud, delta: float, mode: str = "greedy") -> PackingResult:
+def max_packing(cloud: PointCloud, delta: float, mode: str = "greedy") -> CountResult:
     """Largest (greedy) or maximum (exact) delta-packing of the cloud.
 
     Greedy runs farthest-point sampling and is a certified lower bound on the
@@ -191,7 +203,7 @@ def max_packing(cloud: PointCloud, delta: float, mode: str = "greedy") -> Packin
     """
     if delta <= 0:
         raise ValidationError("radius must be positive")
-    dist = cloud.distance_matrix()
+    dist = cloud.distances
     if mode == "greedy":
         centers, exact = _greedy_packing(dist, delta), False
     elif mode == "exact":
@@ -200,14 +212,14 @@ def max_packing(cloud: PointCloud, delta: float, mode: str = "greedy") -> Packin
         centers, exact = _exact_packing(dist, delta), True
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return PackingResult(delta, tuple(centers), len(centers), exact)
+    return CountResult(delta, tuple(centers), len(centers), exact)
 
 
-def min_covering(cloud: PointCloud, delta: float, mode: str = "greedy") -> CoveringResult:
+def min_covering(cloud: PointCloud, delta: float, mode: str = "greedy") -> CountResult:
     """Smallest found (greedy upper bound) or minimum (exact) delta-covering."""
     if delta <= 0:
         raise ValidationError("radius must be positive")
-    dist = cloud.distance_matrix()
+    dist = cloud.distances
     if mode == "greedy":
         centers, exact = _greedy_covering(dist, delta), False
     elif mode == "exact":
@@ -216,7 +228,7 @@ def min_covering(cloud: PointCloud, delta: float, mode: str = "greedy") -> Cover
         centers, exact = _exact_covering(dist, delta), True
     else:
         raise ValidationError(f"unknown mode {mode!r}")
-    return CoveringResult(delta, tuple(centers), len(centers), exact)
+    return CountResult(delta, tuple(centers), len(centers), exact)
 
 
 def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
@@ -261,14 +273,26 @@ def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
     )
 
 
+#: channel -> {(embedding, provenance): cloud}; entries die with the channel
+_CHANNEL_CLOUDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def cloud_from_channel(W, embedding: str = "sqrt", provenance: str = "") -> PointCloud:
     """Point cloud of a channel's output distributions.
 
     embedding="sqrt" gives the square-root rows under the Euclidean metric,
-    embedding="raw" the rows themselves under total variation.
+    embedding="raw" the rows themselves under total variation.  Channels are
+    immutable, so the same channel object always gets the same cloud back,
+    and with it the same distance matrix.
     """
-    if embedding == "sqrt":
-        return PointCloud(np.sqrt(W.matrix), "euclidean", provenance or "sqrt-output-set")
-    if embedding == "raw":
-        return PointCloud(W.matrix.copy(), "total-variation", provenance or "output-set")
-    raise ValidationError(f"unknown embedding {embedding!r}")
+    clouds = _CHANNEL_CLOUDS.setdefault(W, {})
+    key = (embedding, provenance)
+    if key not in clouds:
+        if embedding == "sqrt":
+            cloud = PointCloud(np.sqrt(W.matrix), "euclidean", provenance or "sqrt-output-set")
+        elif embedding == "raw":
+            cloud = PointCloud(W.matrix, "total-variation", provenance or "output-set")
+        else:
+            raise ValidationError(f"unknown embedding {embedding!r}")
+        clouds[key] = cloud
+    return clouds[key]

@@ -24,6 +24,7 @@ from dicode.bounds import (
 )
 from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.errors import ValidationError
+from dicode.geometry import PointCloud, cloud_from_channel
 from dicode.infodist import binary_entropy, typicality_constants
 
 BSC = make_channel(["p", "m"], [[0.9, 0.1], [0.1, 0.9]])
@@ -259,8 +260,8 @@ def test_trend_recipe_gates():
 
 def test_sweep_csv_deterministic_and_ordered():
     grid = [{"d": 1.0, "eta": 0.01, "E": 10.0**-k} for k in range(3, 8)]
-    c1 = sweep("cor2_upper", grid, jobs=1)
-    c2 = sweep("cor2_upper", grid, jobs=3)
+    c1 = sweep("cor2_upper", grid)
+    c2 = sweep("cor2_upper", grid)
     assert curves_to_csv([c1]) == curves_to_csv([c2])
     text = curves_to_csv([c1])
     header, *rows = text.strip().split("\n")
@@ -268,6 +269,8 @@ def test_sweep_csv_deterministic_and_ordered():
                       "normalized_value,validity_flags,count_exactness")
     assert len(rows) == 5
     assert rows[0].startswith("cor2_upper,")
+    # rows follow grid order
+    assert [float(r.split(",")[2]) for r in rows] == [g["E"] for g in grid]
 
 
 def test_sweep_empty_grid_header_only():
@@ -279,6 +282,26 @@ def test_sweep_empty_grid_header_only():
 def test_sweep_unknown_formula():
     with pytest.raises(ValidationError):
         sweep("nope", [{"E": 0.1}])
+    with pytest.raises(ValidationError):
+        sweep("nope", [])
+
+
+@pytest.mark.parametrize("formula_id", ["thm1_lower", "thm2_upper"])
+def test_sweep_builds_distance_matrix_once(formula_id, monkeypatch):
+    builds = []
+    original = PointCloud.distance_matrix
+
+    def counting(self):
+        builds.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PointCloud, "distance_matrix", counting)
+    W = bernoulli_family(2.0, 100)
+    grid = [{"n": 10**6, "E": 10.0**-k, "t": 0.5} for k in range(3, 9)]
+    sweep(formula_id, grid, W)
+    sweep(formula_id, grid, W)
+    assert len(builds) == 1
+    assert builds[0] is cloud_from_channel(W, "sqrt")
 
 
 def test_sweep_channel_formulas():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import dicode
 from dicode.cli import main
 
 BERN = {"family": "bernoulli", "a": 2.0, "k_max": 6}
@@ -150,11 +153,15 @@ def test_truncation_scale_warning(bern_file, tmp_path, capsys):
 
 
 def test_cli_subprocess_smoke(bern_file, tmp_path):
+    # the child imports dicode from wherever this process found it, so the
+    # test also runs without an install
+    src = str(Path(dicode.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "dicode.cli", "construct", "--channel",
          str(bern_file), "--n", "6", "--E", "1e-5", "--t", "0.5",
          "--out", str(tmp_path / "sp")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert (tmp_path / "sp" / "code.json").exists()
     assert (tmp_path / "sp" / "manifest.json").exists()

@@ -7,6 +7,8 @@ import pytest
 from dicode.channel import bernoulli_family
 from dicode.errors import SizeGuardError, ValidationError
 from dicode.geometry import (
+    CoveringResult,
+    PackingResult,
     PointCloud,
     cloud_from_channel,
     estimate_dimension,
@@ -163,3 +165,33 @@ def test_bernoulli_sqrt_cloud_flattens():
     est = estimate_dimension(cloud, radii)
     assert est.exact_counts
     assert est.slope < 0.8
+
+
+def test_cloud_points_are_a_read_only_copy():
+    values = np.array([[0.0], [1.0], [3.0]])
+    cloud = PointCloud(values)
+    values[0, 0] = 5.0  # the caller's array stays writable and unshared
+    assert cloud.points[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        cloud.points[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        cloud.distances[0, 1] = 0.0
+    assert np.array_equal(cloud.distances, cloud.distance_matrix())
+
+
+def test_cloud_from_channel_shared_per_channel():
+    W = bernoulli_family(2.0, 6)
+    assert cloud_from_channel(W, "sqrt") is cloud_from_channel(W, "sqrt")
+    assert cloud_from_channel(W, "raw") is not cloud_from_channel(W, "sqrt")
+    assert cloud_from_channel(bernoulli_family(2.0, 6), "sqrt") is not \
+        cloud_from_channel(W, "sqrt")
+    with pytest.raises(ValidationError):
+        cloud_from_channel(W, "cube")
+
+
+def test_packing_and_covering_share_one_result_type():
+    cloud = line_cloud([0, 1, 2])
+    pack = max_packing(cloud, 0.4, "exact")
+    cover = min_covering(cloud, 1.0, "exact")
+    assert PackingResult is CoveringResult
+    assert isinstance(pack, PackingResult) and isinstance(cover, CoveringResult)
