@@ -13,6 +13,13 @@ Parameter couplings (c = 1/(36 K(|Y|)) from infodist):
 
 valid while c t beta^2 <= 1; the guarantee degrades gracefully and is flagged
 outside that regime.  The construction is fully deterministic.
+
+The greedy distance code scans packed words: each word of [q]^n is one
+unsigned integer (4 bytes, or 8 when bit_length(q-1) * n > 32) holding n
+fields of bit_length(q-1) bits, first symbol most significant, so integer
+order is lexicographic order.  A Hamming distance is a XOR, a fold of each
+field onto its lowest bit and a popcount.  GREEDY_SCAN_LIMIT bounds the q^n
+candidate words, and with them the scan's memory, before any is built.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ from .infodist import binary_entropy, entropy, typicality_constants
 
 #: refuse greedy scans beyond this many candidate words
 GREEDY_SCAN_LIMIT = 1 << 24
+#: candidate words compared with each greedy pick at a time
+SCAN_BLOCK = 1 << 16
 #: refuse materializing linear codes beyond this many codewords
 LINEAR_SIZE_LIMIT = 1 << 20
 
@@ -150,8 +159,13 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[
     """Maximal code over [q]^n with pairwise Hamming distance > t*n.
 
     greedy: lexicographic scan keeping every word compatible with all kept
-    words.  Maximality gives the counting guarantee
-    |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).
+    words (the lexicode).  Maximality gives the counting guarantee
+    |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).  Candidates are packed words, 4 or 8
+    bytes each (see the module docstring); each pick compares the surviving
+    candidates with it in blocks of SCAN_BLOCK words and compacts them in
+    place, so memory is the q^n-word array plus small buffers.  More than
+    GREEDY_SCAN_LIMIT (2^24) candidates raise SizeGuardError before any
+    array is allocated.
     linear: Reed-Solomon over the largest prime p <= q (needs n <= p), an
     explicit maximum-distance-separable code with d = floor(t n) + 1.
     """
@@ -173,18 +187,56 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[
         raise SizeGuardError(
             f"greedy scan over {total} words refused; use mode='linear'")
 
-    words = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.int16)
-    alive = np.ones(total, dtype=bool)
-    code: list[tuple[int, ...]] = []
-    while True:
-        remaining = np.flatnonzero(alive)
-        if remaining.size == 0:
-            break
-        pick = remaining[0]
-        code.append(tuple(int(v) for v in words[pick]))
-        d = _hamming(words[remaining], words[pick])
-        alive[remaining[d <= min_excl]] = False
-    return code
+    bits = (q - 1).bit_length()
+    # q^n <= 2^24 keeps bits * n <= 30; uint64 keeps a raised limit correct
+    dtype = np.uint32 if bits * n <= 32 else np.uint64
+    cand = _packed_words(q, n, bits, dtype)
+    # one bit at the bottom of each field; a field's bits are ORed onto it by
+    # x |= x >> s with shifts that never reach into the next field
+    low = dtype(sum(1 << (bits * i) for i in range(n)))
+    folds = []
+    span = 1
+    while span < bits:
+        folds.append(min(span, bits - span))
+        span += folds[-1]
+    x_buf = np.empty(SCAN_BLOCK, dtype)
+    tmp_buf = np.empty(SCAN_BLOCK, dtype)
+    kept = []
+    size = cand.size
+    while size:
+        pick = cand[0]
+        kept.append(pick)
+        # compact the survivors in place, block by block, to the array front
+        out = 0
+        for start in range(0, size, SCAN_BLOCK):
+            block = cand[start:min(size, start + SCAN_BLOCK)]
+            x = np.bitwise_xor(block, pick, out=x_buf[:block.size])
+            tmp = tmp_buf[:block.size]
+            for s in folds:
+                np.right_shift(x, s, out=tmp)
+                x |= tmp
+            x &= low
+            survivors = block[np.bitwise_count(x) > min_excl]
+            cand[out:out + survivors.size] = survivors
+            out += survivors.size
+        size = out
+    return _unpack_words(np.array(kept, dtype), n, bits)
+
+
+def _packed_words(q: int, n: int, bits: int, dtype) -> np.ndarray:
+    """All of [q]^n, each word one integer of n `bits`-bit fields with the
+    first symbol in the most significant field, in itertools.product order."""
+    words = np.zeros(1, dtype)
+    digits = np.arange(q, dtype=dtype)
+    for _ in range(n):
+        words = ((words << bits)[:, None] | digits).ravel()
+    return words
+
+
+def _unpack_words(words: np.ndarray, n: int, bits: int) -> list[tuple[int, ...]]:
+    shifts = np.array([bits * (n - 1 - i) for i in range(n)], dtype=words.dtype)
+    digits = (words[:, None] >> shifts) & words.dtype.type((1 << bits) - 1)
+    return [tuple(w) for w in digits.tolist()]
 
 
 def _largest_prime_leq(q: int) -> int:

@@ -35,6 +35,8 @@ EDGE_FUZZ = 1e-9
 STATE_GUARD = 5_000_000
 
 DEFAULT_PAIR_BUDGET = 10**6
+#: Monte Carlo trials scored per block; an N x block statistic stays in cache
+MC_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -265,40 +267,52 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 
 def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
                        law: ChannelModel | None = None) -> ErrorReport:
-    """Empirical error estimates with Wilson 95% intervals.
+    """Empirical error estimates with 95% Wilson intervals.
 
     Per codeword j a dedicated generator spawned from the master seed with
     spawn key (j,) draws `trials` output blocks from the product law of u_j;
     the same blocks score the owner test of u_j (first kind) and every other
     test (second kind).  The per-codeword split makes results independent of
     any worker-level parallelism.
+
+    What the intervals cover: `lambda1` is the 95% Wilson interval of the
+    largest miss count over the N codewords, and `lambda2` that of the
+    largest false-accept count over the N(N-1) ordered pairs, which share
+    samples.  Each is a per-codeword or per-pair interval: 95% coverage holds
+    for one codeword or pair fixed in advance.  Neither is a family-wise
+    interval for the worst-case lambda1 or lambda2; the maximum of many
+    noisy counts is biased upward.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     law_matrix = (law or W).matrix
     n = code.blocklength
     theta = code.delta * math.sqrt(n)
-    h = [word_output_entropy(W, w) for w in code.codewords]
+    h = np.array([word_output_entropy(W, w) for w in code.codewords])
     with np.errstate(divide="ignore"):
         logw = np.log2(W.matrix)
+    # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
+    tables = np.ascontiguousarray(logw[np.array(code.codewords)].transpose(1, 2, 0))
 
     worst_miss = 0
     worst_false = 0
     for j, word in enumerate(code.codewords):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        # outputs: trials x n symbols drawn letterwise
-        y = np.empty((trials, n), dtype=np.int64)
+        # outputs: n x trials symbols drawn letterwise
+        y = np.empty((n, trials), dtype=np.int64)
         for i, x in enumerate(word):
-            y[:, i] = rng.choice(W.output_size, size=trials, p=law_matrix[x])
-        for k, owner in enumerate(code.codewords):
-            stat = np.zeros(trials)
-            for i, x in enumerate(owner):
-                stat += logw[x][y[:, i]]
-            inside = np.abs(stat + h[k]) <= theta
-            if k == j:
-                worst_miss = max(worst_miss, int(trials - inside.sum()))
-            else:
-                worst_false = max(worst_false, int(inside.sum()))
+            y[i] = rng.choice(W.output_size, size=trials, p=law_matrix[x])
+        accepted = np.zeros(code.size, dtype=np.int64)
+        for start in range(0, trials, MC_BLOCK):
+            y_blk = y[:, start:start + MC_BLOCK]
+            # trials x owners statistic, summed in position order
+            stat = np.zeros((y_blk.shape[1], code.size))
+            for i in range(n):
+                stat += tables[i][y_blk[i]]
+            accepted += (np.abs(stat + h) <= theta).sum(axis=0)
+        worst_miss = max(worst_miss, trials - int(accepted[j]))
+        accepted[j] = 0
+        worst_false = max(worst_false, int(accepted.max()))
 
     l1 = wilson_interval(worst_miss, trials)
     l2 = (0.0, 0.0) if code.size < 2 else wilson_interval(worst_false, trials)

@@ -56,6 +56,14 @@ def test_size_guard_exit_code(tmp_path, capsys):
     assert "error code=SIZE_GUARD" in capsys.readouterr().err
 
 
+def test_construct_size_guard_exit_code(bern_file, tmp_path, capsys):
+    # four letters at this (E, t): a 4^13-word greedy scan is refused
+    rc = main(["construct", "--channel", str(bern_file), "--n", "13", "--E", "4.5e-7",
+               "--t", "0.5", "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+
+
 def test_construct_then_evaluate(bern_file, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["construct", "--channel", str(bern_file), "--n", "8",

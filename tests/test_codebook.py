@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
+from operator import ne
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.codebook import (
@@ -17,7 +20,7 @@ from dicode.codebook import (
     min_pairwise_hamming,
     word_output_entropy,
 )
-from dicode.errors import ValidationError
+from dicode.errors import SizeGuardError, ValidationError
 from dicode.infodist import binary_entropy, fidelity, typicality_constants
 
 
@@ -113,6 +116,45 @@ def test_distance_code_counting_guarantee():
             assert dmat.min() > t * n
         floor = q ** (n * (1 - t)) * 2.0 ** (-n * binary_entropy(t))
         assert len(code) >= floor - 1e-9
+
+
+def reference_lexicode(q, n, t):
+    """Lexicographic greedy code: scan [q]^n in order, keep a word iff its
+    Hamming distance to every kept word exceeds t*n."""
+    kept = []
+    for w in itertools.product(range(q), repeat=n):
+        if all(sum(map(ne, w, v)) > t * n for v in kept):
+            kept.append(w)
+    return kept
+
+
+@st.composite
+def lexicode_cases(draw):
+    q = draw(st.integers(2, 6))
+    n_max = max(n for n in range(1, 13) if q**n <= 4096)
+    n = draw(st.integers(1, n_max))
+    # t = k/n puts words at distance exactly t*n, which must be rejected
+    fractions = st.integers(1, n - 1).map(lambda k: k / n) if n > 1 else st.nothing()
+    t = draw(fractions | st.floats(0.01, 0.99))
+    return q, n, t
+
+
+@settings(max_examples=40, deadline=None)
+@given(lexicode_cases())
+def test_distance_code_is_the_lexicode(case):
+    q, n, t = case
+    assert distance_code(q, n, t) == reference_lexicode(q, n, t)
+
+
+def test_greedy_size_guard_fails_fast():
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            distance_code(4, 13, 0.5)  # 4^13 words, past GREEDY_SCAN_LIMIT
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_linear_mode_reed_solomon():
