@@ -2,23 +2,33 @@
 
 The decision set of a codeword x'^n is its entropy-typical set: outputs y^n
 with |log2 W_{x'^n}(y^n) + H(W_{x'^n})| <= delta sqrt(n).  The membership
-statistic is a sum of per-letter log-probabilities, so its distribution under
-any product law is a convolution of per-letter spectra.  The DP below merges
-atoms on an integer grid of width `qstep` bits but keeps, per grid state, the
-exact min/max of the true sums that were merged, which yields certified
-[lo, hi] enclosures for every acceptance probability:
+statistic is a sum of per-letter log-probabilities, so under the product law
+of a source word its distribution depends only on the pair's joint type: the
+count c of positions holding each (source letter a, owner letter b).  This
+is the method of types (Csiszar-Korner).
 
-  lo counts states whose whole true-value range lies inside the band,
-  hi additionally counts states whose range touches it.
+The exact evaluator works on cells: integer grid keys round(v / qstep) with
+the cell's mass and the exact min/max of the true sums merged into it.  Each
+class (a, b) gets its c-fold spectrum once; one outer-add-and-merge kernel
+combines the classes of a joint type, merging cells with equal keys
+(argsort + reduceat) once a table passes MERGE_CELLS and once at the end.  The
+final table has one cell per grid key, which yields certified [lo, hi]
+enclosures for every acceptance probability:
 
-Zero probabilities in the decoder word (log = -inf) are tracked symbolically:
-their mass always lies outside the typical set.
+  lo counts cells whose whole true-value range lies inside the band,
+  hi additionally counts cells whose range touches it.
+
+Zero probabilities in the decoder word (log = -inf) drop out of the cells:
+their mass always lies outside the typical set.  The interval is a function
+of the joint type, delta and qstep, so the error measurements evaluate each
+distinct joint type once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,13 +36,15 @@ import numpy as np
 from .channel import ChannelModel
 from .codebook import DICode, word_output_entropy
 from .errors import SizeGuardError, ValidationError
-from .infodist import false_accept_bound
+from .infodist import false_accept_bound, letter_tables
 
 DEFAULT_QSTEP = 2.0**-20
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
-#: refuse DPs whose state table grows beyond this
+#: refuse any outer add of more cells than this, before it is allocated
 STATE_GUARD = 5_000_000
+#: merge equal keys once a cell table grows past this many cells
+MERGE_CELLS = 1 << 14
 
 DEFAULT_PAIR_BUDGET = 10**6
 #: Monte Carlo trials scored per block; an N x block statistic stays in cache
@@ -59,6 +71,9 @@ class ErrorReport:
     seed: int | None = None
     pair_mode: str = "exhaustive"    # exhaustive | screened | pair-bound
     analytic_ceiling: float | None = None
+    dp_types: int | None = None       # distinct joint types evaluated
+    dp_states_max: int | None = None  # largest merged cell table
+    pairs_exact: int | None = None    # ordered pairs covered by the exact DP
 
     def to_json(self) -> str:
         payload = {
@@ -71,6 +86,9 @@ class ErrorReport:
             "seed": self.seed,
             "pair_mode": self.pair_mode,
             "analytic_ceiling": self.analytic_ceiling,
+            "dp_types": self.dp_types,
+            "dp_states_max": self.dp_states_max,
+            "pairs_exact": self.pairs_exact,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -89,29 +107,113 @@ def letter_spectrum(law_row, decode_row, qstep: float = DEFAULT_QSTEP) -> LogPro
     return LogProbSpectrum(tuple(atoms), dead, qstep)
 
 
-def _convolve_spectra(spectra) -> tuple[dict, float]:
-    """DP over quantized sums; each state keeps (mass, true-min, true-max)."""
-    dp: dict[int, tuple[float, float, float]] = {0: (1.0, 0.0, 0.0)}
-    dead = 0.0
-    for spec in spectra:
-        step = spec.quantization_step
-        keys = [round(v / step) for v, _ in spec.atoms]
-        new: dict[int, tuple[float, float, float]] = {}
-        for k, (mass, lo, hi) in dp.items():
-            dead += mass * spec.dead_mass
-            for (v, mv), kv in zip(spec.atoms, keys):
-                kk = k + kv
-                entry = new.get(kk)
-                if entry is None:
-                    new[kk] = (mass * mv, lo + v, hi + v)
-                else:
-                    new[kk] = (entry[0] + mass * mv,
-                               min(entry[1], lo + v),
-                               max(entry[2], hi + v))
-        if len(new) > STATE_GUARD:
-            raise SizeGuardError("statistic DP state table exceeded guard")
-        dp = new
-    return dp, dead
+#: cell table: (grid key, mass, min true sum, max true sum), one array each
+_UNIT = (np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1), np.zeros(1))
+
+
+def _merge(cells):
+    """One cell per distinct key: summed mass, min of mins, max of maxes."""
+    key, mass, smin, smax = cells
+    if key.size < 2:
+        return cells
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    return (key[starts], np.add.reduceat(mass[order], starts),
+            np.minimum.reduceat(smin[order], starts),
+            np.maximum.reduceat(smax[order], starts))
+
+
+def _outer_add(a, b):
+    """Every sum of a cell of `a` and a cell of `b`, unmerged."""
+    if a[0].size * b[0].size > STATE_GUARD:
+        raise SizeGuardError(f"statistic DP outer add of {a[0].size} x {b[0].size} "
+                             f"cells exceeds guard {STATE_GUARD}")
+    return (np.add.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel(),
+            np.add.outer(a[2], b[2]).ravel(), np.add.outer(a[3], b[3]).ravel())
+
+
+def joint_type(source_word, owner_word) -> tuple:
+    """Sorted ((source letter, owner letter), count) classes of a word pair."""
+    if len(source_word) != len(owner_word):
+        raise ValidationError("source and owner words must have equal length")
+    return tuple(sorted(Counter(zip(source_word, owner_word)).items()))
+
+
+class JointTypeDP:
+    """Certified acceptance probabilities of joint types under one (W, law, qstep).
+
+    Caches each class's c-fold spectrum and counts the work done: `types`
+    distinct joint types evaluated, `states_max` the largest final cell table,
+    `pairs_exact` ordered codeword pairs whose false-accept probability came
+    from the DP.
+    """
+
+    def __init__(self, W: ChannelModel, qstep: float = DEFAULT_QSTEP,
+                 law: ChannelModel | None = None):
+        self.W, self.qstep, self.law = W, qstep, law
+        self._law_matrix = (law or W).matrix
+        self._powers: dict[tuple, list] = {}
+        self.types = 0
+        self.states_max = 0
+        self.pairs_exact = 0
+
+    def _power(self, a, b, c: int):
+        """c-fold spectrum of class (a, b), built by merged single-letter adds."""
+        powers = self._powers.get((a, b))
+        if powers is None:
+            spec = letter_spectrum(self._law_matrix[a], self.W.matrix[b], self.qstep)
+            v = np.array([v for v, _ in spec.atoms], dtype=float)
+            mass = np.array([m for _, m in spec.atoms], dtype=float)
+            keys = np.rint(v / self.qstep).astype(np.int64)
+            powers = self._powers[(a, b)] = [_merge((keys, mass, v, v))]
+        while len(powers) < c:
+            powers.append(_merge(_outer_add(powers[-1], powers[0])))
+        return powers[c - 1]
+
+    def probs(self, jtypes, delta: float) -> dict:
+        """Certified enclosure of the typical-set acceptance probability of
+        each joint type, keyed by type.
+
+        Types are visited in sorted order; a type reuses the cell tables of
+        the class prefix it shares with the one before it.  A type's cells do
+        not depend on which types are evaluated with it.
+        """
+        ent = letter_tables(self.W)[0]
+        out = {}
+        prev, stack = (), [_UNIT]   # stack[i]: cells of the first i classes of prev
+        for jtype in sorted(set(jtypes)):
+            shared = 0
+            while shared < min(len(prev), len(jtype)) and prev[shared] == jtype[shared]:
+                shared += 1
+            del stack[shared + 1:]
+            for (a, b), c in jtype[shared:]:
+                states = _outer_add(stack[-1], self._power(a, b, c))
+                stack.append(_merge(states) if states[0].size > MERGE_CELLS else states)
+            prev = jtype
+            _, mass, smin, smax = cells = _merge(stack[-1])
+            self.types += 1
+            self.states_max = max(self.states_max, cells[0].size)
+
+            n = sum(c for _, c in jtype)
+            # H(W_{x'^n}) of the owner word, summed over the type's classes
+            h_owner = sum(c * ent[b] for (_, b), c in jtype)
+            band_lo = -h_owner - delta * math.sqrt(n)
+            band_hi = -h_owner + delta * math.sqrt(n)
+            inside = (smin >= band_lo + EDGE_FUZZ) & (smax <= band_hi - EDGE_FUZZ)
+            touch = (smax >= band_lo - EDGE_FUZZ) & (smin <= band_hi + EDGE_FUZZ)
+            lo, hi = float(mass[inside].sum()), float(mass[touch].sum())
+            out[jtype] = max(0.0, min(lo, 1.0)), max(0.0, min(hi, 1.0))
+        return out
+
+
+def _dp_for(dp: JointTypeDP | None, W: ChannelModel, qstep: float,
+            law: ChannelModel | None) -> JointTypeDP:
+    if dp is None:
+        return JointTypeDP(W, qstep, law)
+    if dp.W is not W or dp.law is not law or dp.qstep != qstep:
+        raise ValidationError("JointTypeDP was built for another channel, law or qstep")
+    return dp
 
 
 def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
@@ -123,27 +225,8 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     else under W); the typical set itself is always defined through W, whose
     entropies and log-probabilities are the decoder's reference.
     """
-    if len(source_word) != len(owner_word):
-        raise ValidationError("source and owner words must have equal length")
-    law_matrix = (law or W).matrix
-    n = len(owner_word)
-    h_owner = word_output_entropy(W, owner_word)
-    band_lo = -h_owner - delta * math.sqrt(n)
-    band_hi = -h_owner + delta * math.sqrt(n)
-
-    spectra = [letter_spectrum(law_matrix[xs], W.matrix[xo], qstep)
-               for xs, xo in zip(source_word, owner_word)]
-    dp, _dead = _convolve_spectra(spectra)
-
-    lo = 0.0
-    hi = 0.0
-    for mass, smin, smax in dp.values():
-        if smin >= band_lo + EDGE_FUZZ and smax <= band_hi - EDGE_FUZZ:
-            lo += mass
-            hi += mass
-        elif smax >= band_lo - EDGE_FUZZ and smin <= band_hi + EDGE_FUZZ:
-            hi += mass
-    return max(0.0, min(lo, 1.0)), max(0.0, min(hi, 1.0))
+    jtype = joint_type(source_word, owner_word)
+    return JointTypeDP(W, qstep, law).probs([jtype], delta)[jtype]
 
 
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
@@ -170,11 +253,16 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
 
 def measure_lambda1(code: DICode, W: ChannelModel,
                     qstep: float = DEFAULT_QSTEP,
-                    law: ChannelModel | None = None) -> tuple[float, float]:
-    """Worst-case miss probability max_j (1 - P_j[own typical set])."""
+                    law: ChannelModel | None = None,
+                    dp: JointTypeDP | None = None) -> tuple[float, float]:
+    """Worst-case miss probability max_j (1 - P_j[own typical set]).
+
+    `dp` lends its spectrum cache and counters (a fresh one by default).
+    """
+    dp = _dp_for(dp, W, qstep, law)
+    probs = dp.probs((joint_type(w, w) for w in code.codewords), code.delta)
     lo = hi = 0.0
-    for word in code.codewords:
-        p_lo, p_hi = typical_set_prob(W, word, word, code.delta, qstep, law=law)
+    for p_lo, p_hi in probs.values():
         lo = max(lo, 1.0 - p_hi)
         hi = max(hi, 1.0 - p_lo)
     return lo, hi
@@ -183,7 +271,8 @@ def measure_lambda1(code: DICode, W: ChannelModel,
 def measure_lambda2(code: DICode, W: ChannelModel,
                     pair_budget: int = DEFAULT_PAIR_BUDGET,
                     qstep: float = DEFAULT_QSTEP,
-                    law: ChannelModel | None = None):
+                    law: ChannelModel | None = None,
+                    dp: JointTypeDP | None = None):
     """Worst-case false-accept probability over ordered codeword pairs.
 
     All N(N-1) pairs get the exact DP when that fits the pair budget
@@ -191,10 +280,13 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     ceiling, the worst pair_budget pairs by that ceiling get the exact DP, and
     the reported hi endpoint keeps the analytic ceiling of the pairs that were
     skipped, so it remains a true upper bound (pair_mode "screened").  Each
-    pair's ceiling is computed once; pairs are ranked by its raw value.
+    pair's ceiling is computed once; pairs are ranked by its raw value.  Pairs
+    sharing a joint type share one DP.  `dp` lends its spectrum cache and
+    counters (a fresh one by default).
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).
     """
+    dp = _dp_for(dp, W, qstep, law)
     if code.size < 2:
         return (0.0, 0.0), "exhaustive", 0.0
     pairs = [(j, k) for j in range(code.size) for k in range(code.size) if j != k]
@@ -208,11 +300,12 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     else:
         evaluate, skipped = pairs, []
 
+    # source u_j measured against owner u_k's decision set
+    probs = dp.probs((joint_type(code.codewords[j], code.codewords[k])
+                      for j, k in evaluate), code.delta)
+    dp.pairs_exact += len(evaluate)
     lo = hi = 0.0
-    for j, k in evaluate:
-        # source u_j measured against owner u_k's decision set
-        p_lo, p_hi = typical_set_prob(W, code.codewords[j], code.codewords[k],
-                                      code.delta, qstep, law=law)
+    for p_lo, p_hi in probs.values():
         lo = max(lo, p_lo)
         hi = max(hi, p_hi)
     ceiling = 0.0
@@ -238,8 +331,9 @@ def exact_error_report(code: DICode, W: ChannelModel,
                        qstep: float = DEFAULT_QSTEP,
                        law: ChannelModel | None = None) -> ErrorReport:
     """Certified error intervals and measured exponents via the exact DP."""
-    l1 = measure_lambda1(code, W, qstep, law=law)
-    l2, pair_mode, ceiling = measure_lambda2(code, W, pair_budget, qstep, law=law)
+    dp = JointTypeDP(W, qstep, law)
+    l1 = measure_lambda1(code, W, qstep, law=law, dp=dp)
+    l2, pair_mode, ceiling = measure_lambda2(code, W, pair_budget, qstep, law=law, dp=dp)
     n = code.blocklength
     return ErrorReport(
         lambda1=l1, lambda2=l2,
@@ -248,6 +342,9 @@ def exact_error_report(code: DICode, W: ChannelModel,
         method="pair-bound" if pair_mode == "pair-bound" else "exact-dp",
         pair_mode=pair_mode,
         analytic_ceiling=ceiling if pair_mode != "exhaustive" else None,
+        dp_types=dp.types,
+        dp_states_max=dp.states_max,
+        pairs_exact=dp.pairs_exact,
     )
 
 

@@ -10,6 +10,7 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -19,6 +20,9 @@ LOG2 = math.log(2.0)
 
 #: refuse exact hypothesis-testing computations above this many outcomes
 HT_OUTCOME_GUARD = 10**7
+
+#: channel -> (per-letter entropies, letter-pair fidelities filled on demand)
+_LETTER_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def total_variation(p, q) -> float:
@@ -138,12 +142,26 @@ def typical_miss_bound(delta: float, y_size: int) -> float:
     return 2.0 * math.exp(-(delta**2) * c)
 
 
+def letter_tables(W) -> tuple[list[float], dict]:
+    """Per-letter output entropies of a channel and its letter-pair fidelity
+    table.  Channels are immutable, so both are built once per channel object;
+    fidelities are filled in as pairs are first asked for."""
+    tables = _LETTER_TABLES.get(W)
+    if tables is None:
+        tables = _LETTER_TABLES[W] = ([entropy(row) for row in W.matrix], {})
+    return tables
+
+
 def fidelity_product(W, owner_word, source_word) -> float:
     """Letterwise fidelity product between two words' output distributions."""
+    fid = letter_tables(W)[1]
     eps = 1.0
     for xo, xs in zip(owner_word, source_word):
         if xo != xs:
-            eps *= fidelity(W.matrix[xo], W.matrix[xs])
+            f = fid.get((xo, xs))
+            if f is None:
+                f = fid[xo, xs] = fidelity(W.matrix[xo], W.matrix[xs])
+            eps *= f
     return eps
 
 
@@ -158,8 +176,9 @@ def false_accept_bound(W, owner_word, source_word, delta: float) -> float:
         raise ValidationError("words must have equal length")
     n = len(owner_word)
     eps = fidelity_product(W, owner_word, source_word)
-    h_owner = sum(entropy(W.matrix[x]) for x in owner_word)
-    h_source = sum(entropy(W.matrix[x]) for x in source_word)
+    ent = letter_tables(W)[0]
+    h_owner = sum(ent[x] for x in owner_word)
+    h_source = sum(ent[x] for x in source_word)
     tail = typical_miss_bound(delta, W.output_size)
     exponent = 2.0 * delta * math.sqrt(n) + h_owner - h_source
     if eps == 0.0:

@@ -1,13 +1,19 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
-from dicode.codebook import assemble_code, construct
+from dicode.cli import main
+from dicode.codebook import assemble_code, code_to_json, construct
+from dicode.errors import SizeGuardError
 from dicode.evaluator import (
     brute_force_typical_prob,
     exact_error_report,
+    joint_type,
     letter_spectrum,
     measure_lambda1,
     measure_lambda2,
@@ -199,3 +205,134 @@ def test_error_report_json_round_trip():
     rep = exact_error_report(code, W)
     text = rep.to_json()
     assert '"method": "exact-dp"' in text
+
+
+# ---------------------------------------------------------------------------
+# property tests on channels with 2-4 outputs
+
+@st.composite
+def word_pair_cases(draw, max_n=7, zeros=False):
+    """(W, law, source, owner, delta): hypothesis picks the alphabet sizes,
+    the words and the zero pattern; a drawn seed gives the continuous values,
+    so that no statistic value sits exactly on a band edge."""
+    n_in = draw(st.integers(2, 4))
+    n_out = draw(st.integers(2, 4))
+    n = draw(st.integers(1, max_n))
+    letters = st.integers(0, n_in - 1)
+    source = tuple(draw(st.lists(letters, min_size=n, max_size=n)))
+    owner = tuple(draw(st.lists(letters, min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrices = []
+    for _ in range(2):
+        m = rng.random((n_in, n_out)) + 0.05
+        if zeros:
+            # zero out some entries, keeping one positive entry per row
+            cut = rng.random((n_in, n_out)) < 0.3
+            cut[np.arange(n_in), rng.integers(0, n_out, n_in)] = False
+            m[cut] = 0.0
+        matrices.append(m / m.sum(axis=1, keepdims=True))
+    labels = [str(i) for i in range(n_in)]
+    W = make_channel(labels, matrices[0])
+    law = make_channel(labels, matrices[1]) if draw(st.booleans()) else None
+    return W, law, source, owner, float(rng.uniform(0.2, 1.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_pair_cases(zeros=True), st.sampled_from([2.0**-2, 2.0**-5]))
+def test_typical_set_prob_encloses_enumeration(case, coarse):
+    W, law, source, owner, delta = case
+    lo, hi = typical_set_prob(W, source, owner, delta, law=law)
+    truth = brute_force_typical_prob(W, source, owner, delta, law=law)
+    assert lo - 1e-12 <= truth <= hi + 1e-12
+    assert hi - lo <= 1e-6
+    # on a coarse grid many cells straddle a band edge; still an enclosure
+    lo, hi = typical_set_prob(W, source, owner, delta, qstep=coarse, law=law)
+    assert lo - 1e-12 <= truth <= hi + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pair_cases(max_n=10, zeros=True), st.randoms(use_true_random=False))
+def test_typical_set_prob_invariant_under_position_permutation(case, random):
+    W, law, source, owner, delta = case
+    order = list(range(len(source)))
+    random.shuffle(order)
+    permuted = typical_set_prob(W, [source[i] for i in order], [owner[i] for i in order],
+                                delta, law=law)
+    assert [v.hex() for v in permuted] == [
+        v.hex() for v in typical_set_prob(W, source, owner, delta, law=law)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(word_pair_cases(max_n=8, zeros=True), st.data())
+def test_measurements_equal_per_pair_calls(case, data):
+    W, law, source, owner, delta = case
+    n_in, n = W.n_inputs, len(source)
+    extra = data.draw(st.lists(st.lists(st.integers(0, n_in - 1), min_size=n, max_size=n)
+                               .map(tuple), max_size=3))
+    words = list(dict.fromkeys([source, owner] + extra))
+    if len(words) < 2:
+        return
+    code = assemble_code(W, words, delta=delta)
+    per_pair = [typical_set_prob(W, words[j], words[k], code.delta, law=law)
+                for j in range(len(words)) for k in range(len(words)) if j != k]
+    (lo, hi), mode, _ = measure_lambda2(code, W, law=law)
+    assert mode == "exhaustive"
+    assert (lo, hi) == (max(p[0] for p in per_pair), max(p[1] for p in per_pair))
+    own = [typical_set_prob(W, w, w, code.delta, law=law) for w in words]
+    assert measure_lambda1(code, W, law=law) == (max(1.0 - p[1] for p in own),
+                                                  max(1.0 - p[0] for p in own))
+
+
+# ---------------------------------------------------------------------------
+# size guard and work counters
+
+#: two inputs whose 4 output log-probabilities are rationally independent
+#: (prime numerators), so a 22-fold class spectrum keeps all C(25, 3) = 2300
+#: cells and two such classes need a 5.29M-cell outer add
+GUARD_ROWS = [[0.11, 0.13, 0.17, 0.59], [0.07, 0.19, 0.31, 0.43]]
+GUARD_WORD = (0,) * 22 + (1,) * 22
+
+
+def test_dp_size_guard_fails_before_allocating():
+    W = make_channel(["a", "b"], GUARD_ROWS)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            typical_set_prob(W, GUARD_WORD, GUARD_WORD, delta=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_evaluate_size_guard_exit_code(tmp_path, capsys):
+    W = make_channel(["a", "b"], GUARD_ROWS)
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"inputs": ["a", "b"], "matrix": GUARD_ROWS}))
+    code = tmp_path / "code.json"
+    code.write_text(code_to_json(assemble_code(W, [GUARD_WORD, GUARD_WORD[::-1]],
+                                               delta=1.0)))
+    rc = main(["evaluate", "--channel", str(chan), "--code", str(code),
+               "--method", "exact", "--out", str(tmp_path / "ev")])
+    assert rc == 3
+    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+
+
+def test_report_work_counters():
+    W = bernoulli_family(2.0, 4)
+    code = assemble_code(W, [(0, 2, 1, 3), (1, 3, 2, 0), (2, 0, 3, 1), (0, 1, 2, 3)],
+                         delta=0.8)
+    words = code.codewords
+    types = {joint_type(a, b) for a in words for b in words}
+    rep = exact_error_report(code, W)
+    assert (rep.dp_types, rep.pairs_exact) == (len(types), 12)
+    assert rep.dp_states_max >= 1
+    payload = json.loads(rep.to_json())
+    assert (payload["dp_types"], payload["pairs_exact"]) == (len(types), 12)
+    assert payload["dp_states_max"] == rep.dp_states_max
+
+    screened = exact_error_report(code, W, pair_budget=5)
+    assert screened.pair_mode == "screened" and screened.pairs_exact == 5
+    assert exact_error_report(code, W, pair_budget=0).pairs_exact == 0
+    mc = json.loads(monte_carlo_errors(code, W, trials=100, seed=1).to_json())
+    assert mc["dp_types"] is mc["dp_states_max"] is mc["pairs_exact"] is None

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from dicode.channel import make_channel
+from dicode.channel import bernoulli_family, make_channel
+from dicode.codebook import construct
 from dicode.errors import SizeGuardError
 from dicode.infodist import (
     entropy,
@@ -166,6 +167,34 @@ def test_false_accept_bound_cases():
     D = make_channel(["a", "b"], [[1, 0], [0, 1]])
     assert false_accept_bound(D, (0, 0), (1, 1), 0.7) == pytest.approx(
         typical_miss_bound(0.7, 2))
+
+
+def uncached_false_accept_bound(W, owner_word, source_word, delta):
+    """The ceiling's formula without cached tables, in the same order."""
+    n = len(owner_word)
+    eps = 1.0
+    for xo, xs in zip(owner_word, source_word):
+        if xo != xs:
+            eps *= fidelity(W.matrix[xo], W.matrix[xs])
+    h_owner = sum(entropy(W.matrix[x]) for x in owner_word)
+    h_source = sum(entropy(W.matrix[x]) for x in source_word)
+    tail = typical_miss_bound(delta, W.output_size)
+    if eps == 0.0:
+        return tail
+    return tail + eps * (1.0 + 2.0 ** (2.0 * delta * math.sqrt(n) + h_owner - h_source))
+
+
+def test_false_accept_bound_bit_identical_to_uncached():
+    W = bernoulli_family(2.0, 6)
+    # 88 words over 4 letters; at this size summing the entropies in another
+    # order changes over a hundred of the 7,744 bounds
+    code = construct(W, 10, 4.5e-7, 0.5)
+    assert code.size > 80
+    for owner in code.codewords:
+        for source in code.codewords:
+            got = false_accept_bound(W, owner, source, code.delta)
+            want = uncached_false_accept_bound(W, owner, source, code.delta)
+            assert got.hex() == want.hex()
 
 
 def test_product_distribution():
