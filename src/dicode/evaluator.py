@@ -9,11 +9,12 @@ is the method of types (Csiszar-Korner).
 
 The exact evaluator works on cells: integer grid keys round(v / qstep) with
 the cell's mass and the exact min/max of the true sums merged into it.  Each
-class (a, b) gets its c-fold spectrum once; one outer-add-and-merge kernel
-combines the classes of a joint type, merging cells with equal keys
-(argsort + reduceat) once a table passes MERGE_CELLS and once at the end.  The
-final table has one cell per grid key, which yields certified [lo, hi]
-enclosures for every acceptance probability:
+class (a, b) gets its c-fold spectrum once; one add-and-merge kernel combines
+the classes of a joint type, merging cells with equal keys (argsort +
+reduceat).  Small adds stay unmerged; larger ones are built one range of sum
+keys at a time, so a bounded block is allocated at once, and STATE_GUARD
+limits the merged table.  The final table has one cell per grid key, which
+yields certified [lo, hi] enclosures for every acceptance probability:
 
   lo counts cells whose whole true-value range lies inside the band,
   hi additionally counts cells whose range touches it.
@@ -30,6 +31,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,10 +43,12 @@ from .infodist import false_accept_bound, letter_tables
 DEFAULT_QSTEP = 2.0**-20
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
-#: refuse any outer add of more cells than this, before it is allocated
+#: refuse a merged cell table of more cells than this
 STATE_GUARD = 5_000_000
-#: merge equal keys once a cell table grows past this many cells
+#: leave an outer add of at most this many cells unmerged
 MERGE_CELLS = 1 << 14
+#: sums a larger add gathers at once, one range of keys, before merging them
+BLOCK_CELLS = 1 << 15
 
 DEFAULT_PAIR_BUDGET = 10**6
 #: Monte Carlo trials scored per block; an N x block statistic stays in cache
@@ -114,7 +118,7 @@ _UNIT = (np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1), np.zeros(1))
 def _merge(cells):
     """One cell per distinct key: summed mass, min of mins, max of maxes."""
     key, mass, smin, smax = cells
-    if key.size < 2:
+    if key.size < 2 or (key[1:] > key[:-1]).all():
         return cells
     order = np.argsort(key, kind="stable")
     key = key[order]
@@ -124,13 +128,57 @@ def _merge(cells):
             np.maximum.reduceat(smax[order], starts))
 
 
-def _outer_add(a, b):
-    """Every sum of a cell of `a` and a cell of `b`, unmerged."""
-    if a[0].size * b[0].size > STATE_GUARD:
-        raise SizeGuardError(f"statistic DP outer add of {a[0].size} x {b[0].size} "
-                             f"cells exceeds guard {STATE_GUARD}")
+def _outer(a, b):
+    """Every sum of a cell of `a` and a cell of `b`, unmerged, `a`-major."""
     return (np.add.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel(),
             np.add.outer(a[2], b[2]).ravel(), np.add.outer(a[3], b[3]).ravel())
+
+
+def _add(a, b):
+    """Merged cell table of every sum of a cell of `a` and a cell of `b`.
+
+    Products of at most MERGE_CELLS cells stay unmerged.  Larger ones are
+    built one range of sum keys at a time: with `a` merged (sorted, distinct
+    keys), binary search finds the largest range holding at most BLOCK_CELLS
+    sums, which are gathered and merged into their final cells.  Ranges are
+    disjoint, so the merged table is their concatenation; its size is checked
+    against STATE_GUARD before each range is allocated.
+    """
+    if a[0].size * b[0].size <= MERGE_CELLS:
+        return _outer(a, b)
+    if a[0].size < b[0].size:
+        a, b = b, a
+    a = _merge(a)
+    akey, bkey = a[0], b[0]
+
+    def below(k):
+        """Number of sums with key < k."""
+        return int(np.searchsorted(akey, k - bkey).sum())
+
+    parts, size = [], 0
+    k0, top = int(akey[0] + bkey.min()), int(akey[-1] + bkey.max()) + 1
+    while k0 < top:
+        # largest k1 > k0 with at most BLOCK_CELLS sums in [k0, k1)
+        base, lo, hi = below(k0), k0 + 1, top
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if below(mid) - base <= BLOCK_CELLS else (lo, mid - 1)
+        start = np.searchsorted(akey, k0 - bkey)
+        counts = np.searchsorted(akey, lo - bkey) - start
+        # cells a[start_j : start_j + counts_j] pair with cell j of b
+        j = np.repeat(np.arange(bkey.size), counts)
+        i = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        parts.append(_merge((akey[i] + bkey[j], a[1][i] * b[1][j],
+                             a[2][i] + b[2][j], a[3][i] + b[3][j])))
+        size += parts[-1][0].size
+        if size > STATE_GUARD:
+            raise SizeGuardError(f"statistic DP cell table of {size} cells "
+                                 f"exceeds guard {STATE_GUARD}")
+        k0 = lo
+    # concatenate column by column, releasing each column's parts as it goes
+    columns = [list(column) for column in zip(*parts)]
+    del parts
+    return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
 
 
 def joint_type(source_word, owner_word) -> tuple:
@@ -168,30 +216,19 @@ class JointTypeDP:
             keys = np.rint(v / self.qstep).astype(np.int64)
             powers = self._powers[(a, b)] = [_merge((keys, mass, v, v))]
         while len(powers) < c:
-            powers.append(_merge(_outer_add(powers[-1], powers[0])))
+            powers.append(_merge(_add(powers[-1], powers[0])))
         return powers[c - 1]
 
     def probs(self, jtypes, delta: float) -> dict:
         """Certified enclosure of the typical-set acceptance probability of
-        each joint type, keyed by type.
-
-        Types are visited in sorted order; a type reuses the cell tables of
-        the class prefix it shares with the one before it.  A type's cells do
-        not depend on which types are evaluated with it.
+        each joint type, keyed by type.  A type's cells depend only on the
+        type, never on which types are evaluated with it.
         """
         ent = letter_tables(self.W)[0]
         out = {}
-        prev, stack = (), [_UNIT]   # stack[i]: cells of the first i classes of prev
-        for jtype in sorted(set(jtypes)):
-            shared = 0
-            while shared < min(len(prev), len(jtype)) and prev[shared] == jtype[shared]:
-                shared += 1
-            del stack[shared + 1:]
-            for (a, b), c in jtype[shared:]:
-                states = _outer_add(stack[-1], self._power(a, b, c))
-                stack.append(_merge(states) if states[0].size > MERGE_CELLS else states)
-            prev = jtype
-            _, mass, smin, smax = cells = _merge(stack[-1])
+        for jtype in set(jtypes):
+            powers = [self._power(a, b, c) for (a, b), c in jtype]
+            _, mass, smin, smax = cells = _merge(reduce(_add, powers) if powers else _UNIT)
             self.types += 1
             self.states_max = max(self.states_max, cells[0].size)
 

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dicode import evaluator
 from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
 from dicode.cli import main
 from dicode.codebook import assemble_code, code_to_json, construct
 from dicode.errors import SizeGuardError
 from dicode.evaluator import (
+    DEFAULT_QSTEP,
+    JointTypeDP,
     brute_force_typical_prob,
     exact_error_report,
     joint_type,
@@ -250,6 +253,48 @@ def test_typical_set_prob_encloses_enumeration(case, coarse):
     assert lo - 1e-12 <= truth <= hi + 1e-12
 
 
+def random_cells(rng, size):
+    """Unmerged cell table: keys with repeats, in no order."""
+    key = rng.integers(-40, 40, size)
+    smin = key * 0.5 - rng.uniform(0.0, 0.25, size)
+    return key, rng.random(size), smin, smin + rng.uniform(0.0, 0.25, size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 50), st.integers(0, 2**32 - 1))
+def test_add_equals_merged_outer_add(na, nb, block, seed):
+    rng = np.random.default_rng(seed)
+    a, b = random_cells(rng, na), random_cells(rng, nb)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "MERGE_CELLS", 0)
+        mp.setattr(evaluator, "BLOCK_CELLS", block)
+        key, mass, smin, smax = evaluator._add(a, b)
+    ref = evaluator._merge(evaluator._outer(a, b))
+    assert np.array_equal(key, ref[0])
+    assert np.array_equal(smin, ref[2]) and np.array_equal(smax, ref[3])
+    assert np.allclose(mass, ref[1], rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pair_cases(zeros=True), st.sampled_from([0, 8, 64]), st.integers(1, 64),
+       st.sampled_from([DEFAULT_QSTEP, 2.0**-2]))
+def test_key_range_blocks_enclose_enumeration(case, merge_cells, block, qstep):
+    """With a small MERGE_CELLS most adds take the key-range path, some from
+    unmerged tables; the cells do not depend on how many sums a range holds."""
+    W, law, source, owner, delta = case
+    truth = brute_force_typical_prob(W, source, owner, delta, law=law)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
+        whole = typical_set_prob(W, source, owner, delta, qstep, law=law)
+        mp.setattr(evaluator, "BLOCK_CELLS", block)
+        split = typical_set_prob(W, source, owner, delta, qstep, law=law)
+    assert [v.hex() for v in split] == [v.hex() for v in whole]
+    lo, hi = split
+    assert lo - 1e-12 <= truth <= hi + 1e-12
+    if qstep == DEFAULT_QSTEP:
+        assert hi - lo <= 1e-6
+
+
 @settings(max_examples=40, deadline=None)
 @given(word_pair_cases(max_n=10, zeros=True), st.randoms(use_true_random=False))
 def test_typical_set_prob_invariant_under_position_permutation(case, random):
@@ -288,12 +333,30 @@ def test_measurements_equal_per_pair_calls(case, data):
 
 #: two inputs whose 4 output log-probabilities are rationally independent
 #: (prime numerators), so a 22-fold class spectrum keeps all C(25, 3) = 2300
-#: cells and two such classes need a 5.29M-cell outer add
+#: cells.  GUARD_WORD against itself has classes (0, 0) and (1, 1): their sums
+#: merge to 4.87M cells, just under STATE_GUARD.
 GUARD_ROWS = [[0.11, 0.13, 0.17, 0.59], [0.07, 0.19, 0.31, 0.43]]
 GUARD_WORD = (0,) * 22 + (1,) * 22
+#: a guard far below GUARD_WORD's merged table, for tests of the guard itself
+SMALL_GUARD = 20_000
 
 
-def test_dp_size_guard_fails_before_allocating():
+def test_dp_guard_counts_merged_cells():
+    """Classes (0, 0) and (1, 0) share owner row 0, so their 2300-cell spectra
+    have 5.29M sums but only C(47, 3) = 16,215 merged cells."""
+    W = make_channel(["a", "b"], GUARD_ROWS)
+    dp = JointTypeDP(W)
+    jtype = joint_type(GUARD_WORD, (0,) * 44)
+    (lo, hi), = dp.probs([jtype], 1.0).values()
+    assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
+    assert dp.states_max == 16_215
+    assert typical_set_prob(W, GUARD_WORD, (0,) * 44, delta=1.0) == (lo, hi)
+
+
+def test_dp_size_guard_fails_before_allocating(monkeypatch):
+    """The DP stops after one block of BLOCK_CELLS sums once the merged table
+    passes the guard; the whole 4.87M-cell table would take 156 MB."""
+    monkeypatch.setattr(evaluator, "STATE_GUARD", SMALL_GUARD)
     W = make_channel(["a", "b"], GUARD_ROWS)
     tracemalloc.start()
     try:
@@ -302,10 +365,11 @@ def test_dp_size_guard_fails_before_allocating():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 << 20
+    assert peak < 256 * evaluator.BLOCK_CELLS
 
 
-def test_evaluate_size_guard_exit_code(tmp_path, capsys):
+def test_evaluate_size_guard_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(evaluator, "STATE_GUARD", SMALL_GUARD)
     W = make_channel(["a", "b"], GUARD_ROWS)
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({"inputs": ["a", "b"], "matrix": GUARD_ROWS}))
