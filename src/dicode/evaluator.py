@@ -51,8 +51,10 @@ MERGE_CELLS = 1 << 14
 BLOCK_CELLS = 1 << 15
 
 DEFAULT_PAIR_BUDGET = 10**6
-#: Monte Carlo trials scored per block; an N x block statistic stays in cache
+#: distinct Monte Carlo output words scored per block; N x block stays in cache
 MC_BLOCK = 512
+#: refuse Monte Carlo draws of more than this many n x trials symbols
+MC_CELL_GUARD = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class LogProbSpectrum:
 
     atoms: tuple[tuple[float, float], ...]
     dead_mass: float
-    quantization_step: float
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,7 @@ class ErrorReport:
     dp_types: int | None = None       # distinct joint types evaluated
     dp_states_max: int | None = None  # largest merged cell table
     pairs_exact: int | None = None    # ordered pairs covered by the exact DP
+    mc_words_scored: int | None = None  # distinct MC output words, summed
 
     def to_json(self) -> str:
         payload = {
@@ -93,11 +95,12 @@ class ErrorReport:
             "dp_types": self.dp_types,
             "dp_states_max": self.dp_states_max,
             "pairs_exact": self.pairs_exact,
+            "mc_words_scored": self.mc_words_scored,
         }
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def letter_spectrum(law_row, decode_row, qstep: float = DEFAULT_QSTEP) -> LogProbSpectrum:
+def letter_spectrum(law_row, decode_row) -> LogProbSpectrum:
     """Distribution of log2 decode_row(Y) with Y drawn from law_row."""
     atoms = []
     dead = 0.0
@@ -108,7 +111,7 @@ def letter_spectrum(law_row, decode_row, qstep: float = DEFAULT_QSTEP) -> LogPro
             dead += float(m)
         else:
             atoms.append((math.log2(q), float(m)))
-    return LogProbSpectrum(tuple(atoms), dead, qstep)
+    return LogProbSpectrum(tuple(atoms), dead)
 
 
 #: cell table: (grid key, mass, min true sum, max true sum), one array each
@@ -210,7 +213,7 @@ class JointTypeDP:
         """c-fold spectrum of class (a, b), built by merged single-letter adds."""
         powers = self._powers.get((a, b))
         if powers is None:
-            spec = letter_spectrum(self._law_matrix[a], self.W.matrix[b], self.qstep)
+            spec = letter_spectrum(self._law_matrix[a], self.W.matrix[b])
             v = np.array([v for v, _ in spec.atoms], dtype=float)
             mass = np.array([m for _, m in spec.atoms], dtype=float)
             keys = np.rint(v / self.qstep).astype(np.int64)
@@ -407,7 +410,10 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     spawn key (j,) draws `trials` output blocks from the product law of u_j;
     the same blocks score the owner test of u_j (first kind) and every other
     test (second kind).  The per-codeword split makes results independent of
-    any worker-level parallelism.
+    any worker-level parallelism.  A verdict depends only on the output word,
+    so each codeword's distinct output words are scored once and weighted by
+    their counts (summed in `mc_words_scored`); results are bit-identical to
+    scoring every trial.  MC_CELL_GUARD bounds the n x trials draws.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
     largest miss count over the N codewords, and `lambda2` that of the
@@ -419,31 +425,42 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    law_matrix = (law or W).matrix
     n = code.blocklength
+    if n * trials > MC_CELL_GUARD:
+        raise SizeGuardError(f"Monte Carlo draws of {n} x {trials} symbols "
+                             f"exceed guard {MC_CELL_GUARD}")
+    law_matrix = (law or W).matrix
     theta = code.delta * math.sqrt(n)
     h = np.array([word_output_entropy(W, w) for w in code.codewords])
     with np.errstate(divide="ignore"):
         logw = np.log2(W.matrix)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
     tables = np.ascontiguousarray(logw[np.array(code.codewords)].transpose(1, 2, 0))
+    radix = W.output_size
 
-    worst_miss = 0
-    worst_false = 0
+    worst_miss = worst_false = scored = 0
     for j, word in enumerate(code.codewords):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        # outputs: n x trials symbols drawn letterwise
+        # outputs: n x trials symbols drawn letterwise; key: mixed-radix word id
         y = np.empty((n, trials), dtype=np.int64)
+        key, span = np.zeros(trials, dtype=np.int64), 1
         for i, x in enumerate(word):
-            y[i] = rng.choice(W.output_size, size=trials, p=law_matrix[x])
+            y[i] = rng.choice(radix, size=trials, p=law_matrix[x])
+            if span * radix > 1 << 63:
+                # rank the keys: distinct words keep distinct keys below `span`
+                uniq, key = np.unique(key, return_inverse=True)
+                span = uniq.size
+            key, span = key * radix + y[i], span * radix
+        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        scored += first.size
         accepted = np.zeros(code.size, dtype=np.int64)
-        for start in range(0, trials, MC_BLOCK):
-            y_blk = y[:, start:start + MC_BLOCK]
-            # trials x owners statistic, summed in position order
+        for start in range(0, first.size, MC_BLOCK):
+            y_blk = y[:, first[start:start + MC_BLOCK]]
+            # distinct words x owners statistic, summed in position order
             stat = np.zeros((y_blk.shape[1], code.size))
             for i in range(n):
                 stat += tables[i][y_blk[i]]
-            accepted += (np.abs(stat + h) <= theta).sum(axis=0)
+            accepted += counts[start:start + MC_BLOCK] @ (np.abs(stat + h) <= theta)
         worst_miss = max(worst_miss, trials - int(accepted[j]))
         accepted[j] = 0
         worst_false = max(worst_false, int(accepted.max()))
@@ -454,7 +471,5 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
         lambda1=l1, lambda2=l2,
         e1_measured=_exponent(l1[1], n),
         e2_measured=_exponent(l2[1], n),
-        method="monte-carlo",
-        trials=trials,
-        seed=seed,
+        method="monte-carlo", trials=trials, seed=seed, mc_words_scored=scored,
     )

@@ -1,7 +1,6 @@
 import itertools
 import math
 import tracemalloc
-from operator import ne
 
 import numpy as np
 import pytest
@@ -120,11 +119,14 @@ def test_distance_code_counting_guarantee():
 
 def reference_lexicode(q, n, t):
     """Lexicographic greedy code: scan [q]^n in order, keep a word iff its
-    Hamming distance to every kept word exceeds t*n."""
+    Hamming distance to every kept word exceeds t*n.  Each kept word is the
+    first candidate left; the candidates within distance t*n of it go."""
+    words = np.array(list(itertools.product(range(q), repeat=n))).reshape(-1, n)
     kept = []
-    for w in itertools.product(range(q), repeat=n):
-        if all(sum(map(ne, w, v)) > t * n for v in kept):
-            kept.append(w)
+    while len(words):
+        w = words[0]
+        kept.append(tuple(int(v) for v in w))
+        words = words[(words != w).sum(axis=1) > t * n]
     return kept
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from dicode import evaluator
 from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
 from dicode.cli import main
-from dicode.codebook import assemble_code, code_to_json, construct
+from dicode.codebook import assemble_code, code_to_json, construct, word_output_entropy
 from dicode.errors import SizeGuardError
 from dicode.evaluator import (
     DEFAULT_QSTEP,
@@ -328,6 +328,83 @@ def test_measurements_equal_per_pair_calls(case, data):
                                                   max(1.0 - p[0] for p in own))
 
 
+def per_trial_monte_carlo(code, W, trials, seed, law=None):
+    """Reference scorer: every trial scored on its own, in trial order; the
+    distinct output words are counted separately with np.unique(axis=1)."""
+    law_matrix = (law or W).matrix
+    n = code.blocklength
+    theta = code.delta * math.sqrt(n)
+    h = np.array([word_output_entropy(W, w) for w in code.codewords])
+    with np.errstate(divide="ignore"):
+        logw = np.log2(W.matrix)
+    # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
+    tables = np.ascontiguousarray(logw[np.array(code.codewords)].transpose(1, 2, 0))
+
+    worst_miss = 0
+    worst_false = 0
+    distinct = 0
+    for j, word in enumerate(code.codewords):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
+        # outputs: n x trials symbols drawn letterwise
+        y = np.empty((n, trials), dtype=np.int64)
+        for i, x in enumerate(word):
+            y[i] = rng.choice(W.output_size, size=trials, p=law_matrix[x])
+        distinct += np.unique(y, axis=1).shape[1]
+        accepted = np.zeros(code.size, dtype=np.int64)
+        for start in range(0, trials, evaluator.MC_BLOCK):
+            y_blk = y[:, start:start + evaluator.MC_BLOCK]
+            # trials x owners statistic, summed in position order
+            stat = np.zeros((y_blk.shape[1], code.size))
+            for i in range(n):
+                stat += tables[i][y_blk[i]]
+            accepted += (np.abs(stat + h) <= theta).sum(axis=0)
+        worst_miss = max(worst_miss, trials - int(accepted[j]))
+        accepted[j] = 0
+        worst_false = max(worst_false, int(accepted.max()))
+
+    l1 = wilson_interval(worst_miss, trials)
+    l2 = (0.0, 0.0) if code.size < 2 else wilson_interval(worst_false, trials)
+    return evaluator.ErrorReport(
+        lambda1=l1, lambda2=l2,
+        e1_measured=evaluator._exponent(l1[1], n),
+        e2_measured=evaluator._exponent(l2[1], n),
+        method="monte-carlo",
+        trials=trials,
+        seed=seed,
+        mc_words_scored=distinct,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(word_pair_cases(max_n=8, zeros=True), st.data())
+def test_monte_carlo_equals_per_trial_scoring(case, data):
+    W, law, source, owner, delta = case
+    n = len(source)
+    word = st.lists(st.integers(0, W.n_inputs - 1), min_size=n, max_size=n).map(tuple)
+    extra = data.draw(st.lists(st.just(owner) | word, max_size=3))
+    code = assemble_code(W, list(dict.fromkeys([source] + extra)), delta=delta)
+    trials = data.draw(st.sampled_from([1, 511, 512, 513, 1500]) | st.integers(1, 1200))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    assert (monte_carlo_errors(code, W, trials, seed, law=law).to_json()
+            == per_trial_monte_carlo(code, W, trials, seed, law=law).to_json())
+
+
+@pytest.mark.parametrize("rows, words", [
+    # |Y|^n = 3^45 > 2^63
+    ([[0.5, 0.3, 0.2], [0.2, 0.2, 0.6]],
+     [tuple(i % 2 for i in range(45)), tuple((i // 3) % 2 for i in range(45))]),
+    # 4^40 = 2^80: unranked keys would keep only the last 32 positions, where
+    # the first word's outputs are fixed, and merge all of its output words
+    ([[0.4, 0.3, 0.2, 0.1], [1.0, 0.0, 0.0, 0.0]],
+     [(0,) * 8 + (1,) * 32, tuple(i % 2 for i in range(40))]),
+])
+def test_monte_carlo_long_words_rank_keys(rows, words):
+    W = make_channel(["a", "b"], rows)
+    code = assemble_code(W, words, delta=2.0)
+    rep = monte_carlo_errors(code, W, trials=1500, seed=3)
+    assert rep.to_json() == per_trial_monte_carlo(code, W, trials=1500, seed=3).to_json()
+
+
 # ---------------------------------------------------------------------------
 # size guard and work counters
 
@@ -398,5 +475,46 @@ def test_report_work_counters():
     screened = exact_error_report(code, W, pair_budget=5)
     assert screened.pair_mode == "screened" and screened.pairs_exact == 5
     assert exact_error_report(code, W, pair_budget=0).pairs_exact == 0
+    assert rep.mc_words_scored is payload["mc_words_scored"] is None
     mc = json.loads(monte_carlo_errors(code, W, trials=100, seed=1).to_json())
     assert mc["dp_types"] is mc["dp_states_max"] is mc["pairs_exact"] is None
+
+    # BERN6 n=10: 88 words, at most 2^10 output words each
+    W = bernoulli_family(2.0, 6)
+    code = construct(W, n=10, E=4.5e-7, t=0.5)
+    mc = monte_carlo_errors(code, W, trials=10**4, seed=1)
+    assert 88 * 16 <= mc.mc_words_scored <= 88 * 1024
+    assert json.loads(mc.to_json())["mc_words_scored"] == mc.mc_words_scored
+
+
+def test_mc_size_guard_fails_before_allocating(tmp_path, capsys):
+    W = identity_channel(2)
+    code = assemble_code(W, [(0, 1, 0), (1, 0, 1)], delta=0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            monte_carlo_errors(code, W, trials=10**9, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({"inputs": ["0", "1"], "matrix": [[1, 0], [0, 1]]}))
+    (tmp_path / "code.json").write_text(code_to_json(code))
+    rc = main(["evaluate", "--channel", str(chan), "--code", str(tmp_path / "code.json"),
+               "--method", "mc", "--trials", "1000000000", "--out", str(tmp_path / "ev")])
+    assert rc == 3
+    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+
+
+def test_mc_size_guard_edge(monkeypatch):
+    # the README example (n=8, 10^5 trials) and the certify check (n=18,
+    # 2 * 10^4 trials) stay under the guard
+    assert max(8 * 10**5, 18 * 2 * 10**4) <= evaluator.MC_CELL_GUARD
+    W = identity_channel(2)
+    code = assemble_code(W, [(0, 1, 0), (1, 0, 1)], delta=0.5)
+    monkeypatch.setattr(evaluator, "MC_CELL_GUARD", 3 * 100)
+    assert monte_carlo_errors(code, W, trials=100, seed=1).trials == 100
+    with pytest.raises(SizeGuardError):
+        monte_carlo_errors(code, W, trials=101, seed=1)
