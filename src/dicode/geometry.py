@@ -20,6 +20,8 @@ import numpy as np
 from .errors import SizeGuardError, ValidationError
 
 EXACT_SIZE_LIMIT = 64
+DISTANCE_SIZE_LIMIT = 4096   # a 128 MB float matrix
+DISTANCE_BLOCK = 64          # rows of the matrix built at once
 
 METRICS = ("euclidean", "total-variation")
 
@@ -44,12 +46,25 @@ class PointCloud:
         return self.points.shape[0]
 
     def distance_matrix(self) -> np.ndarray:
-        """Build the (m, m) pairwise distance matrix anew."""
+        """Build the (m, m) distance matrix anew, DISTANCE_BLOCK rows at a time.
+
+        Each cell sums its coordinates in the same order as a one-shot
+        broadcast, and p_i - p_j is exactly -(p_j - p_i), so the matrix is
+        bitwise symmetric (greedy covering relies on it).  Clouds above
+        DISTANCE_SIZE_LIMIT points are refused before anything is allocated.
+        """
         p = self.points
-        if self.metric == "euclidean":
-            diff = p[:, None, :] - p[None, :, :]
-            return np.sqrt((diff**2).sum(axis=2))
-        return 0.5 * np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
+        m = p.shape[0]
+        if m > DISTANCE_SIZE_LIMIT:
+            raise SizeGuardError(f"distance matrix limited to {DISTANCE_SIZE_LIMIT} points")
+        dist = np.empty((m, m))
+        for lo in range(0, m, DISTANCE_BLOCK):
+            diff = p[lo:lo + DISTANCE_BLOCK, None, :] - p[None, :, :]
+            if self.metric == "euclidean":
+                dist[lo:lo + DISTANCE_BLOCK] = np.sqrt((diff**2).sum(axis=2))
+            else:
+                dist[lo:lo + DISTANCE_BLOCK] = 0.5 * np.abs(diff).sum(axis=2)
+        return dist
 
     @cached_property
     def distances(self) -> np.ndarray:
@@ -86,7 +101,6 @@ class DimensionEstimate:
 
 def _greedy_packing(dist: np.ndarray, delta: float) -> list[int]:
     """Farthest-point maximal packing, seeded at index 0, ties by index."""
-    m = dist.shape[0]
     chosen = [0]
     mindist = dist[0].copy()
     while True:
@@ -133,18 +147,27 @@ def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
 
 def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
     """Greedy set cover: repeatedly take the ball covering most uncovered
-    points; ties by lowest center index."""
-    m = dist.shape[0]
+    points; ties by lowest center index.
+
+    gains[c], the uncovered points in ball c, is updated as points become
+    covered, so a whole cover costs O(m^2), not O(m^2) per pick.
+    """
     balls = dist <= delta
-    uncovered = np.ones(m, dtype=bool)
+    gains = np.count_nonzero(balls, axis=1)
+    uncovered = np.ones(dist.shape[0], dtype=bool)
+    left = uncovered.size
     chosen: list[int] = []
-    while uncovered.any():
-        gains = (balls & uncovered[None, :]).sum(axis=1)
+    while left:
         c = int(np.argmax(gains))
-        if gains[c] == 0:
+        new = np.flatnonzero(balls[c] & uncovered)
+        if not new.size:
             raise ValidationError("point cannot be covered (degenerate ball)")
         chosen.append(c)
-        uncovered &= ~balls[c]
+        uncovered[new] = False
+        left -= new.size
+        # the distance matrix is bitwise symmetric, so row p of `balls` marks
+        # the balls that contain p
+        gains -= np.count_nonzero(balls[new], axis=0)
     return sorted(chosen)
 
 

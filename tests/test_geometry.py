@@ -1,15 +1,21 @@
 import itertools
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dicode import geometry
 from dicode.channel import bernoulli_family
+from dicode.cli import main
 from dicode.errors import SizeGuardError, ValidationError
 from dicode.geometry import (
     CoveringResult,
     PackingResult,
     PointCloud,
+    _greedy_covering,
     cloud_from_channel,
     estimate_dimension,
     max_packing,
@@ -195,3 +201,93 @@ def test_packing_and_covering_share_one_result_type():
     cover = min_covering(cloud, 1.0, "exact")
     assert PackingResult is CoveringResult
     assert isinstance(pack, PackingResult) and isinstance(cover, CoveringResult)
+
+
+def rescanning_greedy_covering(dist, delta):
+    """The greedy cover that recounts every ball at every pick (reference)."""
+    m = dist.shape[0]
+    balls = dist <= delta
+    uncovered = np.ones(m, dtype=bool)
+    chosen: list[int] = []
+    while uncovered.any():
+        gains = (balls & uncovered[None, :]).sum(axis=1)
+        c = int(np.argmax(gains))
+        if gains[c] == 0:
+            raise ValidationError("point cannot be covered (degenerate ball)")
+        chosen.append(c)
+        uncovered &= ~balls[c]
+    return sorted(chosen)
+
+
+def broadcast_distance_matrix(cloud):
+    """All pairwise distances from one (m, m, d) broadcast (reference)."""
+    p = cloud.points
+    if cloud.metric == "euclidean":
+        diff = p[:, None, :] - p[None, :, :]
+        return np.sqrt((diff**2).sum(axis=2))
+    return 0.5 * np.abs(p[:, None, :] - p[None, :, :]).sum(axis=2)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), m=st.integers(1, 80), dim=st.integers(1, 3),
+       metric=st.sampled_from(geometry.METRICS))
+def test_greedy_covering_equals_rescanning(data, m, dim, metric):
+    # integer grid points: many repeated distances, so gains tie often, and
+    # every radius is a pairwise distance, so points sit on ball boundaries
+    coords = data.draw(st.lists(st.integers(0, 4), min_size=m * dim, max_size=m * dim))
+    cloud = PointCloud(np.array(coords, dtype=float).reshape(m, dim), metric)
+    dist = cloud.distance_matrix()
+    assert np.array_equal(bits(dist), bits(dist.T))
+    for _ in range(3):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        assert _greedy_covering(dist, dist[i, j]) == rescanning_greedy_covering(dist, dist[i, j])
+
+
+def test_greedy_covering_degenerate_ball():
+    cloud = PointCloud(np.array([[0.0], [1.0], [np.nan], [2.0]]))
+    dist = cloud.distance_matrix()
+    with pytest.raises(ValidationError, match="degenerate ball"):
+        rescanning_greedy_covering(dist, 1.0)
+    with pytest.raises(ValidationError, match="degenerate ball"):
+        _greedy_covering(dist, 1.0)
+
+
+@pytest.mark.parametrize("metric", geometry.METRICS)
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
+def test_distance_matrix_blocks_bitwise_equal(m, metric):
+    rng = np.random.default_rng(m)
+    cloud = PointCloud(rng.standard_normal((m, 7)), metric)
+    dist = cloud.distance_matrix()
+    assert np.array_equal(bits(dist), bits(broadcast_distance_matrix(cloud)))
+    assert np.array_equal(bits(dist), bits(dist.T))
+
+
+def test_distance_matrix_size_guard_fails_fast(tmp_path, capsys):
+    cloud = PointCloud(np.zeros((geometry.DISTANCE_SIZE_LIMIT + 1, 2)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError):
+            min_covering(cloud, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+    # a 20,002-point Bernoulli ladder
+    chan = tmp_path / "ladder.json"
+    chan.write_text(json.dumps({"family": "bernoulli", "a": 1.001, "k_max": 20000}))
+    rc = main(["geometry", "--channel", str(chan), "--task", "covering",
+               "--radii", "0.1", "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+
+
+def test_distance_matrix_size_guard_edge(monkeypatch):
+    monkeypatch.setattr(geometry, "DISTANCE_SIZE_LIMIT", 100)
+    assert PointCloud(np.zeros((100, 1))).distance_matrix().shape == (100, 100)
+    with pytest.raises(SizeGuardError):
+        PointCloud(np.zeros((101, 1))).distance_matrix()
