@@ -30,10 +30,12 @@ import numpy as np
 
 from .channel import ChannelModel, dedupe_and_purge
 from .errors import ValidationError
-from .geometry import EXACT_SIZE_LIMIT, cloud_from_channel, max_packing, min_covering
+from .geometry import cloud_from_channel, max_packing, min_covering
 from .infodist import binary_entropy, fidelity, typicality_constants
 
 LN4 = math.log(4.0)
+#: relative width at which power_capacity's bisection for the tilt stops
+TILT_TOL = 1e-10
 
 CSV_COLUMNS = ("formula_id", "n", "E", "t", "eta", "alpha",
                "value_bits", "normalized_value", "validity_flags", "count_exactness")
@@ -81,21 +83,18 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def curves_to_csv(curves) -> str:
+def rows_to_csv(header, rows) -> str:
     """Deterministic CSV rendering (17 significant digits, \\n newlines)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for curve in curves:
-        for row in curve.rows():
-            writer.writerow([_fmt(row[c]) for c in CSV_COLUMNS])
+    writer.writerow(header)
+    writer.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _count_mode(cloud_size: int, requested: str) -> str:
-    if requested == "auto":
-        return "exact" if cloud_size <= EXACT_SIZE_LIMIT else "greedy"
-    return requested
+def curves_to_csv(curves) -> str:
+    return rows_to_csv(CSV_COLUMNS, ([row[c] for c in CSV_COLUMNS]
+                                     for curve in curves for row in curve.rows()))
 
 
 def _log_penalty(n: int, y_size: int) -> float:
@@ -121,8 +120,7 @@ def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
     flags = []
     if beta >= math.sqrt(2.0):
         flags.append("trivial-regime")
-    cloud = cloud_from_channel(W, "sqrt")
-    pack = max_packing(cloud, beta, mode=_count_mode(len(cloud), mode))
+    pack = max_packing(cloud_from_channel(W, "sqrt"), beta, mode=mode)
     value = ((1 - t) * math.log2(pack.count) - binary_entropy(t)
              - _log_penalty(n, W.output_size))
     return BoundPoint(value, tuple(flags),
@@ -138,8 +136,7 @@ def thm2_upper(W: ChannelModel, n: int, E: float, mode: str = "auto") -> BoundPo
     if n * E / 2.0 < LN4:
         flags.append("precondition-nE-unmet")
     r = covering_radius(E)
-    cloud = cloud_from_channel(W, "sqrt")
-    cover = min_covering(cloud, r, mode=_count_mode(len(cloud), mode))
+    cover = min_covering(cloud_from_channel(W, "sqrt"), r, mode=mode)
     return BoundPoint(math.log2(cover.count), tuple(flags),
                       "exact" if cover.exact else "upper-bound",
                       {"covering_count": cover.count, "radius": r})
@@ -289,7 +286,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
             BoundPoint(upper, (), extras={"d_min": d_min, "alpha_inv": fmax}))
 
 
-def power_capacity(W: ChannelModel, A: float, tol: float = 1e-10) -> BoundPoint:
+def power_capacity(W: ChannelModel, A: float) -> BoundPoint:
     """max H(p) over input distributions with expected cost <= A, in bits.
 
     The channel must be purged first (duplicate rows merged).  If the uniform
@@ -317,7 +314,7 @@ def power_capacity(W: ChannelModel, A: float, tol: float = 1e-10) -> BoundPoint:
         hi *= 2.0
         if hi > 1e18:
             raise ValidationError("tilt search diverged")
-    while hi - lo > tol * max(1.0, hi):
+    while hi - lo > TILT_TOL * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if mean_cost(mid) > A:
             lo = mid
@@ -405,13 +402,12 @@ def thm6_stein(y_size: int, E: float, n: int, alpha: float = 2.0,
 FIG_RECIPE_C = 12.0   # reference constant in t(n)^2 = 3 / (c log2 n)
 
 
-def trend_lower_point(n: int, d: float = 1.0, c_ref: float = FIG_RECIPE_C,
-                      y_size: int = 2) -> BoundPoint:
+def trend_lower_point(n: int, d: float = 1.0, y_size: int = 2) -> BoundPoint:
     """Dimension-form achievability at E = 1/n, eta = 1/n,
-    t = sqrt(3 / (c_ref log2 n))."""
-    t = math.sqrt(3.0 / (c_ref * math.log2(n)))
-    if not 0 < t < 1:
-        raise ValidationError("reference constant makes t leave (0, 1)")
+    t = sqrt(3 / (FIG_RECIPE_C log2 n))."""
+    if n < 2:
+        raise ValidationError("the trend recipe needs n >= 2")
+    t = math.sqrt(3.0 / (FIG_RECIPE_C * math.log2(n)))   # in (0, 1/2] for n >= 2
     # log2(c t^2 / 6E) under this schedule collapses to log2(n / (2 log2 n)),
     # independent of the constant itself
     value = ((1 - t) / 4.0 * (d - 1.0 / n) * math.log2(n / (2.0 * math.log2(n)))
@@ -422,6 +418,8 @@ def trend_lower_point(n: int, d: float = 1.0, c_ref: float = FIG_RECIPE_C,
 
 def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
     """Unexpanded dimension-form converse at E = 1/n, eta = 1/log2 n."""
+    if n < 2:
+        raise ValidationError("the trend recipe needs n >= 2")
     eta = 1.0 / math.log2(n)
     E = 1.0 / n
     value = (d + eta) * math.log2(2.0 / math.sqrt(-math.expm1(-E / 2.0)))
@@ -448,8 +446,8 @@ def _thm6_point(g: dict, W: ChannelModel | None) -> BoundPoint:
 #: formula_id -> evaluator of one grid point g (a dict) on channel W.  Entries
 #: look the formula functions up by module-global name at call time.
 FORMULAS = {
-    "thm1_lower": lambda g, W: thm1_lower(W, g["n"], g["E"], g["t"], g.get("mode", "auto")),
-    "thm2_upper": lambda g, W: thm2_upper(W, g["n"], g["E"], g.get("mode", "auto")),
+    "thm1_lower": lambda g, W: thm1_lower(W, g["n"], g["E"], g["t"]),
+    "thm2_upper": lambda g, W: thm2_upper(W, g["n"], g["E"]),
     "cor1_lower": lambda g, W: cor1_lower(g["d"], g["eta"], g["E"], g["t"], g["n"],
                                           g.get("y_size", 2)),
     "cor2_upper": lambda g, W: cor2_upper(g["d"], g["eta"], g["E"]),
@@ -464,16 +462,30 @@ FORMULAS = {
     "thm6_stein": _thm6_point,
     "power_capacity": lambda g, W: power_capacity(W, g["A"]),
     "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0),
-                                                  g.get("c_ref", FIG_RECIPE_C),
                                                   g.get("y_size", 2)),
     "trend_upper": lambda g, W: trend_upper_point(g["n"], g.get("d", 1.0)),
 }
 
 
+#: formulas that read the channel W
+CHANNEL_FORMULAS = frozenset({"thm1_lower", "thm2_upper", "ex2_dmc_lower",
+                              "ex2_dmc_upper", "power_capacity"})
+
+
 def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
-    """Evaluate one formula over an explicit list of grid-point dicts, in order."""
+    """Evaluate one formula over an explicit list of grid-point dicts, in order.
+
+    A channel formula without W, or a grid point lacking a parameter the
+    formula reads, raises ValidationError.
+    """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula id {formula_id!r}")
+    if W is None and formula_id in CHANNEL_FORMULAS:
+        raise ValidationError(f"formula {formula_id!r} needs a channel")
     point = FORMULAS[formula_id]
     grid = tuple(dict(g) for g in grid)
-    return BoundCurve(formula_id, grid, tuple(point(g, W) for g in grid))
+    try:
+        points = tuple(point(g, W) for g in grid)
+    except KeyError as exc:
+        raise ValidationError(f"formula {formula_id!r} needs grid parameter {exc}") from None
+    return BoundCurve(formula_id, grid, points)

@@ -6,7 +6,10 @@ the same manifest parameters produce byte-identical CSV/JSON.  construct,
 evaluate, bounds and geometry accept --seed and --jobs: only
 `evaluate --method mc` uses --seed, and no subcommand uses --jobs (all work
 runs serially).  Exit codes: 0 success, 2 validation failure, 3 size-guard
-refusal.
+refusal.  Exit 2 also covers a non-numeric axis field or a 4th one other than
+`log`, an unreadable or non-code `--code` file, a `bounds` grid lacking a key
+the formula reads, a channel formula without --channel, fig2 with n < 2, and
+`--formula` with `--recipe fig2` (which sweeps trend_lower and trend_upper).
 Diagnostics go to stderr as single `error code=... msg=...` lines.
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,7 +26,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import FORMULAS, curves_to_csv, sweep
+from .bounds import FORMULAS, curves_to_csv, rows_to_csv, sweep
 from .channel import channel_to_spec, load_channel
 from .codebook import code_from_json, code_to_json, construct
 from .errors import SizeGuardError, ValidationError
@@ -66,23 +70,26 @@ def _manifest(out_dir: Path, command: str, params: dict, seed: int,
 
 def _parse_axis(text: str) -> list[float]:
     """Axis syntax: 'v1,v2,...' or 'lo:hi:count[:log]'."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) not in (3, 4):
-            raise ValidationError(f"bad axis spec {text!r}")
+    parts = text.split(":")
+    if len(parts) not in (1, 3, 4) or parts[3:] not in ([], ["log"]):
+        raise ValidationError(f"bad axis spec {text!r}")
+    try:
+        if len(parts) == 1:
+            return [float(v) for v in text.split(",") if v]
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError("axis needs at least one point")
-        if count == 1:
-            return [lo]
-        if len(parts) == 4 and parts[3] == "log":
-            if lo <= 0 or hi <= 0:
-                raise ValidationError("log axis needs positive endpoints")
-            ratio = (hi / lo) ** (1.0 / (count - 1))
-            return [lo * ratio**i for i in range(count)]
-        step = (hi - lo) / (count - 1)
-        return [lo + step * i for i in range(count)]
-    return [float(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValidationError(f"bad axis spec {text!r}") from None
+    if count < 1:
+        raise ValidationError("axis needs at least one point")
+    if count == 1:
+        return [lo]
+    if len(parts) == 4:
+        if lo <= 0 or hi <= 0:
+            raise ValidationError("log axis needs positive endpoints")
+        ratio = (hi / lo) ** (1.0 / (count - 1))
+        return [lo * ratio**i for i in range(count)]
+    step = (hi - lo) / (count - 1)
+    return [lo + step * i for i in range(count)]
 
 
 def cmd_channel_check(args) -> int:
@@ -135,7 +142,10 @@ def cmd_construct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     W = load_channel(args.channel)
-    code = code_from_json(Path(args.code).read_text())
+    try:
+        code = code_from_json(Path(args.code).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
     seed = _seed_from_env(args.seed)
     if args.method == "exact":
         report = exact_error_report(code, W, pair_budget=args.pair_budget)
@@ -152,53 +162,55 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+#: single-value `bounds` options: (flag, grid key, type, help).  Each sets one
+#: grid key, also its name in the manifest.
+BOUNDS_VALUES = (
+    ("--t", "t", float, "Hamming distance fraction"),
+    ("--eta", "eta", float, "dimension slack"),
+    ("--alpha", "alpha", float, "Renyi order for thm5/thm6"),
+    ("--d", "d", float, "dimension value for cor1/cor2"),
+    ("--a", "a", float, "ladder base for ex1"),
+    ("--cost-cap", "A", float, "cost cap A for power_capacity"),
+    ("--omega", "omega", float, "smallest channel probability for thm5"),
+    ("--lambda-bound", "lambda", float, "bounded error for thm5/thm6"),
+    ("--delta-part", "delta_part", float, "partition slack for thm5/thm6"),
+    ("--delta-trunc", "delta_trunc", float, "truncation level for thm6"),
+    ("--y-size", "y_size", int, "output alphabet size without --channel"),
+)
+
+
 def _bounds_grid(args) -> list[dict]:
-    axes: dict[str, list] = {}
+    axes = {key: [getattr(args, key)] for _, key, _, _ in BOUNDS_VALUES
+            if getattr(args, key) is not None}
     if args.n_axis:
         axes["n"] = [int(round(v)) for v in _parse_axis(args.n_axis)]
     if args.E_axis:
         axes["E"] = _parse_axis(args.E_axis)
-    if args.t is not None:
-        axes["t"] = [args.t]
-    if args.eta is not None:
-        axes["eta"] = [args.eta]
-    if args.alpha is not None:
-        axes["alpha"] = [args.alpha]
-    for name, val in (("d", args.d), ("a", args.a), ("A", args.cost_cap),
-                      ("omega", args.omega), ("lambda", args.lambda_bound),
-                      ("delta_part", args.delta_part),
-                      ("delta_trunc", args.delta_trunc),
-                      ("y_size", args.y_size)):
-        if val is not None:
-            axes[name] = [val]
     names = sorted(axes)
-    grid: list[dict] = [{}]
-    for name in names:
-        grid = [dict(g, **{name: v}) for g in grid for v in axes[name]]
-    return grid
+    return [dict(zip(names, values))
+            for values in itertools.product(*(axes[name] for name in names))]
 
 
 def cmd_bounds(args) -> int:
     W = load_channel(args.channel) if args.channel else None
     if args.recipe == "fig2":
+        if args.formula:
+            raise ValidationError("--recipe fig2 sweeps trend_lower and trend_upper; "
+                                  "drop --formula")
         ns = [int(round(v)) for v in _parse_axis(args.n_axis or "1e3:1e9:7:log")]
-        curves = [sweep("trend_lower", [{"n": n} for n in ns]),
-                  sweep("trend_upper", [{"n": n} for n in ns])]
+        grid, formulas = [{"n": n} for n in ns], ["trend_lower", "trend_upper"]
     else:
-        grid = _bounds_grid(args)
-        curves = [sweep(f, grid, W) for f in args.formula]
+        grid, formulas = _bounds_grid(args), args.formula or ["thm1_lower"]
+    curves = [sweep(f, grid, W) for f in formulas]
     csv_text = curves_to_csv(curves)
     out = Path(args.out)
     _write(out / "bounds.csv", csv_text)
     chan_hash = _hash_file(args.channel) if args.channel else None
     _manifest(out, "bounds",
-              {"formula": list(args.formula), "recipe": args.recipe,
+              {"formula": formulas, "recipe": args.recipe,
                "channel": str(args.channel) if args.channel else None,
-               "n_axis": args.n_axis, "E_axis": args.E_axis, "t": args.t,
-               "eta": args.eta, "alpha": args.alpha, "d": args.d, "a": args.a,
-               "A": args.cost_cap, "omega": args.omega,
-               "lambda": args.lambda_bound, "delta_part": args.delta_part,
-               "delta_trunc": args.delta_trunc, "y_size": args.y_size},
+               "n_axis": args.n_axis, "E_axis": args.E_axis,
+               **{key: getattr(args, key) for _, key, _, _ in BOUNDS_VALUES}},
               0, chan_hash)
     if args.svg:
         series = []
@@ -215,8 +227,7 @@ def cmd_bounds(args) -> int:
                 labels = ("exponent target E", "rate bound (bits)")
             series.append((curve.formula_id, xs, ys))
         _write(out / "bounds.svg",
-               line_chart(series, title="rate bounds", x_label=labels[0],
-                          y_label=labels[1], log_x=True))
+               line_chart(series, x_label=labels[0], y_label=labels[1]))
     print(csv_text, end="")
     return EXIT_OK
 
@@ -227,23 +238,18 @@ def cmd_geometry(args) -> int:
     radii = _parse_axis(args.radii)
     if args.task == "dimension":
         est = estimate_dimension(cloud, radii)
-        rows = ["radius,log2_count,slope,slope_lower,slope_upper,fit_residual,exact"]
-        for r, lc in zip(est.radii_grid, est.log_counts):
-            rows.append(",".join([format(r, ".17g"), format(lc, ".17g"),
-                                  format(est.slope, ".17g"),
-                                  format(est.slope_lower, ".17g"),
-                                  format(est.slope_upper, ".17g"),
-                                  format(est.fit_residual, ".17g"),
-                                  str(est.exact_counts)]))
-        csv_text = "\n".join(rows) + "\n"
+        csv_text = rows_to_csv(
+            ("radius", "log2_count", "slope", "slope_lower", "slope_upper",
+             "fit_residual", "exact"),
+            [(r, lc, est.slope, est.slope_lower, est.slope_upper, est.fit_residual,
+              est.exact_counts) for r, lc in zip(est.radii_grid, est.log_counts)])
     else:
         fn = max_packing if args.task == "packing" else min_covering
-        rows = ["radius,count,exact,centers"]
-        for r in radii:
-            res = fn(cloud, r, mode=args.mode)
-            rows.append(",".join([format(r, ".17g"), str(res.count), str(res.exact),
-                                  " ".join(str(i) for i in res.center_indices)]))
-        csv_text = "\n".join(rows) + "\n"
+        results = [fn(cloud, r, mode=args.mode) for r in radii]
+        csv_text = rows_to_csv(
+            ("radius", "count", "exact", "centers"),
+            [(r, res.count, res.exact, " ".join(map(str, res.center_indices)))
+             for r, res in zip(radii, results)])
     out = Path(args.out)
     _write(out / "geometry.csv", csv_text)
     _manifest(out, "geometry",
@@ -300,23 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
     common(p, channel_required=False)
-    p.add_argument("--formula", nargs="+", default=["thm1_lower"],
-                   help=f"formula ids ({' '.join(FORMULAS)})")
+    p.add_argument("--formula", nargs="+",
+                   help=f"formula ids ({' '.join(FORMULAS)}); default thm1_lower")
     p.add_argument("--recipe", choices=("fig2",), default=None,
                    help="predefined capacity-trend sweep (d=1)")
     p.add_argument("--n-axis", help="blocklength axis, e.g. 1e3:1e9:7:log")
     p.add_argument("--E-axis", help="exponent axis, e.g. 1e-6:1e-3:20:log")
-    p.add_argument("--t", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--d", type=float, help="dimension value for cor1/cor2")
-    p.add_argument("--a", type=float, help="ladder base for ex1")
-    p.add_argument("--cost-cap", type=float, help="cost cap A for power_capacity")
-    p.add_argument("--omega", type=float)
-    p.add_argument("--lambda-bound", type=float)
-    p.add_argument("--delta-part", type=float)
-    p.add_argument("--delta-trunc", type=float)
-    p.add_argument("--y-size", type=int)
+    for flag, key, kind, text in BOUNDS_VALUES:
+        p.add_argument(flag, dest=key, type=kind, help=text)
     p.add_argument("--svg", action="store_true", help="also render bounds.svg")
     p.set_defaults(fn=cmd_bounds)
 

@@ -302,7 +302,7 @@ def min_pairwise_hamming(codewords) -> int:
 
 
 def construct(W: ChannelModel, n: int, E: float, t: float,
-              code_mode: str = "greedy", packing_mode: str = "greedy") -> DICode:
+              code_mode: str = "greedy") -> DICode:
     """Full construction pipeline for one channel and target (n, E, t).
 
     The reported rate_floor is the guaranteed rate
@@ -310,7 +310,7 @@ def construct(W: ChannelModel, n: int, E: float, t: float,
     which the achieved rate always meets or exceeds.
     """
     params = derive_params(E, t, W.output_size, n)
-    pack = build_letter_alphabet(W, params.beta, mode=packing_mode)
+    pack = build_letter_alphabet(W, params.beta)
     letters = pack.center_indices
     q = len(letters)
 

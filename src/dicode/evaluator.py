@@ -51,6 +51,8 @@ MERGE_CELLS = 1 << 14
 BLOCK_CELLS = 1 << 15
 
 DEFAULT_PAIR_BUDGET = 10**6
+#: two-sided 95% normal quantile of the Wilson intervals
+WILSON_Z = 1.959963984540054
 #: distinct Monte Carlo output words scored per block; N x block stays in cache
 MC_BLOCK = 512
 #: refuse Monte Carlo draws of more than this many n x trials symbols
@@ -247,12 +249,12 @@ class JointTypeDP:
         return out
 
 
-def _dp_for(dp: JointTypeDP | None, W: ChannelModel, qstep: float,
+def _dp_for(dp: JointTypeDP | None, W: ChannelModel,
             law: ChannelModel | None) -> JointTypeDP:
     if dp is None:
-        return JointTypeDP(W, qstep, law)
-    if dp.W is not W or dp.law is not law or dp.qstep != qstep:
-        raise ValidationError("JointTypeDP was built for another channel, law or qstep")
+        return JointTypeDP(W, law=law)
+    if dp.W is not W or dp.law is not law:
+        raise ValidationError("JointTypeDP was built for another channel or law")
     return dp
 
 
@@ -292,14 +294,13 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
 
 
 def measure_lambda1(code: DICode, W: ChannelModel,
-                    qstep: float = DEFAULT_QSTEP,
                     law: ChannelModel | None = None,
                     dp: JointTypeDP | None = None) -> tuple[float, float]:
     """Worst-case miss probability max_j (1 - P_j[own typical set]).
 
     `dp` lends its spectrum cache and counters (a fresh one by default).
     """
-    dp = _dp_for(dp, W, qstep, law)
+    dp = _dp_for(dp, W, law)
     probs = dp.probs((joint_type(w, w) for w in code.codewords), code.delta)
     lo = hi = 0.0
     for p_lo, p_hi in probs.values():
@@ -310,7 +311,6 @@ def measure_lambda1(code: DICode, W: ChannelModel,
 
 def measure_lambda2(code: DICode, W: ChannelModel,
                     pair_budget: int = DEFAULT_PAIR_BUDGET,
-                    qstep: float = DEFAULT_QSTEP,
                     law: ChannelModel | None = None,
                     dp: JointTypeDP | None = None):
     """Worst-case false-accept probability over ordered codeword pairs.
@@ -326,7 +326,7 @@ def measure_lambda2(code: DICode, W: ChannelModel,
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).
     """
-    dp = _dp_for(dp, W, qstep, law)
+    dp = _dp_for(dp, W, law)
     if code.size < 2:
         return (0.0, 0.0), "exhaustive", 0.0
     pairs = [(j, k) for j in range(code.size) for k in range(code.size) if j != k]
@@ -368,12 +368,11 @@ def _exponent(value: float, n: int) -> float:
 
 def exact_error_report(code: DICode, W: ChannelModel,
                        pair_budget: int = DEFAULT_PAIR_BUDGET,
-                       qstep: float = DEFAULT_QSTEP,
                        law: ChannelModel | None = None) -> ErrorReport:
     """Certified error intervals and measured exponents via the exact DP."""
-    dp = JointTypeDP(W, qstep, law)
-    l1 = measure_lambda1(code, W, qstep, law=law, dp=dp)
-    l2, pair_mode, ceiling = measure_lambda2(code, W, pair_budget, qstep, law=law, dp=dp)
+    dp = JointTypeDP(W, law=law)
+    l1 = measure_lambda1(code, W, law=law, dp=dp)
+    l2, pair_mode, ceiling = measure_lambda2(code, W, pair_budget, law=law, dp=dp)
     n = code.blocklength
     return ErrorReport(
         lambda1=l1, lambda2=l2,
@@ -388,15 +387,15 @@ def exact_error_report(code: DICode, W: ChannelModel,
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValidationError("trials must be >= 1")
     phat = successes / trials
-    z2 = z * z
+    z2 = WILSON_Z * WILSON_Z
     denom = 1 + z2 / trials
     center = (phat + z2 / (2 * trials)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2)) / denom
+    half = WILSON_Z * math.sqrt(phat * (1 - phat) / trials + z2 / (4 * trials**2)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi

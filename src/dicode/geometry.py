@@ -33,7 +33,6 @@ class PointCloud:
 
     points: np.ndarray              # (m, d)
     metric: str = "euclidean"
-    provenance: str = ""
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float, ndmin=2)
@@ -217,41 +216,42 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     return sorted(best)
 
 
+#: (kind, mode) -> count on a distance matrix at radius delta
+_COUNTS = {
+    ("packing", "greedy"): _greedy_packing,
+    ("packing", "exact"): _exact_packing,
+    ("covering", "greedy"): _greedy_covering,
+    ("covering", "exact"): _exact_covering,
+}
+
+
+def _count(kind: str, cloud: PointCloud, delta: float, mode: str) -> CountResult:
+    """Run the (kind, mode) count; "auto" is exact up to EXACT_SIZE_LIMIT
+    points and greedy above, "exact" is refused above it."""
+    if delta <= 0:
+        raise ValidationError("radius must be positive")
+    if mode == "auto":
+        mode = "exact" if len(cloud) <= EXACT_SIZE_LIMIT else "greedy"
+    if (kind, mode) not in _COUNTS:
+        raise ValidationError(f"unknown mode {mode!r}")
+    if mode == "exact" and len(cloud) > EXACT_SIZE_LIMIT:
+        raise SizeGuardError(f"exact {kind} limited to {EXACT_SIZE_LIMIT} points")
+    centers = _COUNTS[kind, mode](cloud.distances, delta)
+    return CountResult(delta, tuple(centers), len(centers), mode == "exact")
+
+
 def max_packing(cloud: PointCloud, delta: float, mode: str = "greedy") -> CountResult:
     """Largest (greedy) or maximum (exact) delta-packing of the cloud.
 
     Greedy runs farthest-point sampling and is a certified lower bound on the
-    packing number; its centers also form a valid 2*delta covering.  Exact mode
-    is refused above EXACT_SIZE_LIMIT points.
+    packing number; its centers also form a valid 2*delta covering.
     """
-    if delta <= 0:
-        raise ValidationError("radius must be positive")
-    dist = cloud.distances
-    if mode == "greedy":
-        centers, exact = _greedy_packing(dist, delta), False
-    elif mode == "exact":
-        if len(cloud) > EXACT_SIZE_LIMIT:
-            raise SizeGuardError(f"exact packing limited to {EXACT_SIZE_LIMIT} points")
-        centers, exact = _exact_packing(dist, delta), True
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    return CountResult(delta, tuple(centers), len(centers), exact)
+    return _count("packing", cloud, delta, mode)
 
 
 def min_covering(cloud: PointCloud, delta: float, mode: str = "greedy") -> CountResult:
     """Smallest found (greedy upper bound) or minimum (exact) delta-covering."""
-    if delta <= 0:
-        raise ValidationError("radius must be positive")
-    dist = cloud.distances
-    if mode == "greedy":
-        centers, exact = _greedy_covering(dist, delta), False
-    elif mode == "exact":
-        if len(cloud) > EXACT_SIZE_LIMIT:
-            raise SizeGuardError(f"exact covering limited to {EXACT_SIZE_LIMIT} points")
-        centers, exact = _exact_covering(dist, delta), True
-    else:
-        raise ValidationError(f"unknown mode {mode!r}")
-    return CountResult(delta, tuple(centers), len(centers), exact)
+    return _count("covering", cloud, delta, mode)
 
 
 def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
@@ -296,11 +296,11 @@ def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
     )
 
 
-#: channel -> {(embedding, provenance): cloud}; entries die with the channel
+#: channel -> {embedding: cloud}; entries die with the channel
 _CHANNEL_CLOUDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def cloud_from_channel(W, embedding: str = "sqrt", provenance: str = "") -> PointCloud:
+def cloud_from_channel(W, embedding: str = "sqrt") -> PointCloud:
     """Point cloud of a channel's output distributions.
 
     embedding="sqrt" gives the square-root rows under the Euclidean metric,
@@ -309,13 +309,11 @@ def cloud_from_channel(W, embedding: str = "sqrt", provenance: str = "") -> Poin
     and with it the same distance matrix.
     """
     clouds = _CHANNEL_CLOUDS.setdefault(W, {})
-    key = (embedding, provenance)
-    if key not in clouds:
+    if embedding not in clouds:
         if embedding == "sqrt":
-            cloud = PointCloud(np.sqrt(W.matrix), "euclidean", provenance or "sqrt-output-set")
+            clouds[embedding] = PointCloud(np.sqrt(W.matrix), "euclidean")
         elif embedding == "raw":
-            cloud = PointCloud(W.matrix, "total-variation", provenance or "output-set")
+            clouds[embedding] = PointCloud(W.matrix, "total-variation")
         else:
             raise ValidationError(f"unknown embedding {embedding!r}")
-        clouds[key] = cloud
-    return clouds[key]
+    return clouds[embedding]

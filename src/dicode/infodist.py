@@ -79,14 +79,12 @@ def renyi_divergence(p, q, alpha: float) -> float:
     return math.log2(s) / (alpha - 1)
 
 
-def hypothesis_testing_divergence(p, q, eps: float, randomized: bool = True) -> float:
+def hypothesis_testing_divergence(p, q, eps: float) -> float:
     """Optimal-test divergence -log Q(acceptance) at P-rejection budget eps.
 
     The randomized optimum sorts outcomes by likelihood ratio P/Q (descending)
     and fills the acceptance region greedily, splitting the boundary outcome
-    fractionally so that exactly 1 - eps of P is accepted.  With
-    randomized=False the boundary outcome is included whole (deterministic
-    decision regions), which can only increase Q(acceptance).
+    fractionally so that exactly 1 - eps of P is accepted.
 
     Returns bits; +inf when the accepted Q-mass is zero.
     """
@@ -112,14 +110,10 @@ def hypothesis_testing_divergence(p, q, eps: float, randomized: bool = True) -> 
         if p_acc >= need - 1e-15:
             break
         pi, qi = float(p[idx]), float(q[idx])
-        if pi == 0.0 and qi == 0.0:
-            continue
         if pi == 0.0:
             # zero-P outcomes only add Q mass; the greedy never needs them
             continue
         take = min(1.0, (need - p_acc) / pi)
-        if not randomized:
-            take = 1.0
         p_acc += take * pi
         q_mass += take * qi
     if q_mass <= 0.0:

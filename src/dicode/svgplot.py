@@ -1,4 +1,5 @@
-"""Minimal static SVG line charts, written directly (no plotting backend).
+"""Minimal static SVG line charts of rate bounds on a log10 x axis, written
+directly (no plotting backend).
 
 Coordinates are formatted with fixed precision so identical inputs always
 produce byte-identical files; the path data can be hashed for visual
@@ -12,22 +13,22 @@ import math
 WIDTH, HEIGHT = 640, 480
 MARGIN = 56
 PALETTE = ("#1f6fb2", "#b23a1f", "#3a8f3a", "#7a4fb2", "#b2871f", "#555555")
+TICKS = 5
 
 
 def _fmt(v: float) -> str:
     return format(v, ".3f")
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    step = (hi - lo) / (TICKS - 1)
+    return [lo + i * step for i in range(TICKS)]
 
 
-def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
-               log_x: bool = False) -> str:
-    """Render named (x, y) series to an SVG document string.
+def line_chart(series, x_label: str = "", y_label: str = "") -> str:
+    """Render named (x, y) series to an SVG document string, x on a log10 axis.
 
     series: list of (name, xs, ys); non-finite y values break the polyline.
     """
@@ -35,7 +36,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
     for _, xs, ys in series:
         for x, y in zip(xs, ys):
             if math.isfinite(y):
-                xs_all.append(math.log10(x) if log_x else x)
+                xs_all.append(math.log10(x))
                 ys_all.append(y)
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
@@ -58,7 +59,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15">{title}</text>',
+        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" font-size="15">rate bounds</text>',
     ]
     # axes
     parts.append(f'<line x1="{MARGIN}" y1="{HEIGHT - MARGIN}" x2="{WIDTH - MARGIN}" '
@@ -66,9 +67,8 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
     parts.append(f'<line x1="{MARGIN}" y1="{MARGIN}" x2="{MARGIN}" '
                  f'y2="{HEIGHT - MARGIN}" stroke="black"/>')
     for tx in _ticks(x_lo, x_hi):
-        label = f"1e{_fmt(tx)}" if log_x else _fmt(tx)
         parts.append(f'<text x="{_fmt(px(tx))}" y="{HEIGHT - MARGIN + 18}" '
-                     f'text-anchor="middle" font-size="10">{label}</text>')
+                     f'text-anchor="middle" font-size="10">1e{_fmt(tx)}</text>')
     for ty in _ticks(y_lo, y_hi):
         parts.append(f'<text x="{MARGIN - 6}" y="{_fmt(py(ty) + 3)}" '
                      f'text-anchor="end" font-size="10">{_fmt(ty)}</text>')
@@ -84,8 +84,7 @@ def line_chart(series, title: str = "", x_label: str = "", y_label: str = "",
             if not math.isfinite(y):
                 pen_down = False
                 continue
-            gx = math.log10(x) if log_x else x
-            cmds.append(f'{"L" if pen_down else "M"}{_fmt(px(gx))},{_fmt(py(y))}')
+            cmds.append(f'{"L" if pen_down else "M"}{_fmt(px(math.log10(x)))},{_fmt(py(y))}')
             pen_down = True
         if cmds:
             parts.append(f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" '

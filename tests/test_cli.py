@@ -173,3 +173,59 @@ def test_cli_subprocess_smoke(bern_file, tmp_path):
     assert proc.returncode == 0
     assert (tmp_path / "sp" / "code.json").exists()
     assert (tmp_path / "sp" / "manifest.json").exists()
+
+
+# each invocation exited 1 with a traceback, or was silently misread, before
+# the CLI validated it; "{bern}" is the channel file, "{tmp}" the test directory
+MALFORMED = {
+    "axis-non-numeric-count": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                               "--E-axis", "1e-6:1e-3:abc", "--n-axis", "1e7", "--t", "0.5"],
+    "axis-non-numeric-value": ["geometry", "--channel", "{bern}", "--task", "packing",
+                               "--radii", "0.5,x"],
+    "axis-unknown-scale": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                           "--E-axis", "1e-6:1e-3:5:lin", "--n-axis", "1e7", "--t", "0.5"],
+    "code-file-missing": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/none.json"],
+    "code-file-not-a-code": ["evaluate", "--channel", "{bern}", "--code", "{bern}"],
+    "grid-lacks-n": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                     "--E-axis", "1e-4", "--t", "0.5"],
+    "grid-lacks-d": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4",
+                     "--eta", "0.1"],
+    "thm1-without-channel": ["bounds", "--formula", "thm1_lower", "--E-axis", "1e-4",
+                             "--n-axis", "100", "--t", "0.5"],
+    "ex2-without-channel": ["bounds", "--formula", "ex2_dmc_lower", "--E-axis", "1e-4",
+                            "--n-axis", "100"],
+    "fig2-n-below-2": ["bounds", "--recipe", "fig2", "--n-axis", "1:10:3"],
+    "fig2-with-formula": ["bounds", "--recipe", "fig2", "--formula", "thm2_upper"],
+}
+
+
+@pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys):
+    argv = [a.format(bern=bern_file, tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    assert "error code=VALIDATION" in capsys.readouterr().err
+
+
+def test_bounds_manifest_records_value_options(tmp_path):
+    out = tmp_path / "b"
+    assert main(["bounds", "--formula", "thm6_stein", "--E-axis", "1e-3",
+                 "--n-axis", "1000", "--cost-cap", "2.5", "--lambda-bound", "0.25",
+                 "--delta-part", "0.125", "--delta-trunc", "0.375", "--y-size", "3",
+                 "--out", str(out)]) == 0
+    params = json.loads((out / "manifest.json").read_text())["parameters"]
+    assert {k: params[k] for k in ("A", "lambda", "delta_part", "delta_trunc", "y_size")} \
+        == {"A": 2.5, "lambda": 0.25, "delta_part": 0.125, "delta_trunc": 0.375, "y_size": 3}
+    assert params["formula"] == ["thm6_stein"]
+
+
+@pytest.mark.parametrize("points,label", [(64, "exact"), (65, "lower-bound")])
+def test_thm1_count_exact_up_to_size_limit(points, label, tmp_path):
+    # the Bernoulli ladder with k_max has k_max + 2 inputs
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({"family": "bernoulli", "a": 2.0, "k_max": points - 2}))
+    out = tmp_path / "b"
+    assert main(["bounds", "--channel", str(ladder), "--formula", "thm1_lower",
+                 "--E-axis", "1e-3", "--n-axis", "1000", "--t", "0.5",
+                 "--out", str(out)]) == 0
+    row = (out / "bounds.csv").read_text().splitlines()[1].split(",")
+    assert row[-1] == label
