@@ -381,8 +381,12 @@ def thm6_stein(y_size: int, E: float, n: int, alpha: float = 2.0,
         raise ValidationError("truncation level must lie in (0, 1)")
     if alpha <= 1 or E <= 0:
         raise ValidationError("need alpha > 1 and E > 0")
+    if not 0 <= lambda_bounded < 1:
+        raise ValidationError("bounded error must lie in [0, 1)")
     if delta_part is None:
         delta_part = 2.0 ** (E * (alpha - 1) / (2.0 * alpha)) - 1.0
+    if delta_part <= 0:
+        raise ValidationError("partition slack must be positive")
     L = math.floor((math.log2(n) - math.log2(delta_trunc / y_size))
                    / math.log2(1.0 + delta_part))
     rate = y_size + (math.log2(L) if L >= 1 else 0.0)

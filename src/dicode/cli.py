@@ -6,10 +6,12 @@ the same manifest parameters produce byte-identical CSV/JSON.  construct,
 evaluate, bounds and geometry accept --seed and --jobs: only
 `evaluate --method mc` uses --seed, and no subcommand uses --jobs (all work
 runs serially).  Exit codes: 0 success, 2 validation failure, 3 size-guard
-refusal.  Exit 2 also covers a non-numeric axis field or a 4th one other than
-`log`, an unreadable or non-code `--code` file, a `bounds` grid lacking a key
-the formula reads, a channel formula without --channel, fig2 with n < 2, and
-`--formula` with `--recipe fig2` (which sweeps trend_lower and trend_upper).
+refusal.  Exit 2 also covers a non-numeric or non-finite axis value or a 4th
+axis field other than `log`, an unreadable or non-code `--code` file, a
+`bounds` grid lacking a key the formula reads, a channel formula without
+--channel, fig2 with n < 2, and any option `--recipe fig2` would ignore
+(`--formula`, `--channel`, `--E-axis` or a single-value option: fig2 sweeps
+trend_lower and trend_upper over --n-axis alone).
 Diagnostics go to stderr as single `error code=... msg=...` lines.
 """
 
@@ -69,27 +71,33 @@ def _manifest(out_dir: Path, command: str, params: dict, seed: int,
 
 
 def _parse_axis(text: str) -> list[float]:
-    """Axis syntax: 'v1,v2,...' or 'lo:hi:count[:log]'."""
+    """Axis syntax: 'v1,v2,...' or 'lo:hi:count[:log]', every value finite."""
     parts = text.split(":")
     if len(parts) not in (1, 3, 4) or parts[3:] not in ([], ["log"]):
         raise ValidationError(f"bad axis spec {text!r}")
     try:
         if len(parts) == 1:
-            return [float(v) for v in text.split(",") if v]
-        lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+            values = [float(v) for v in text.split(",") if v]
+        else:
+            lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad axis spec {text!r}") from None
-    if count < 1:
-        raise ValidationError("axis needs at least one point")
-    if count == 1:
-        return [lo]
-    if len(parts) == 4:
-        if lo <= 0 or hi <= 0:
-            raise ValidationError("log axis needs positive endpoints")
-        ratio = (hi / lo) ** (1.0 / (count - 1))
-        return [lo * ratio**i for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [lo + step * i for i in range(count)]
+    if len(parts) > 1:
+        if count < 1:
+            raise ValidationError("axis needs at least one point")
+        if count == 1:
+            values = [lo]
+        elif len(parts) == 4:
+            if lo <= 0 or hi <= 0:
+                raise ValidationError("log axis needs positive endpoints")
+            ratio = (hi / lo) ** (1.0 / (count - 1))
+            values = [lo * ratio**i for i in range(count)]
+        else:
+            step = (hi - lo) / (count - 1)
+            values = [lo + step * i for i in range(count)]
+    if not all(map(math.isfinite, values)):
+        raise ValidationError(f"axis {text!r} has a non-finite value")
+    return values
 
 
 def cmd_channel_check(args) -> int:
@@ -192,11 +200,16 @@ def _bounds_grid(args) -> list[dict]:
 
 
 def cmd_bounds(args) -> int:
+    if args.recipe == "fig2":
+        given = {"--formula": args.formula, "--channel": args.channel,
+                 "--E-axis": args.E_axis,
+                 **{flag: getattr(args, key) for flag, key, _, _ in BOUNDS_VALUES}}
+        ignored = [flag for flag, value in given.items() if value is not None]
+        if ignored:
+            raise ValidationError("--recipe fig2 sweeps trend_lower and trend_upper "
+                                  f"over --n-axis alone; drop {' '.join(ignored)}")
     W = load_channel(args.channel) if args.channel else None
     if args.recipe == "fig2":
-        if args.formula:
-            raise ValidationError("--recipe fig2 sweeps trend_lower and trend_upper; "
-                                  "drop --formula")
         ns = [int(round(v)) for v in _parse_axis(args.n_axis or "1e3:1e9:7:log")]
         grid, formulas = [{"n": n} for n in ns], ["trend_lower", "trend_upper"]
     else:

@@ -9,11 +9,14 @@ is the method of types (Csiszar-Korner).
 
 The exact evaluator works on cells: integer grid keys round(v / qstep) with
 the cell's mass and the exact min/max of the true sums merged into it.  Each
-class (a, b) gets its c-fold spectrum once; one add-and-merge kernel combines
-the classes of a joint type, merging cells with equal keys (argsort +
-reduceat).  Small adds stay unmerged; larger ones are built one range of sum
-keys at a time, so a bounded block is allocated at once, and STATE_GUARD
-limits the merged table.  The final table has one cell per grid key, which
+class (a, b) gets its c-fold spectrum once.  The joint types of one call are
+counted with numpy (one count row per type) and folded in batches: all cells
+of a batch sit in one flat table tagged by type, each class's powers are
+added to every type at once, and cells with equal (type, key) are merged
+(stable sort + reduceat).  Small adds stay unmerged; an add of more than
+MERGE_CELLS sums is built for its type alone, one range of sum keys at a
+time, so a bounded block is allocated at once, and STATE_GUARD limits the
+merged table.  The final table has one cell per type and grid key, which
 yields certified [lo, hi] enclosures for every acceptance probability:
 
   lo counts cells whose whole true-value range lies inside the band,
@@ -31,7 +34,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -49,6 +51,10 @@ STATE_GUARD = 5_000_000
 MERGE_CELLS = 1 << 14
 #: sums a larger add gathers at once, one range of keys, before merging them
 BLOCK_CELLS = 1 << 15
+#: unmerged cells one batch of joint types may hold at once
+BATCH_CELLS = 1 << 16
+#: codeword pairs whose joint types are counted at once
+PAIR_CHUNK = 1 << 11
 
 DEFAULT_PAIR_BUDGET = 10**6
 #: two-sided 95% normal quantile of the Wilson intervals
@@ -196,6 +202,7 @@ def joint_type(source_word, owner_word) -> tuple:
 class JointTypeDP:
     """Certified acceptance probabilities of joint types under one (W, law, qstep).
 
+    A joint type is a count row over the classes (a, b), class a*q + b.
     Caches each class's c-fold spectrum and counts the work done: `types`
     distinct joint types evaluated, `states_max` the largest final cell table,
     `pairs_exact` ordered codeword pairs whose false-accept probability came
@@ -225,28 +232,151 @@ class JointTypeDP:
         return powers[c - 1]
 
     def probs(self, jtypes, delta: float) -> dict:
-        """Certified enclosure of the typical-set acceptance probability of
-        each joint type, keyed by type.  A type's cells depend only on the
-        type, never on which types are evaluated with it.
-        """
-        ent = letter_tables(self.W)[0]
-        out = {}
-        for jtype in set(jtypes):
-            powers = [self._power(a, b, c) for (a, b), c in jtype]
-            _, mass, smin, smax = cells = _merge(reduce(_add, powers) if powers else _UNIT)
-            self.types += 1
-            self.states_max = max(self.states_max, cells[0].size)
+        """`count_probs` of `joint_type` tuples, keyed by type."""
+        jtypes = list(set(jtypes))
+        q = self.W.n_inputs
+        counts = np.zeros((len(jtypes), q * q), dtype=np.int64)
+        for t, jtype in enumerate(jtypes):
+            for (a, b), c in jtype:
+                counts[t, a * q + b] = c
+        return {jtype: (float(lo), float(hi))
+                for jtype, lo, hi in zip(jtypes, *self.count_probs(counts, delta))}
 
-            n = sum(c for _, c in jtype)
-            # H(W_{x'^n}) of the owner word, summed over the type's classes
-            h_owner = sum(c * ent[b] for (_, b), c in jtype)
-            band_lo = -h_owner - delta * math.sqrt(n)
-            band_hi = -h_owner + delta * math.sqrt(n)
-            inside = (smin >= band_lo + EDGE_FUZZ) & (smax <= band_hi - EDGE_FUZZ)
-            touch = (smax >= band_lo - EDGE_FUZZ) & (smin <= band_hi + EDGE_FUZZ)
-            lo, hi = float(mass[inside].sum()), float(mass[touch].sum())
-            out[jtype] = max(0.0, min(lo, 1.0)), max(0.0, min(hi, 1.0))
-        return out
+    def count_probs(self, counts, delta: float):
+        """Certified enclosures (lo, hi arrays) of the typical-set acceptance
+        probability of joint types given as distinct count rows, folded in
+        batches of at most BATCH_CELLS unmerged cells.  A type's interval
+        depends only on its row, never on the types evaluated with it.
+        """
+        q, ent = self.W.n_inputs, letter_tables(self.W)[0]
+        steps = []  # per class present: its powers by count, count 0 the unit cell
+        weight, held = np.ones(len(counts)), np.ones(len(counts))
+        h_owner = np.zeros(len(counts))  # H(W_{x'^n}), summed in class order
+        for cl in np.flatnonzero(counts.any(axis=0)):
+            c = counts[:, cl]
+            self._power(cl // q, cl % q, int(c.max()))
+            parts = [_UNIT] + self._powers[cl // q, cl % q][:c.max()]
+            size = np.array([part[0].size for part in parts])
+            steps.append((cl, parts, np.cumsum(size) - size, size,
+                          tuple(np.concatenate(col) for col in zip(*parts))))
+            held *= size[c]  # cells a type holds after this class, at most
+            np.maximum(weight, held, out=weight)
+            h_owner += c * ent[cl % q]
+        theta = delta * np.sqrt(counts.sum(axis=1))
+        lo, hi = np.zeros(len(counts)), np.zeros(len(counts))
+        for batch in _batches(weight):
+            lo[batch], hi[batch], states = _accept(
+                _fold(counts[batch], steps), -h_owner[batch] - theta[batch],
+                -h_owner[batch] + theta[batch])
+            self.states_max = max(self.states_max, states)
+        self.types += len(counts)
+        return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
+def _batches(weight):
+    """Consecutive type indices whose weights sum to at most BATCH_CELLS,
+    or a single heavier type."""
+    batch, total = [], 0.0
+    for t, w in enumerate(weight.tolist()):
+        if batch and total + w > BATCH_CELLS:
+            yield np.array(batch)
+            batch, total = [], 0.0
+        batch.append(t)
+        total += w
+    if batch:
+        yield np.array(batch)
+
+
+def _fold(counts, steps):
+    """Merged cells of a batch of joint types, (type id, key, mass, min, max);
+    each type's cells are contiguous and sorted by key.
+
+    Each type starts from the unit cell and adds its classes' powers in class
+    order.  Adds of at most MERGE_CELLS sums are gathered for the whole batch,
+    unmerged and in `_outer`'s order; larger ones go through `_add`, one type
+    at a time.  Type t's cells are start[t] : start[t] + size[t]; `layout`
+    lists the types in table order.
+    """
+    cells = tuple(np.concatenate([col] * len(counts)) for col in _UNIT)
+    start, size = np.arange(len(counts)), np.ones(len(counts), dtype=np.int64)
+    layout = start
+    for cl, parts, offset, psize, table in steps:
+        c = counts[:, cl]
+        if not c.any():
+            continue
+        out = size * psize[c]
+        big = np.flatnonzero(out > MERGE_CELLS)
+        small = np.flatnonzero(out <= MERGE_CELLS)
+        # sum r of small type t pairs its cell r // psize with power cell r % psize
+        o = out[small]
+        r = np.arange(o.sum()) - np.repeat(np.cumsum(o) - o, o)
+        per = np.repeat(psize[c[small]], o)
+        i = np.repeat(start[small], o) + r // per
+        j = np.repeat(offset[c[small]], o) + r % per
+        pieces = []
+        if small.size:
+            pieces.append((cells[0][i] + table[0][j], cells[1][i] * table[1][j],
+                           cells[2][i] + table[2][j], cells[3][i] + table[3][j]))
+        for t in big.tolist():
+            seg = slice(start[t], start[t] + size[t])
+            pieces.append(_add(tuple(col[seg] for col in cells), parts[int(c[t])]))
+            out[t] = pieces[-1][0].size
+        layout, size = np.concatenate((small, big)), out
+        start = np.empty_like(start)
+        start[layout] = np.cumsum(size[layout]) - size[layout]
+        cells = pieces[0] if len(pieces) == 1 else tuple(
+            np.concatenate(col) for col in zip(*pieces))
+    return _merge_types(np.repeat(layout, size[layout]), cells)
+
+
+def _merge_types(tid, cells):
+    """`_merge` of each type's cells, which are contiguous: (type id, key,
+    mass, min, max), one cell per distinct (type id, key)."""
+    key, mass, smin, smax = cells
+    if ((key[1:] > key[:-1]) | (tid[1:] != tid[:-1])).all():
+        return tid, key, mass, smin, smax
+    order = np.lexsort((key, tid))
+    tid, key = tid[order], key[order]
+    starts = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1])
+                                            | (tid[1:] != tid[:-1]))))
+    return (tid[starts], key[starts], np.add.reduceat(mass[order], starts),
+            np.minimum.reduceat(smin[order], starts),
+            np.maximum.reduceat(smax[order], starts))
+
+
+def _accept(cells, band_lo, band_hi):
+    """Mass of each type's cells inside (lo) and touching (hi) its band
+    [band_lo, band_hi], and the largest type's cell count."""
+    tid, _, mass, smin, smax = cells
+    types = len(band_lo)
+    if types > 1:  # each cell gets its type's band; one type's band broadcasts
+        band_lo, band_hi = band_lo[tid], band_hi[tid]
+    inside = (smin >= band_lo + EDGE_FUZZ) & (smax <= band_hi - EDGE_FUZZ)
+    touch = (smax >= band_lo - EDGE_FUZZ) & (smin <= band_hi + EDGE_FUZZ)
+    return (np.bincount(tid[inside], mass[inside], types),
+            np.bincount(tid[touch], mass[touch], types),
+            int(np.bincount(tid, minlength=types).max()))
+
+
+def _distinct(rows):
+    """Distinct rows of a 2-D integer array, compared as bytes."""
+    rows = np.ascontiguousarray(rows)
+    view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(view).view(rows.dtype).reshape(-1, rows.shape[1])
+
+
+def _type_rows(code: DICode, q: int, src, own):
+    """Distinct joint types of the word pairs (codeword src[p], codeword
+    own[p]) as count rows, counted PAIR_CHUNK pairs at a time."""
+    words = np.array(code.codewords, dtype=np.int64)
+    dtype = np.min_scalar_type(code.blocklength)
+    rows = [np.zeros((0, q * q), dtype=dtype)]
+    for s in range(0, len(src), PAIR_CHUNK):
+        cls = words[src[s:s + PAIR_CHUNK]] * q + words[own[s:s + PAIR_CHUNK]]
+        cls += np.arange(len(cls))[:, None] * (q * q)
+        counts = np.bincount(cls.ravel(), minlength=len(cls) * q * q)
+        rows.append(_distinct(counts.astype(dtype).reshape(-1, q * q)))
+    return _distinct(np.concatenate(rows))
 
 
 def _dp_for(dp: JointTypeDP | None, W: ChannelModel,
@@ -301,12 +431,9 @@ def measure_lambda1(code: DICode, W: ChannelModel,
     `dp` lends its spectrum cache and counters (a fresh one by default).
     """
     dp = _dp_for(dp, W, law)
-    probs = dp.probs((joint_type(w, w) for w in code.codewords), code.delta)
-    lo = hi = 0.0
-    for p_lo, p_hi in probs.values():
-        lo = max(lo, 1.0 - p_hi)
-        hi = max(hi, 1.0 - p_lo)
-    return lo, hi
+    own = np.arange(code.size)
+    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, own, own), code.delta)
+    return float(np.max(1.0 - p_hi, initial=0.0)), float(np.max(1.0 - p_lo, initial=0.0))
 
 
 def measure_lambda2(code: DICode, W: ChannelModel,
@@ -329,25 +456,20 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     dp = _dp_for(dp, W, law)
     if code.size < 2:
         return (0.0, 0.0), "exhaustive", 0.0
-    pairs = [(j, k) for j in range(code.size) for k in range(code.size) if j != k]
-    exhaustive = len(pairs) <= pair_budget
+    # source u_j measured against owner u_k's decision set, j-major
+    src, own = np.nonzero(~np.eye(code.size, dtype=bool))
+    exhaustive = len(src) <= pair_budget
+    skipped = []
     if not exhaustive:
         bound = {(j, k): false_accept_bound(W, code.codewords[k], code.codewords[j],
                                             code.delta)
-                 for j, k in pairs}
-        ranked = sorted(pairs, key=lambda jk: -bound[jk])
+                 for j, k in zip(src.tolist(), own.tolist())}
+        ranked = sorted(bound, key=lambda jk: -bound[jk])
         evaluate, skipped = ranked[:pair_budget], ranked[pair_budget:]
-    else:
-        evaluate, skipped = pairs, []
-
-    # source u_j measured against owner u_k's decision set
-    probs = dp.probs((joint_type(code.codewords[j], code.codewords[k])
-                      for j, k in evaluate), code.delta)
-    dp.pairs_exact += len(evaluate)
-    lo = hi = 0.0
-    for p_lo, p_hi in probs.values():
-        lo = max(lo, p_lo)
-        hi = max(hi, p_hi)
+        src, own = np.array(evaluate, dtype=np.int64).reshape(-1, 2).T
+    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, src, own), code.delta)
+    dp.pairs_exact += len(src)
+    lo, hi = float(np.max(p_lo, initial=0.0)), float(np.max(p_hi, initial=0.0))
     ceiling = 0.0
     for jk in skipped:
         ceiling = max(ceiling, min(1.0, bound[jk]))
@@ -356,7 +478,7 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     if exhaustive:
         mode = "exhaustive"
     else:
-        mode = "screened" if evaluate else "pair-bound"
+        mode = "screened" if len(src) else "pair-bound"
     return (lo, hi), mode, ceiling
 
 

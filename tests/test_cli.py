@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import dicode
-from dicode.cli import main
+from dicode.cli import BOUNDS_VALUES, main
 
 BERN = {"family": "bernoulli", "a": 2.0, "k_max": 6}
 IDENT = {"inputs": ["a", "b"], "matrix": [[1, 0], [0, 1]]}
@@ -196,6 +196,28 @@ MALFORMED = {
                             "--n-axis", "100"],
     "fig2-n-below-2": ["bounds", "--recipe", "fig2", "--n-axis", "1:10:3"],
     "fig2-with-formula": ["bounds", "--recipe", "fig2", "--formula", "thm2_upper"],
+    "fig2-with-E-axis": ["bounds", "--recipe", "fig2", "--E-axis", "1e-3"],
+    "fig2-with-channel": ["bounds", "--recipe", "fig2", "--channel", "{bern}"],
+    "n-axis-nan": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                   "--E-axis", "1e-3", "--n-axis", "nan", "--t", "0.5"],
+    "n-axis-overflow": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                        "--E-axis", "1e-3", "--n-axis", "1e400", "--t", "0.5"],
+    "E-axis-nan": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                   "--E-axis", "nan", "--n-axis", "1e7", "--t", "0.5"],
+    "E-axis-overflow": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                        "--E-axis", "1e400", "--n-axis", "1e7", "--t", "0.5"],
+    "axis-range-overflow": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                            "--E-axis", "1e-6:1e400:3:log", "--n-axis", "1e7",
+                            "--t", "0.5"],
+    "thm6-delta-part-zero": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
+                             "--E-axis", "1e-3", "--n-axis", "10", "--delta-part", "0"],
+    "thm6-delta-part-negative": ["bounds", "--channel", "{bern}", "--formula",
+                                 "thm6_stein", "--E-axis", "1e-3", "--n-axis", "10",
+                                 "--delta-part=-0.5"],
+    "thm6-lambda-one": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
+                        "--E-axis", "1e-3", "--n-axis", "10", "--lambda-bound", "1"],
+    "thm6-lambda-negative": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
+                             "--E-axis", "1e-3", "--n-axis", "10", "--lambda-bound=-0.5"],
 }
 
 
@@ -204,6 +226,13 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     argv = [a.format(bern=bern_file, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "error code=VALIDATION" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [flag for flag, _, _, _ in BOUNDS_VALUES])
+def test_fig2_refuses_value_options(flag, tmp_path, capsys):
+    """fig2 reads only --n-axis, so every single-value option is refused."""
+    assert main(["bounds", "--recipe", "fig2", flag, "1", "--out", str(tmp_path)]) == 2
+    assert "error code=VALIDATION msg=--recipe fig2" in capsys.readouterr().err
 
 
 def test_bounds_manifest_records_value_options(tmp_path):

@@ -1,10 +1,12 @@
+import itertools
 import json
 import math
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicode import evaluator
 from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
@@ -24,6 +26,7 @@ from dicode.evaluator import (
     typical_set_prob,
     wilson_interval,
 )
+from dicode.infodist import letter_tables
 
 
 def random_channel(rng, n_in, n_out):
@@ -326,6 +329,141 @@ def test_measurements_equal_per_pair_calls(case, data):
     own = [typical_set_prob(W, w, w, code.delta, law=law) for w in words]
     assert measure_lambda1(code, W, law=law) == (max(1.0 - p[1] for p in own),
                                                   max(1.0 - p[0] for p in own))
+
+
+#: dyadic output distributions: their log-probabilities are integers, so the
+#: cells of different joint types share grid keys
+DYADIC = [(1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25,) * 4, (0.5, 0.25, 0.125, 0.125)]
+
+
+@st.composite
+def code_cases(draw, max_n=6, max_words=5):
+    """(W, law, words, delta): distinct words of one length; W is either a
+    random channel with zeros or, half of the time, a dyadic one."""
+    W, law, source, owner, delta = draw(word_pair_cases(max_n=max_n, zeros=True))
+    if draw(st.booleans()):
+        rows = []
+        for _ in range(W.n_inputs):
+            atoms = draw(st.sampled_from([d for d in DYADIC if len(d) <= W.output_size]))
+            zeros = (0.0,) * (W.output_size - len(atoms))
+            rows.append(draw(st.permutations(atoms + zeros)))
+        W = make_channel([str(i) for i in range(W.n_inputs)], rows)
+    word = st.lists(st.integers(0, W.n_inputs - 1), min_size=len(source),
+                    max_size=len(source)).map(tuple)
+    extra = draw(st.lists(word, max_size=max_words - 2))
+    return W, law, list(dict.fromkeys([source, owner] + extra)), delta
+
+
+def assert_batch_equals_single_pairs(W, law, words, delta):
+    """One batched evaluation of every ordered pair's joint type gives each
+    type the interval of `typical_set_prob` on that pair alone, bit for bit."""
+    batched = JointTypeDP(W, law=law).probs(
+        [joint_type(a, b) for a in words for b in words], delta)
+    for a in words:
+        for b in words:
+            single = typical_set_prob(W, a, b, delta, law=law)
+            assert [v.hex() for v in batched[joint_type(a, b)]] == [v.hex() for v in single]
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(), st.sampled_from([0, 4, 32, evaluator.MERGE_CELLS]))
+def test_batch_equals_single_type_evaluation(case, merge_cells):
+    """With a small MERGE_CELLS some types of a batch take `_add`'s key-range
+    path while others stay in the batch gather."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
+        assert_batch_equals_single_pairs(*case)
+
+
+#: classes (0, 0) and (1, 0) share owner row 0, so the sums of their 2-fold
+#: spectra meet three at a time on one key; those masses sum in add order
+SHARED_OWNER_CASE = (make_channel(["a", "b"], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]), None,
+                     [(0, 0, 1, 1), (0, 0, 0, 0), (1, 1, 0, 0)], 0.7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(), st.sampled_from([0, 4, 32, evaluator.MERGE_CELLS]))
+@example(SHARED_OWNER_CASE, evaluator.MERGE_CELLS)
+def test_batch_cells_equal_per_type_fold(case, merge_cells):
+    """Each type's merged cells equal the reference fold of its class powers,
+    `_merge(reduce(_add, powers))` in class order, key for key and bit for bit.
+    Its interval equals the reference band test, which sums each type's mass
+    with `ndarray.sum`, up to the roundoff of summing in another order."""
+    W, law, words, delta = case
+    folds = []
+    fold = evaluator._fold
+
+    def spy(counts, steps):
+        folds.append((counts, fold(counts, steps)))
+        return folds[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
+        mp.setattr(evaluator, "_fold", spy)
+        dp = JointTypeDP(W, law=law)
+        probs = dp.probs([joint_type(a, b) for a in words for b in words], delta)
+        q, ent = W.n_inputs, letter_tables(W)[0]
+        for counts, (tid, *cells) in folds:
+            for t, row in enumerate(counts):
+                jtype = tuple(((cl // q, cl % q), int(c)) for cl, c in enumerate(row) if c)
+                powers = [dp._power(a, b, c) for (a, b), c in jtype]
+                want = evaluator._merge(reduce(evaluator._add, powers))
+                for got, ref in zip(cells, want):
+                    assert np.array_equal(got[tid == t], ref)
+
+                _, mass, smin, smax = want
+                h_owner = sum(c * ent[b] for (_, b), c in jtype)
+                theta = delta * math.sqrt(sum(c for _, c in jtype))
+                band_lo, band_hi = -h_owner - theta, -h_owner + theta
+                fuzz = evaluator.EDGE_FUZZ
+                inside = (smin >= band_lo + fuzz) & (smax <= band_hi - fuzz)
+                touch = (smax >= band_lo - fuzz) & (smin <= band_hi + fuzz)
+                ref = [min(float(mass[mask].sum()), 1.0) for mask in (inside, touch)]
+                assert probs[jtype] == pytest.approx(ref, rel=mass.size * 2.0**-52, abs=0.0)
+
+
+def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
+    """Class (0, 1) is dead: law row 0 puts no mass where W row 1 is positive,
+    so every type holding it has an empty cell table and interval [0, 0]."""
+    W = make_channel(["a", "b", "c"], [[0.6, 0.4, 0.0], [0.0, 0.0, 1.0],
+                                       [0.2, 0.3, 0.5]])
+    words = [(0, 0, 2, 2, 0, 2), (1, 1, 2, 0, 2, 2), (2, 0, 1, 2, 2, 0), (0, 2, 0, 2, 1, 1)]
+    batches, seen = evaluator._batches, []
+
+    def spy(weight):
+        for batch in batches(weight):
+            seen.append(weight[batch])
+            yield batch
+
+    monkeypatch.setattr(evaluator, "_batches", spy)
+    monkeypatch.setattr(evaluator, "MERGE_CELLS", 8)
+    assert_batch_equals_single_pairs(W, None, words, 0.8)
+    assert typical_set_prob(W, words[0], words[1], 0.8) == (0.0, 0.0)
+    # the first, batched evaluation held types with and without key-range adds
+    assert len(seen[0]) == len({joint_type(a, b) for a in words for b in words})
+    assert (seen[0] > 8).any() and (seen[0] <= 8).any()
+
+
+def test_batch_memory_stays_within_batch_bound(monkeypatch):
+    """560 types of 1000 cells each: unbatched they would peak near 70 MB."""
+    W = make_channel(["a", "b", "c", "d"], GUARD_ROWS + [[0.05, 0.23, 0.29, 0.43],
+                                                         [0.37, 0.41, 0.03, 0.19]])
+    # three classes of count 2; each 2-fold class spectrum has C(5, 3) = 10 cells
+    rows = np.zeros((560, 16), dtype=np.int64)
+    for t, classes in enumerate(itertools.combinations(range(16), 3)):
+        rows[t, list(classes)] = 2
+    dp = JointTypeDP(W)
+    whole = dp.count_probs(rows, 1.0)  # builds the class spectra
+    assert dp.states_max == 1000
+    monkeypatch.setattr(evaluator, "BATCH_CELLS", 1 << 12)
+    tracemalloc.start()
+    try:
+        split = dp.count_probs(rows, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * evaluator.BATCH_CELLS
+    assert all(np.array_equal(a, b) for a, b in zip(split, whole))
 
 
 def per_trial_monte_carlo(code, W, trials, seed, law=None):
