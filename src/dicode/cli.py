@@ -2,16 +2,17 @@
 
 Subcommands: construct, evaluate, bounds, geometry, channel check.
 Every command writes its outputs plus a run manifest into --out; reruns with
-the same manifest parameters produce byte-identical CSV/JSON.  construct,
-evaluate, bounds and geometry accept --seed and --jobs: only
-`evaluate --method mc` uses --seed, and no subcommand uses --jobs (all work
-runs serially).  Exit codes: 0 success, 2 validation failure, 3 size-guard
-refusal.  Exit 2 also covers a non-numeric or non-finite axis value or a 4th
-axis field other than `log`, an unreadable or non-code `--code` file, a
-`bounds` grid lacking a key the formula reads, a channel formula without
---channel, fig2 with n < 2, and any option `--recipe fig2` would ignore
-(`--formula`, `--channel`, `--E-axis` or a single-value option: fig2 sweeps
-trend_lower and trend_upper over --n-axis alone).
+the same manifest parameters produce byte-identical CSV/JSON.  All work runs
+serially and only `evaluate --method mc` reads --seed.  Exit codes: 0
+success, 2 validation failure, 3 size-guard refusal.  Exit 2 also covers an
+option the command would ignore: --seed/--jobs on construct, --jobs on
+evaluate, --trials/--seed with `--method exact`, --pair-budget with `--method
+mc`, --mode with `--task dimension`, and --formula, --channel, --E-axis or
+a single-value option with `--recipe fig2` (bounds and geometry accept
+--seed and --jobs, for nothing).  So do a non-numeric or non-finite axis
+value or a 4th axis field other than `log`, an unreadable or non-code
+`--code` file, a `bounds` grid lacking a key the formula reads, a channel
+formula without --channel and fig2 with n < 2.
 Diagnostics go to stderr as single `error code=... msg=...` lines.
 """
 
@@ -32,13 +33,15 @@ from .bounds import FORMULAS, curves_to_csv, rows_to_csv, sweep
 from .channel import channel_to_spec, load_channel
 from .codebook import code_from_json, code_to_json, construct
 from .errors import SizeGuardError, ValidationError
-from .evaluator import exact_error_report, monte_carlo_errors
+from .evaluator import DEFAULT_PAIR_BUDGET, exact_error_report, monte_carlo_errors
 from .geometry import cloud_from_channel, estimate_dimension, max_packing, min_covering
 from .svgplot import line_chart
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SIZE_GUARD = 3
+#: Monte Carlo trials of `evaluate --method mc` without --trials
+DEFAULT_TRIALS = 10000
 
 
 def _seed_from_env(value):
@@ -68,6 +71,13 @@ def _manifest(out_dir: Path, command: str, params: dict, seed: int,
         "timestamp_unix": int(time.time()),
     }
     _write(out_dir / "manifest.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _refuse_ignored(why: str, given: dict):
+    """Refuse the options in `given` (flag -> value) that were passed."""
+    ignored = [flag for flag, value in given.items() if value is not None]
+    if ignored:
+        raise ValidationError(f"{why}; drop {' '.join(ignored)}")
 
 
 def _parse_axis(text: str) -> list[float]:
@@ -121,6 +131,8 @@ def cmd_channel_check(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    _refuse_ignored("construct is deterministic and serial",
+                    {"--seed": args.seed, "--jobs": args.jobs})
     W = load_channel(args.channel)
     code = construct(W, args.n, args.E, args.t, code_mode=args.code_mode)
     out = Path(args.out)
@@ -149,6 +161,12 @@ def cmd_construct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    unused = ({"--trials": args.trials, "--seed": args.seed} if args.method == "exact"
+              else {"--pair-budget": args.pair_budget})
+    _refuse_ignored(f"evaluate --method {args.method} would ignore these",
+                    {"--jobs": args.jobs, **unused})
+    trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    pair_budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
     W = load_channel(args.channel)
     try:
         code = code_from_json(Path(args.code).read_text())
@@ -156,15 +174,15 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
     seed = _seed_from_env(args.seed)
     if args.method == "exact":
-        report = exact_error_report(code, W, pair_budget=args.pair_budget)
+        report = exact_error_report(code, W, pair_budget=pair_budget)
     else:
-        report = monte_carlo_errors(code, W, trials=args.trials, seed=seed)
+        report = monte_carlo_errors(code, W, trials=trials, seed=seed)
     out = Path(args.out)
     _write(out / "error_report.json", report.to_json() + "\n")
     _manifest(out, "evaluate",
               {"channel": str(args.channel), "code": str(args.code),
-               "method": args.method, "trials": args.trials,
-               "pair_budget": args.pair_budget},
+               "method": args.method, "trials": trials,
+               "pair_budget": pair_budget},
               seed, _hash_file(args.channel))
     print(report.to_json())
     return EXIT_OK
@@ -201,13 +219,10 @@ def _bounds_grid(args) -> list[dict]:
 
 def cmd_bounds(args) -> int:
     if args.recipe == "fig2":
-        given = {"--formula": args.formula, "--channel": args.channel,
-                 "--E-axis": args.E_axis,
-                 **{flag: getattr(args, key) for flag, key, _, _ in BOUNDS_VALUES}}
-        ignored = [flag for flag, value in given.items() if value is not None]
-        if ignored:
-            raise ValidationError("--recipe fig2 sweeps trend_lower and trend_upper "
-                                  f"over --n-axis alone; drop {' '.join(ignored)}")
+        _refuse_ignored(
+            "--recipe fig2 sweeps trend_lower and trend_upper over --n-axis alone",
+            {"--formula": args.formula, "--channel": args.channel, "--E-axis": args.E_axis,
+             **{flag: getattr(args, key) for flag, key, _, _ in BOUNDS_VALUES}})
     W = load_channel(args.channel) if args.channel else None
     if args.recipe == "fig2":
         ns = [int(round(v)) for v in _parse_axis(args.n_axis or "1e3:1e9:7:log")]
@@ -246,6 +261,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_geometry(args) -> int:
+    if args.task == "dimension":
+        _refuse_ignored("geometry --task dimension would ignore it", {"--mode": args.mode})
+    mode = args.mode or "greedy"
     W = load_channel(args.channel)
     cloud = cloud_from_channel(W, args.embedding)
     radii = _parse_axis(args.radii)
@@ -258,7 +276,7 @@ def cmd_geometry(args) -> int:
               est.exact_counts) for r, lc in zip(est.radii_grid, est.log_counts)])
     else:
         fn = max_packing if args.task == "packing" else min_covering
-        results = [fn(cloud, r, mode=args.mode) for r in radii]
+        results = [fn(cloud, r, mode=mode) for r in radii]
         csv_text = rows_to_csv(
             ("radius", "count", "exact", "centers"),
             [(r, res.count, res.exact, " ".join(map(str, res.center_indices)))
@@ -266,7 +284,7 @@ def cmd_geometry(args) -> int:
     out = Path(args.out)
     _write(out / "geometry.csv", csv_text)
     _manifest(out, "geometry",
-              {"channel": str(args.channel), "task": args.task, "mode": args.mode,
+              {"channel": str(args.channel), "task": args.task, "mode": mode,
                "embedding": args.embedding, "radii": args.radii},
               0, _hash_file(args.channel))
     if (args.task in ("covering", "packing") and W.family
@@ -295,11 +313,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="channel spec file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed, used only by `evaluate --method mc` "
-                            "(fallback: DIRL_SEED, then 0)")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="accepted for compatibility; changes nothing, "
-                            "every subcommand runs serially")
+                       help="RNG seed of `evaluate --method mc` (fallback: "
+                            "DIRL_SEED, then 0); bounds and geometry accept "
+                            "it and change nothing; refused elsewhere")
+        p.add_argument("--jobs", type=int, default=None,
+                       help="work runs serially: bounds and geometry accept "
+                            "it and change nothing; refused elsewhere")
 
     p = sub.add_parser("construct", help="build a code for a channel")
     common(p)
@@ -313,8 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--trials", type=int, default=10000)
-    p.add_argument("--pair-budget", type=int, default=10**6)
+    p.add_argument("--trials", type=int, help=f"mc only; default {DEFAULT_TRIALS}")
+    p.add_argument("--pair-budget", type=int,
+                   help=f"exact only; default {DEFAULT_PAIR_BUDGET}")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
@@ -334,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--task", choices=("packing", "covering", "dimension"),
                    required=True)
-    p.add_argument("--mode", choices=("greedy", "exact"), default="greedy")
+    p.add_argument("--mode", choices=("greedy", "exact"),
+                   help="packing/covering only; default greedy")
     p.add_argument("--embedding", choices=("sqrt", "raw"), default="sqrt")
     p.add_argument("--radii", required=True, help="radius axis")
     p.set_defaults(fn=cmd_geometry)

@@ -34,7 +34,7 @@ import numpy as np
 from .channel import ChannelModel
 from .errors import SizeGuardError, ValidationError
 from .geometry import cloud_from_channel, max_packing
-from .infodist import binary_entropy, entropy, typicality_constants
+from .infodist import binary_entropy, letter_tables, typicality_constants
 
 #: refuse greedy scans beyond this many candidate words
 GREEDY_SCAN_LIMIT = 1 << 24
@@ -264,7 +264,8 @@ def _reed_solomon_code(q: int, n: int, t: float) -> list[tuple[int, ...]]:
 
 def word_output_entropy(W: ChannelModel, word) -> float:
     """Entropy in bits of the product output distribution of a word."""
-    return float(sum(entropy(W.matrix[x]) for x in word))
+    ents = letter_tables(W)[0]
+    return float(sum(ents[x] for x in word))
 
 
 def entropy_binning(codewords, W: ChannelModel):

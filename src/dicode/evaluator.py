@@ -12,11 +12,9 @@ the cell's mass and the exact min/max of the true sums merged into it.  Each
 class (a, b) gets its c-fold spectrum once.  The joint types of one call are
 counted with numpy (one count row per type) and folded in batches: all cells
 of a batch sit in one flat table tagged by type, each class's powers are
-added to every type at once, and cells with equal (type, key) are merged
-(stable sort + reduceat).  Small adds stay unmerged; an add of more than
-MERGE_CELLS sums is built for its type alone, one range of sum keys at a
-time, so a bounded block is allocated at once, and STATE_GUARD limits the
-merged table.  The final table has one cell per type and grid key, which
+added to every type at once, and cells with equal (type, key) are merged.
+`_fold` and `_add` bound what is allocated at once, and STATE_GUARD limits
+the merged table.  The final table has one cell per type and grid key, which
 yields certified [lo, hi] enclosures for every acceptance probability:
 
   lo counts cells whose whole true-value range lies inside the band,
@@ -110,8 +108,7 @@ class ErrorReport:
 
 def letter_spectrum(law_row, decode_row) -> LogProbSpectrum:
     """Distribution of log2 decode_row(Y) with Y drawn from law_row."""
-    atoms = []
-    dead = 0.0
+    atoms, dead = [], 0.0
     for m, q in zip(law_row, decode_row):
         if m == 0.0:
             continue
@@ -214,9 +211,7 @@ class JointTypeDP:
         self.W, self.qstep, self.law = W, qstep, law
         self._law_matrix = (law or W).matrix
         self._powers: dict[tuple, list] = {}
-        self.types = 0
-        self.states_max = 0
-        self.pairs_exact = 0
+        self.types = self.states_max = self.pairs_exact = 0
 
     def _power(self, a, b, c: int):
         """c-fold spectrum of class (a, b), built by merged single-letter adds."""
@@ -412,8 +407,7 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
     h_owner = word_output_entropy(W, owner_word)
     theta = delta * math.sqrt(n)
 
-    mass = np.ones(1)
-    stat = np.zeros(1)
+    mass, stat = np.ones(1), np.zeros(1)
     for xs, xo in zip(source_word, owner_word):
         with np.errstate(divide="ignore"):
             logs = np.log2(W.matrix[xo])
@@ -470,22 +464,14 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, src, own), code.delta)
     dp.pairs_exact += len(src)
     lo, hi = float(np.max(p_lo, initial=0.0)), float(np.max(p_hi, initial=0.0))
-    ceiling = 0.0
-    for jk in skipped:
-        ceiling = max(ceiling, min(1.0, bound[jk]))
-    if skipped:
-        hi = max(hi, ceiling)
-    if exhaustive:
-        mode = "exhaustive"
-    else:
-        mode = "screened" if len(src) else "pair-bound"
+    ceiling = max([0.0] + [min(1.0, bound[jk]) for jk in skipped])
+    hi = max(hi, ceiling)
+    mode = "exhaustive" if exhaustive else "screened" if len(src) else "pair-bound"
     return (lo, hi), mode, ceiling
 
 
 def _exponent(value: float, n: int) -> float:
-    if value <= 0.0:
-        return math.inf
-    return -math.log2(value) / n
+    return math.inf if value <= 0.0 else -math.log2(value) / n
 
 
 def exact_error_report(code: DICode, W: ChannelModel,
@@ -523,18 +509,25 @@ def wilson_interval(successes: int, trials: int):
     return lo, hi
 
 
+def choice_letters(cdf, u, out):
+    """Letters Generator.choice(p=p) draws from uniforms u, given its CDF of p
+    (cumsum / last entry): the count of edges <= u; the last, 1.0, never is."""
+    return (u >= cdf[:-1, None]).sum(axis=0, dtype=out.dtype, out=out)
+
+
 def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
                        law: ChannelModel | None = None) -> ErrorReport:
     """Empirical error estimates with 95% Wilson intervals.
 
-    Per codeword j a dedicated generator spawned from the master seed with
-    spawn key (j,) draws `trials` output blocks from the product law of u_j;
-    the same blocks score the owner test of u_j (first kind) and every other
-    test (second kind).  The per-codeword split makes results independent of
-    any worker-level parallelism.  A verdict depends only on the output word,
-    so each codeword's distinct output words are scored once and weighted by
-    their counts (summed in `mc_words_scored`); results are bit-identical to
-    scoring every trial.  MC_CELL_GUARD bounds the n x trials draws.
+    Per codeword j a generator spawned from the master seed with spawn key
+    (j,) draws `trials` output blocks from the product law of u_j, one
+    rng.random(trials) per position mapped by `choice_letters` (rng.choice's
+    stream); the same blocks score the owner test of u_j (first kind) and
+    every other test (second kind).  A verdict depends only on the output
+    word, so each codeword's distinct output words are scored once and
+    weighted by their counts (summed in `mc_words_scored`); results are
+    bit-identical to scoring every trial.  MC_CELL_GUARD bounds the n x trials
+    draws.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
     largest miss count over the N codewords, and `lambda2` that of the
@@ -550,7 +543,8 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     if n * trials > MC_CELL_GUARD:
         raise SizeGuardError(f"Monte Carlo draws of {n} x {trials} symbols "
                              f"exceed guard {MC_CELL_GUARD}")
-    law_matrix = (law or W).matrix
+    cdf = (law or W).matrix.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
     theta = code.delta * math.sqrt(n)
     h = np.array([word_output_entropy(W, w) for w in code.codewords])
     with np.errstate(divide="ignore"):
@@ -562,17 +556,21 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     worst_miss = worst_false = scored = 0
     for j, word in enumerate(code.codewords):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        # outputs: n x trials symbols drawn letterwise; key: mixed-radix word id
-        y = np.empty((n, trials), dtype=np.int64)
+        # outputs: n x trials letters; key: mixed-radix word id
+        y = np.empty((n, trials), dtype=np.min_scalar_type(radix - 1))
         key, span = np.zeros(trials, dtype=np.int64), 1
         for i, x in enumerate(word):
-            y[i] = rng.choice(radix, size=trials, p=law_matrix[x])
+            choice_letters(cdf[x], rng.random(trials), y[i])
             if span * radix > 1 << 63:
                 # rank the keys: distinct words keep distinct keys below `span`
                 uniq, key = np.unique(key, return_inverse=True)
                 span = uniq.size
             key, span = key * radix + y[i], span * radix
-        _, first, counts = np.unique(key, return_index=True, return_counts=True)
+        # all trials of a key carry one word, so any one can stand for it
+        order = np.argsort(key)
+        key = key[order]
+        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+        first, counts = order[starts], np.diff(starts, append=trials)
         scored += first.size
         accepted = np.zeros(code.size, dtype=np.int64)
         for start in range(0, first.size, MC_BLOCK):

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import dicode
+from dicode.channel import bernoulli_family
 from dicode.cli import BOUNDS_VALUES, main
+from dicode.codebook import assemble_code, code_to_json
 
 BERN = {"family": "bernoulli", "a": 2.0, "k_max": 6}
 IDENT = {"inputs": ["a", "b"], "matrix": [[1, 0], [0, 1]]}
@@ -175,8 +177,9 @@ def test_cli_subprocess_smoke(bern_file, tmp_path):
     assert (tmp_path / "sp" / "manifest.json").exists()
 
 
-# each invocation exited 1 with a traceback, or was silently misread, before
-# the CLI validated it; "{bern}" is the channel file, "{tmp}" the test directory
+# each invocation exited 1 with a traceback, or was silently misread or
+# ignored, before the CLI validated it; "{bern}" is the channel file, "{code}"
+# a valid code for it and "{tmp}" the test directory
 MALFORMED = {
     "axis-non-numeric-count": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
                                "--E-axis", "1e-6:1e-3:abc", "--n-axis", "1e7", "--t", "0.5"],
@@ -218,12 +221,30 @@ MALFORMED = {
                         "--E-axis", "1e-3", "--n-axis", "10", "--lambda-bound", "1"],
     "thm6-lambda-negative": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
                              "--E-axis", "1e-3", "--n-axis", "10", "--lambda-bound=-0.5"],
+    "construct-with-seed": ["construct", "--channel", "{bern}", "--n", "4", "--E", "1e-5",
+                            "--t", "0.5", "--seed", "1"],
+    "construct-with-jobs": ["construct", "--channel", "{bern}", "--n", "4", "--E", "1e-5",
+                            "--t", "0.5", "--jobs", "1"],
+    "exact-with-trials": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                          "--trials", "7"],
+    "exact-with-seed": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                        "--method", "exact", "--seed", "3"],
+    "exact-with-jobs": ["evaluate", "--channel", "{bern}", "--code", "{code}", "--jobs", "2"],
+    "mc-with-pair-budget": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                            "--method", "mc", "--trials", "10", "--pair-budget", "0"],
+    "mc-with-jobs": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                     "--method", "mc", "--trials", "10", "--jobs", "1"],
+    "dimension-with-mode": ["geometry", "--channel", "{bern}", "--task", "dimension",
+                            "--mode", "exact", "--radii", "0.5:0.01:5:log"],
 }
 
 
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys):
-    argv = [a.format(bern=bern_file, tmp=tmp_path) for a in argv]
+    code = tmp_path / "code.json"
+    code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
+                                               [(0, 1, 2), (3, 4, 5)], delta=1.0)))
+    argv = [a.format(bern=bern_file, code=code, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "error code=VALIDATION" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from dicode.evaluator import (
     DEFAULT_QSTEP,
     JointTypeDP,
     brute_force_typical_prob,
+    choice_letters,
     exact_error_report,
     joint_type,
     letter_spectrum,
@@ -541,6 +542,50 @@ def test_monte_carlo_long_words_rank_keys(rows, words):
     code = assemble_code(W, words, delta=2.0)
     rep = monte_carlo_errors(code, W, trials=1500, seed=3)
     assert rep.to_json() == per_trial_monte_carlo(code, W, trials=1500, seed=3).to_json()
+
+
+#: letter laws of 2-8 outputs with zeros first, inside and last, and a point mass
+CHOICE_ROWS = [
+    [0.3, 0.7],
+    [0.0, 0.25, 0.0, 0.75],
+    [0.1, 0.0, 0.0, 0.2, 0.7],
+    [0.2, 0.3, 0.5, 0.0, 0.0],
+    [0.0, 0.0, 1.0],
+    [0.05, 0.1, 0.15, 0.2, 0.0, 0.25, 0.125, 0.125],
+    [1 / 3, 1 / 3, 1 / 3],
+]
+
+
+@pytest.mark.parametrize("row", CHOICE_ROWS)
+def test_choice_letters_is_generator_choice(row):
+    p = np.array(row)
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    for seed in range(4):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for trials in (1, 7, 1000):
+            letters = choice_letters(cdf, rng.random(trials), np.empty(trials, np.uint8))
+            assert np.array_equal(letters, ref.choice(len(p), size=trials, p=p))
+        assert rng.random() == ref.random()
+    # draws almost never land on an edge, so edges are tried exactly
+    u = np.concatenate((cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        [0.0, np.nextafter(1.0, 0.0)]))
+    u = u[(u >= 0.0) & (u < 1.0)]
+    letters = choice_letters(cdf, u, np.empty(u.size, np.uint8))
+    assert np.array_equal(letters, np.searchsorted(cdf, u, side="right"))
+
+
+def test_monte_carlo_memory():
+    """2^18 trials at n=16 stay below 32 MB, the size of int64 letters alone."""
+    W = make_channel(["a", "b"], [[0.7, 0.3], [0.2, 0.8]])
+    code = assemble_code(W, [(0, 1) * 8, (0, 0, 1, 1) * 4], delta=1.0)
+    tracemalloc.start()
+    try:
+        monte_carlo_errors(code, W, trials=1 << 18, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 # ---------------------------------------------------------------------------
