@@ -102,13 +102,24 @@ def _log_penalty(n: int, y_size: int) -> float:
     return math.log2(max(1, math.ceil(n * math.log2(y_size)))) / n
 
 
+def thm1_rate(count: float, t: float, n: int, y_size: int) -> float:
+    """Theorem 1's rate from a letter count: (1-t) log2 count - H(t,1-t)
+    - log-penalty."""
+    return (1 - t) * math.log2(count) - binary_entropy(t) - _log_penalty(n, y_size)
+
+
 def packing_radius(E: float, t: float, y_size: int) -> float:
     _, c = typicality_constants(y_size)
     return (6.0 * E / (c * t * t)) ** 0.25
 
 
+def _root_gap(E: float) -> float:
+    """sqrt(1 - e^(-E/2)), the converse's scale at exponent E."""
+    return math.sqrt(-math.expm1(-E / 2.0))
+
+
 def covering_radius(E: float) -> float:
-    return 0.5 * math.sqrt(-math.expm1(-E / 2.0))
+    return 0.5 * _root_gap(E)
 
 
 def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
@@ -121,9 +132,7 @@ def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
     if beta >= math.sqrt(2.0):
         flags.append("trivial-regime")
     pack = max_packing(cloud_from_channel(W, "sqrt"), beta, mode=mode)
-    value = ((1 - t) * math.log2(pack.count) - binary_entropy(t)
-             - _log_penalty(n, W.output_size))
-    return BoundPoint(value, tuple(flags),
+    return BoundPoint(thm1_rate(pack.count, t, n, W.output_size), tuple(flags),
                       "exact" if pack.exact else "lower-bound",
                       {"packing_count": pack.count, "beta": beta})
 
@@ -169,7 +178,7 @@ def cor2_upper(d_upper: float, eta: float, E: float) -> BoundPoint:
     if E <= 0 or eta < 0:
         raise ValidationError("need E > 0 and eta >= 0")
     half_log = 0.5 * math.log2(8.0 / E)
-    exact = math.log2(2.0 / math.sqrt(-math.expm1(-E / 2.0)))
+    exact = math.log2(2.0 / _root_gap(E))
     value = (d_upper + eta) * half_log
     return BoundPoint(value, ("dimension-asymptotic",),
                       extras={"e_term": exact - half_log,
@@ -217,10 +226,9 @@ def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
         lower = math.nan
         flags.append("lower-undefined")
     else:
-        lower = ((1 - t) * math.log2(log_inner) - binary_entropy(t)
-                 - math.log2(math.ceil(n)) / n)
+        lower = thm1_rate(log_inner, t, n, 2)
 
-    up_inner = a / math.sqrt(-math.expm1(-E / 2.0))
+    up_inner = a / _root_gap(E)
     upper = math.log2(math.log2(up_inner) / math.log2(math.sqrt(a)))
 
     loglog = math.log2(math.log2(1.0 / E))
@@ -271,8 +279,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
         lower = math.nan
         flags_lo.append("lower-undefined")
     else:
-        lower = ((1 - t) * math.log2(q) - binary_entropy(t)
-                 - _log_penalty(n, purged.output_size))
+        lower = thm1_rate(q, t, n, purged.output_size)
 
     if fmax == 0.0:
         d_min = 0  # disjoint rows: no distance requirement survives
@@ -326,77 +333,64 @@ def power_capacity(W: ChannelModel, A: float) -> BoundPoint:
     return BoundPoint(value, (), extras={"mu": hi, "distribution": p.tolist()})
 
 
-@dataclass(frozen=True)
-class SteinBound:
-    delta_part: float
-    L_max: int
-    rate_bound: float
-    n0: float
-    flags: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict)
+def _stein(log_span: float, E: float, alpha: float, lambda_bounded: float,
+           delta_part: float | None, rate_base: float, flags=(),
+           extras=None) -> BoundPoint:
+    """Partition bound over a probability range of log_span bits: L ratio
+    shells of slack delta_part, rate rate_base + log2 L, valid from n0 on."""
+    if alpha <= 1 or E <= 0:
+        raise ValidationError("need alpha > 1 and E > 0")
+    if not 0 <= lambda_bounded < 1:
+        raise ValidationError("bounded error must lie in [0, 1)")
+    if delta_part is None:
+        delta_part = 2.0 ** (E * (alpha - 1) / (2.0 * alpha)) - 1.0
+    if delta_part <= 0:
+        raise ValidationError("partition slack must be positive")
+    L = math.floor(log_span / math.log2(1.0 + delta_part))
+    n0 = (-2.0 * alpha * math.log2(1.0 - lambda_bounded)
+          / (E * (alpha - 1.0)))
+    return BoundPoint(rate_base + (math.log2(L) if L >= 1 else 0.0), flags,
+                      extras={"L": L, "n0": n0, "delta_part": delta_part,
+                              **(extras or {})})
 
 
 def thm5_stein(omega: float, E: float, alpha: float = 2.0,
                lambda_bounded: float = 0.5,
-               delta_part: float | None = None) -> SteinBound:
+               delta_part: float | None = None) -> BoundPoint:
     """Partition rate bound for channels with all probabilities >= omega.
 
     delta_part defaults to 2^(E(alpha-1)/(2 alpha)) - 1, the largest ratio
     slack whose per-letter divergence cost stays within E/2.  The number of
     ratio shells is L = floor(-log2 omega / log2(1+delta)); the rate bound is
-    log2 L, valid from blocklength n0 on.
+    log2 L, valid from blocklength n0 on.  extras: L, n0 and delta_part.
     """
     if not 0 < omega < 1:
         raise ValidationError("need 0 < omega < 1")
-    if alpha <= 1 or E <= 0:
-        raise ValidationError("need alpha > 1 and E > 0")
-    if not 0 <= lambda_bounded < 1:
-        raise ValidationError("bounded error must lie in [0, 1)")
-    if delta_part is None:
-        delta_part = 2.0 ** (E * (alpha - 1) / (2.0 * alpha)) - 1.0
-    if delta_part <= 0:
-        raise ValidationError("partition slack must be positive")
-    L = math.floor(-math.log2(omega) / math.log2(1.0 + delta_part))
-    rate = math.log2(L) if L >= 1 else 0.0
-    n0 = (-2.0 * alpha * math.log2(1.0 - lambda_bounded)
-          / (E * (alpha - 1.0)))
-    return SteinBound(delta_part, L, rate, n0)
+    return _stein(-math.log2(omega), E, alpha, lambda_bounded, delta_part, 0.0)
 
 
 def thm6_stein(y_size: int, E: float, n: int, alpha: float = 2.0,
                delta_trunc: float = 0.5, lambda_bounded: float = 0.5,
-               delta_part: float | None = None) -> SteinBound:
+               delta_part: float | None = None) -> BoundPoint:
     """Partition rate bound for unrestricted channels via truncation.
 
     Truncation at delta_trunc/(n |Y|) makes the smallest surviving probability
     n-dependent, so L = floor((log2 n - log2(delta_trunc/|Y|)) / log2(1+delta))
     and the rate bound is |Y| + log2 L, the additive |Y| being the (flagged)
-    support-enumeration overcount.  Error inflation envelopes for the
-    truncated channel are reported in extras: multiplicative e^(2 delta_trunc)
-    and additive delta_trunc / 2.
+    support-enumeration overcount.  Besides L, n0 and delta_part, extras hold
+    the truncated floor omega_n and the error inflation envelopes for the
+    truncated channel: multiplicative e^(2 delta_trunc) and additive
+    delta_trunc / 2.
     """
     if y_size < 2 or n < 1:
         raise ValidationError("need |Y| >= 2 and n >= 1")
     if not 0 < delta_trunc < 1:
         raise ValidationError("truncation level must lie in (0, 1)")
-    if alpha <= 1 or E <= 0:
-        raise ValidationError("need alpha > 1 and E > 0")
-    if not 0 <= lambda_bounded < 1:
-        raise ValidationError("bounded error must lie in [0, 1)")
-    if delta_part is None:
-        delta_part = 2.0 ** (E * (alpha - 1) / (2.0 * alpha)) - 1.0
-    if delta_part <= 0:
-        raise ValidationError("partition slack must be positive")
-    L = math.floor((math.log2(n) - math.log2(delta_trunc / y_size))
-                   / math.log2(1.0 + delta_part))
-    rate = y_size + (math.log2(L) if L >= 1 else 0.0)
-    n0 = (-2.0 * alpha * math.log2(1.0 - lambda_bounded)
-          / (E * (alpha - 1.0)))
-    return SteinBound(delta_part, L, rate, n0,
-                      flags=("support-overcount",),
-                      extras={"omega_n": delta_trunc / (n * y_size),
-                              "inflation_factor": math.exp(2.0 * delta_trunc),
-                              "inflation_additive": delta_trunc / 2.0})
+    return _stein(math.log2(n) - math.log2(delta_trunc / y_size), E, alpha,
+                  lambda_bounded, delta_part, y_size, ("support-overcount",),
+                  {"omega_n": delta_trunc / (n * y_size),
+                   "inflation_factor": math.exp(2.0 * delta_trunc),
+                   "inflation_additive": delta_trunc / 2.0})
 
 
 # ---------------------------------------------------------------------------
@@ -426,26 +420,13 @@ def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
         raise ValidationError("the trend recipe needs n >= 2")
     eta = 1.0 / math.log2(n)
     E = 1.0 / n
-    value = (d + eta) * math.log2(2.0 / math.sqrt(-math.expm1(-E / 2.0)))
+    value = (d + eta) * math.log2(2.0 / _root_gap(E))
     return BoundPoint(value, ("dimension-asymptotic", "trend-recipe"),
                       extras={"E": E, "eta": eta})
 
 
 # ---------------------------------------------------------------------------
 # sweep machinery
-
-def _thm5_point(g: dict, W: ChannelModel | None) -> BoundPoint:
-    b = thm5_stein(g["omega"], g["E"], g.get("alpha", 2.0), g.get("lambda", 0.5),
-                   g.get("delta_part"))
-    return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max, "n0": b.n0})
-
-
-def _thm6_point(g: dict, W: ChannelModel | None) -> BoundPoint:
-    y = W.output_size if W is not None else g["y_size"]
-    b = thm6_stein(y, g["E"], g["n"], g.get("alpha", 2.0), g.get("delta_trunc", 0.5),
-                   g.get("lambda", 0.5), g.get("delta_part"))
-    return BoundPoint(b.rate_bound, b.flags, extras={"L": b.L_max})
-
 
 #: formula_id -> evaluator of one grid point g (a dict) on channel W.  Entries
 #: look the formula functions up by module-global name at call time.
@@ -462,8 +443,12 @@ FORMULAS = {
     "ex1_bern_upper": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[1],
     "ex2_dmc_lower": lambda g, W: ex2_dmc(W, g["E"], g["n"])[0],
     "ex2_dmc_upper": lambda g, W: ex2_dmc(W, g["E"], g["n"])[1],
-    "thm5_stein": _thm5_point,
-    "thm6_stein": _thm6_point,
+    "thm5_stein": lambda g, W: thm5_stein(g["omega"], g["E"], g.get("alpha", 2.0),
+                                          g.get("lambda", 0.5), g.get("delta_part")),
+    "thm6_stein": lambda g, W: thm6_stein(
+        W.output_size if W is not None else g["y_size"], g["E"], g["n"],
+        g.get("alpha", 2.0), g.get("delta_trunc", 0.5), g.get("lambda", 0.5),
+        g.get("delta_part")),
     "power_capacity": lambda g, W: power_capacity(W, g["A"]),
     "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0),
                                                   g.get("y_size", 2)),

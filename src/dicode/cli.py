@@ -3,16 +3,19 @@
 Subcommands: construct, evaluate, bounds, geometry, channel check.
 Every command writes its outputs plus a run manifest into --out; reruns with
 the same manifest parameters produce byte-identical CSV/JSON.  All work runs
-serially and only `evaluate --method mc` reads --seed.  Exit codes: 0
-success, 2 validation failure, 3 size-guard refusal.  Exit 2 also covers an
+serially and only `evaluate --method mc` reads --seed; exact runs record a
+null seed.  Exit codes: 0 success, 2 validation failure, 3 size-guard
+refusal (a range axis or a `bounds` grid of more than GRID_LIMIT points is
+refused before it is built).  Exit 2 also covers an
 option the command would ignore: --seed/--jobs on construct, --jobs on
 evaluate, --trials/--seed with `--method exact`, --pair-budget with `--method
 mc`, --mode with `--task dimension`, and --formula, --channel, --E-axis or
 a single-value option with `--recipe fig2` (bounds and geometry accept
 --seed and --jobs, for nothing).  So do a non-numeric or non-finite axis
 value or a 4th axis field other than `log`, an unreadable or non-code
-`--code` file, a `bounds` grid lacking a key the formula reads, a channel
-formula without --channel and fig2 with n < 2.
+`--code` file, a negative --pair-budget, a `bounds` grid lacking a key the
+formula reads, --svg with an x value (n or E) missing or not positive, a
+channel formula without --channel and fig2 with n < 2.
 Diagnostics go to stderr as single `error code=... msg=...` lines.
 """
 
@@ -42,6 +45,8 @@ EXIT_VALIDATION = 2
 EXIT_SIZE_GUARD = 3
 #: Monte Carlo trials of `evaluate --method mc` without --trials
 DEFAULT_TRIALS = 10000
+#: refuse an axis, or a `bounds` grid, of more points than this
+GRID_LIMIT = 10**5
 
 
 def _seed_from_env(value):
@@ -95,6 +100,8 @@ def _parse_axis(text: str) -> list[float]:
     if len(parts) > 1:
         if count < 1:
             raise ValidationError("axis needs at least one point")
+        if count > GRID_LIMIT:
+            raise SizeGuardError(f"axis of {count} points exceeds guard {GRID_LIMIT}")
         if count == 1:
             values = [lo]
         elif len(parts) == 4:
@@ -172,7 +179,7 @@ def cmd_evaluate(args) -> int:
         code = code_from_json(Path(args.code).read_text())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
-    seed = _seed_from_env(args.seed)
+    seed = _seed_from_env(args.seed) if args.method == "mc" else None
     if args.method == "exact":
         report = exact_error_report(code, W, pair_budget=pair_budget)
     else:
@@ -212,6 +219,8 @@ def _bounds_grid(args) -> list[dict]:
         axes["n"] = [int(round(v)) for v in _parse_axis(args.n_axis)]
     if args.E_axis:
         axes["E"] = _parse_axis(args.E_axis)
+    if math.prod(map(len, axes.values())) > GRID_LIMIT:
+        raise SizeGuardError(f"grid of more than {GRID_LIMIT} points refused")
     names = sorted(axes)
     return [dict(zip(names, values))
             for values in itertools.product(*(axes[name] for name in names))]
@@ -229,6 +238,11 @@ def cmd_bounds(args) -> int:
         grid, formulas = [{"n": n} for n in ns], ["trend_lower", "trend_upper"]
     else:
         grid, formulas = _bounds_grid(args), args.formula or ["thm1_lower"]
+    # the chart's x axis is log10: n for n sweeps, E otherwise
+    x_key = "n" if args.recipe == "fig2" or (args.n_axis and not args.E_axis) else "E"
+    if args.svg and not all(g.get(x_key, 0) > 0 for g in grid):
+        raise ValidationError(f"--svg plots {x_key} on a log axis: give every "
+                              f"point a positive {x_key}")
     curves = [sweep(f, grid, W) for f in formulas]
     csv_text = curves_to_csv(curves)
     out = Path(args.out)
@@ -244,13 +258,12 @@ def cmd_bounds(args) -> int:
         series = []
         for curve in curves:
             rows = curve.rows()
-            if args.recipe == "fig2" or (args.n_axis and not args.E_axis):
-                xs = [float(r["n"]) for r in rows]
+            xs = [float(r[x_key]) for r in rows]
+            if x_key == "n":
                 ys = [r["normalized_value"] if r["normalized_value"] != "" else math.nan
                       for r in rows]
                 labels = ("block length n", "rate / log2 n")
             else:
-                xs = [float(r["E"]) for r in rows]
                 ys = [r["value_bits"] for r in rows]
                 labels = ("exponent target E", "rate bound (bits)")
             series.append((curve.formula_id, xs, ys))

@@ -31,10 +31,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .bounds import packing_radius, thm1_rate
 from .channel import ChannelModel
 from .errors import SizeGuardError, ValidationError
 from .geometry import cloud_from_channel, max_packing
-from .infodist import binary_entropy, letter_tables, typicality_constants
+from .infodist import letter_tables, typicality_constants
 
 #: refuse greedy scans beyond this many candidate words
 GREEDY_SCAN_LIMIT = 1 << 24
@@ -44,6 +45,9 @@ SCAN_BLOCK = 1 << 16
 LINEAR_SIZE_LIMIT = 1 << 20
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
+#: DICode fields stored under the JSON "params" key, with their types
+CODE_FIELDS = (("min_hamming", int), ("entropy_bin", tuple), ("rate", float),
+               ("rate_floor", float), ("letter_count_exact", bool))
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
     if n < 1:
         raise ValidationError("blocklength must be >= 1")
     K, c = typicality_constants(y_size)
-    beta = (6.0 * E / (c * t * t)) ** 0.25
+    beta = packing_radius(E, t, y_size)
     tau = SQRT2_M1 * t * beta * beta
     delta = tau * math.sqrt(n)
     decay = math.exp(-c * tau * tau * n)
@@ -302,39 +306,38 @@ def min_pairwise_hamming(codewords) -> int:
     return best
 
 
+def _code(params: CodeParams, letters, codewords, delta: float, entropies,
+          entropy_bin, rate_floor: float, exact: bool) -> DICode:
+    return DICode(
+        letter_alphabet=tuple(letters),
+        codewords=tuple(codewords),
+        delta=delta,
+        entropies=tuple(entropies),
+        min_hamming=min_pairwise_hamming(codewords),
+        entropy_bin=entropy_bin,
+        params=params,
+        rate=math.log2(len(codewords)) / params.n,
+        rate_floor=rate_floor,
+        letter_count_exact=exact,
+    )
+
+
 def construct(W: ChannelModel, n: int, E: float, t: float,
               code_mode: str = "greedy") -> DICode:
     """Full construction pipeline for one channel and target (n, E, t).
 
-    The reported rate_floor is the guaranteed rate
+    The reported rate_floor is Theorem 1's guaranteed rate
         (1-t) log2 |X0| - H(t,1-t) - log2(ceil(n log2 |Y|)) / n
-    which the achieved rate always meets or exceeds.
+    (`bounds.thm1_rate`), which the achieved rate always meets or exceeds.
     """
     params = derive_params(E, t, W.output_size, n)
     pack = build_letter_alphabet(W, params.beta)
     letters = pack.center_indices
-    q = len(letters)
-
-    letter_words = distance_code(q, n, t, mode=code_mode)
+    letter_words = distance_code(len(letters), n, t, mode=code_mode)
     codewords = [tuple(letters[i] for i in w) for w in letter_words]
     kept, ent_bin, ents = entropy_binning(codewords, W)
-
-    n_bins = max(1, math.ceil(n * math.log2(W.output_size)))
-    rate = math.log2(len(kept)) / n
-    rate_floor = ((1 - t) * math.log2(q) - binary_entropy(t)
-                  - math.log2(n_bins) / n)
-    return DICode(
-        letter_alphabet=tuple(letters),
-        codewords=tuple(kept),
-        delta=params.delta,
-        entropies=tuple(ents),
-        min_hamming=min_pairwise_hamming(kept),
-        entropy_bin=ent_bin,
-        params=params,
-        rate=rate,
-        rate_floor=rate_floor,
-        letter_count_exact=pack.exact,
-    )
+    return _code(params, letters, kept, params.delta, ents, ent_bin,
+                 thm1_rate(len(letters), t, n, W.output_size), pack.exact)
 
 
 def assemble_code(W: ChannelModel, codewords, delta: float, t: float = 0.5) -> DICode:
@@ -355,32 +358,16 @@ def assemble_code(W: ChannelModel, codewords, delta: float, t: float = 0.5) -> D
     # invert tau = (sqrt(2)-1) t beta^2 and E = c t^2 beta^4 / 6
     e_implied = c * tau * tau * (3.0 + 2.0 * math.sqrt(2.0)) / 6.0
     params = derive_params(e_implied, t, W.output_size, n)
-    letters = tuple(sorted({x for w in codewords for x in w}))
     ents = [word_output_entropy(W, w) for w in codewords]
-    return DICode(
-        letter_alphabet=letters,
-        codewords=tuple(codewords),
-        delta=delta,
-        entropies=tuple(ents),
-        min_hamming=min_pairwise_hamming(codewords),
-        entropy_bin=(math.floor(min(ents)), math.floor(min(ents)) + 1.0),
-        params=params,
-        rate=math.log2(len(codewords)) / n,
-        rate_floor=-math.inf,
-        letter_count_exact=False,
-    )
+    low = math.floor(min(ents))
+    return _code(params, sorted({x for w in codewords for x in w}), codewords,
+                 delta, ents, (low, low + 1.0), -math.inf, False)
 
 
 def code_to_json(code: DICode) -> str:
     """Serialize a code to the interchange JSON layout."""
     payload = {
-        "params": asdict(code.params) | {
-            "min_hamming": code.min_hamming,
-            "entropy_bin": list(code.entropy_bin),
-            "rate": code.rate,
-            "rate_floor": code.rate_floor,
-            "letter_count_exact": code.letter_count_exact,
-        },
+        "params": asdict(code.params) | {k: getattr(code, k) for k, _ in CODE_FIELDS},
         "letter_alphabet": list(code.letter_alphabet),
         "codewords": [list(w) for w in code.codewords],
         "delta": code.delta,
@@ -392,18 +379,12 @@ def code_to_json(code: DICode) -> str:
 def code_from_json(text: str) -> DICode:
     payload = json.loads(text)
     p = dict(payload["params"])
-    extras = {k: p.pop(k) for k in
-              ("min_hamming", "entropy_bin", "rate", "rate_floor", "letter_count_exact")}
-    params = CodeParams(**p)
+    fields = {k: kind(p.pop(k)) for k, kind in CODE_FIELDS}
     return DICode(
         letter_alphabet=tuple(payload["letter_alphabet"]),
         codewords=tuple(tuple(w) for w in payload["codewords"]),
         delta=float(payload["delta"]),
         entropies=tuple(float(h) for h in payload["entropies"]),
-        min_hamming=int(extras["min_hamming"]),
-        entropy_bin=tuple(extras["entropy_bin"]),
-        params=params,
-        rate=float(extras["rate"]),
-        rate_floor=float(extras["rate_floor"]),
-        letter_count_exact=bool(extras["letter_count_exact"]),
+        params=CodeParams(**p),
+        **fields,
     )

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,14 +64,6 @@ MC_CELL_GUARD = 1 << 26
 
 
 @dataclass(frozen=True)
-class LogProbSpectrum:
-    """Per-letter spectrum: atoms (log2-prob value, mass) + mass at -inf."""
-
-    atoms: tuple[tuple[float, float], ...]
-    dead_mass: float
-
-
-@dataclass(frozen=True)
 class ErrorReport:
     lambda1: tuple[float, float]
     lambda2: tuple[float, float]
@@ -88,35 +80,22 @@ class ErrorReport:
     mc_words_scored: int | None = None  # distinct MC output words, summed
 
     def to_json(self) -> str:
-        payload = {
-            "method": self.method,
-            "lambda1": {"lo": self.lambda1[0], "hi": self.lambda1[1]},
-            "lambda2": {"lo": self.lambda2[0], "hi": self.lambda2[1]},
-            "E1_measured": self.e1_measured,
-            "E2_measured": self.e2_measured,
-            "trials": self.trials,
-            "seed": self.seed,
-            "pair_mode": self.pair_mode,
-            "analytic_ceiling": self.analytic_ceiling,
-            "dp_types": self.dp_types,
-            "dp_states_max": self.dp_states_max,
-            "pairs_exact": self.pairs_exact,
-            "mc_words_scored": self.mc_words_scored,
-        }
+        """Every field, lambdas as {"lo", "hi"} and exponents as E1/E2_measured."""
+        payload = asdict(self)
+        for k in ("lambda1", "lambda2"):
+            payload[k] = dict(zip(("lo", "hi"), payload[k]))
+        payload["E1_measured"] = payload.pop("e1_measured")
+        payload["E2_measured"] = payload.pop("e2_measured")
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def letter_spectrum(law_row, decode_row) -> LogProbSpectrum:
-    """Distribution of log2 decode_row(Y) with Y drawn from law_row."""
-    atoms, dead = [], 0.0
-    for m, q in zip(law_row, decode_row):
-        if m == 0.0:
-            continue
-        if q == 0.0:
-            dead += float(m)
-        else:
-            atoms.append((math.log2(q), float(m)))
-    return LogProbSpectrum(tuple(atoms), dead)
+def letter_spectrum(law_row, decode_row):
+    """Distribution of log2 decode_row(Y) with Y drawn from law_row: its
+    atoms' values and masses (arrays) and the mass at -inf."""
+    law_row, decode_row = np.asarray(law_row, float), np.asarray(decode_row, float)
+    live = (law_row != 0.0) & (decode_row != 0.0)
+    values = np.array([math.log2(q) for q in decode_row[live]], dtype=float)
+    return values, law_row[live], float(sum(law_row[(law_row != 0.0) & ~live]))
 
 
 #: cell table: (grid key, mass, min true sum, max true sum), one array each
@@ -217,9 +196,7 @@ class JointTypeDP:
         """c-fold spectrum of class (a, b), built by merged single-letter adds."""
         powers = self._powers.get((a, b))
         if powers is None:
-            spec = letter_spectrum(self._law_matrix[a], self.W.matrix[b])
-            v = np.array([v for v, _ in spec.atoms], dtype=float)
-            mass = np.array([m for _, m in spec.atoms], dtype=float)
+            v, mass, _ = letter_spectrum(self._law_matrix[a], self.W.matrix[b])
             keys = np.rint(v / self.qstep).astype(np.int64)
             powers = self._powers[(a, b)] = [_merge((keys, mass, v, v))]
         while len(powers) < c:
@@ -445,8 +422,11 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     sharing a joint type share one DP.  `dp` lends its spectrum cache and
     counters (a fresh one by default).
 
-    Returns ((lo, hi), pair_mode, analytic_ceiling).
+    Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
+    raises ValidationError.
     """
+    if pair_budget < 0:
+        raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
     dp = _dp_for(dp, W, law)
     if code.size < 2:
         return (0.0, 0.0), "exhaustive", 0.0

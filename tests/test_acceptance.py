@@ -193,8 +193,8 @@ def test_criterion_7_asymmetric_error_regime():
     start = time.monotonic()
     # (a) hand oracle for the partition bound
     b = thm5_stein(0.1, 1.0, delta_part=0.2)
-    assert b.L_max == 12
-    assert b.rate_bound == pytest.approx(math.log2(12))
+    assert b.extras["L"] == 12
+    assert b.value == pytest.approx(math.log2(12))
 
     # (b) D_h^{lambda1}(P_j || P_k) >= -log2 lambda2 for every ordered pair of
     # every evaluated code (exact product-alphabet optimal tests, n <= 10)

@@ -214,15 +214,15 @@ def test_power_capacity_grid_oracle():
 
 def test_stein_bounds_reference_arithmetic():
     b = thm5_stein(0.1, 1.0, delta_part=0.2)
-    assert b.L_max == 12
-    assert b.rate_bound == pytest.approx(math.log2(12))
-    assert thm5_stein(0.999999, 1.0, delta_part=0.2).rate_bound == 0.0
+    assert b.extras["L"] == 12
+    assert b.value == pytest.approx(math.log2(12))
+    assert thm5_stein(0.999999, 1.0, delta_part=0.2).value == 0.0
     d = thm5_stein(0.1, 1.0, alpha=2.0, lambda_bounded=0.5)
-    assert d.delta_part == pytest.approx(2**0.25 - 1)
-    assert d.n0 == pytest.approx(4.0)
+    assert d.extras["delta_part"] == pytest.approx(2**0.25 - 1)
+    assert d.extras["n0"] == pytest.approx(4.0)
     g = thm6_stein(2, 1.0, 1024, delta_trunc=0.5, delta_part=0.2)
-    assert g.L_max == 45
-    assert g.rate_bound == pytest.approx(2 + math.log2(45))
+    assert g.extras["L"] == 45
+    assert g.value == pytest.approx(2 + math.log2(45))
     assert "support-overcount" in g.flags
     assert g.extras["inflation_factor"] == pytest.approx(math.exp(1.0))
     assert g.extras["inflation_additive"] == 0.25
@@ -236,8 +236,8 @@ def test_stein_scaling_shapes():
     for n in (10**3, 10**6, 10**9):
         g = thm6_stein(2, 1.0, n, delta_trunc=0.5, delta_part=delta)
         cap = 2 + math.log2((math.log2(n) + 2) / math.log2(1 + delta))
-        assert g.rate_bound <= cap + 1e-12
-    assert base.rate_bound == thm5_stein(0.05, 1.0, delta_part=delta).rate_bound
+        assert g.value <= cap + 1e-12
+    assert base.value == thm5_stein(0.05, 1.0, delta_part=delta).value
 
 
 def test_trend_recipe_gates():

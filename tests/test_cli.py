@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import dicode
 from dicode.channel import bernoulli_family
+from dicode import cli
 from dicode.cli import BOUNDS_VALUES, main
 from dicode.codebook import assemble_code, code_to_json
 
@@ -130,6 +132,22 @@ def test_seed_env_fallback(bern_file, tmp_path, monkeypatch):
     assert read_outputs(out_env) == read_outputs(out_flag)
 
 
+def test_exact_run_records_no_seed(bern_file, tmp_path, monkeypatch):
+    """Exact reports read no seed, so DIRL_SEED stays out of their manifest."""
+    code = tmp_path / "code.json"
+    code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
+                                               [(0, 1, 2), (3, 4, 5)], delta=1.0)))
+    monkeypatch.setenv("DIRL_SEED", "5")
+    seeds = {}
+    for method in ("exact", "mc"):
+        out = tmp_path / method
+        assert main(["evaluate", "--channel", str(bern_file), "--code", str(code),
+                     "--method", method, "--out", str(out)]) == 0
+        seeds[method] = (json.loads((out / "manifest.json").read_text())["seed"],
+                         json.loads((out / "error_report.json").read_text())["seed"])
+    assert seeds == {"exact": (None, None), "mc": (5, 5)}
+
+
 def test_fig2_recipe_and_svg_regression(tmp_path, capsys):
     import hashlib
 
@@ -236,6 +254,8 @@ MALFORMED = {
                      "--method", "mc", "--trials", "10", "--jobs", "1"],
     "dimension-with-mode": ["geometry", "--channel", "{bern}", "--task", "dimension",
                             "--mode", "exact", "--radii", "0.5:0.01:5:log"],
+    "negative-pair-budget": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                             "--pair-budget=-1"],
 }
 
 
@@ -247,6 +267,56 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     argv = [a.format(bern=bern_file, code=code, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     assert "error code=VALIDATION" in capsys.readouterr().err
+
+
+# --svg draws a log10 x axis; it had no x value (float("") failed), or a zero
+# one (log10(0) failed), and exited 1 after bounds.csv was written
+SVG_WITHOUT_X = {
+    "no-x-axis": ["--cost-cap", "0.25"],
+    "x-zero": ["--cost-cap", "0.25", "--E-axis", "0,1"],
+}
+
+
+@pytest.mark.parametrize("extra", SVG_WITHOUT_X.values(), ids=SVG_WITHOUT_X.keys())
+def test_svg_needs_positive_x_values(extra, bern_file, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["bounds", "--channel", str(bern_file), "--formula", "power_capacity",
+                 *extra, "--svg", "--out", str(out)]) == 2
+    assert "error code=VALIDATION msg=--svg" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# one axis past the guard, and two axes whose product is
+HUGE_GRIDS = {
+    "axis": ["--n-axis", "1:2:100000000"],
+    "product": ["--n-axis", "10:1000:1000", "--E-axis", "1e-6:1e-3:1000:log"],
+}
+
+
+@pytest.mark.parametrize("axes", HUGE_GRIDS.values(), ids=HUGE_GRIDS.keys())
+def test_grid_guard_fails_before_allocating(axes, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["bounds", "--formula", "trend_upper", *axes,
+                   "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3
+    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+    assert peak < 2 << 20
+
+
+@pytest.mark.parametrize("axes,rc", [
+    (["--n-axis", "10:100:6"], 0),
+    (["--n-axis", "10:100:7"], 3),
+    (["--n-axis", "10:100:2", "--E-axis", "1e-3:1e-2:3"], 0),
+    (["--n-axis", "10:100:3", "--E-axis", "1e-3:1e-2:3"], 3),
+])
+def test_grid_guard_edge(axes, rc, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "GRID_LIMIT", 6)
+    assert main(["bounds", "--formula", "trend_upper", *axes,
+                 "--out", str(tmp_path / "o")]) == rc
 
 
 @pytest.mark.parametrize("flag", [flag for flag, _, _, _ in BOUNDS_VALUES])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dicode.bounds import thm1_lower
 from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.codebook import (
     assemble_code,
@@ -231,6 +232,18 @@ def test_construct_fidelity_separation():
         assert -math.log(max(eps, 1e-300)) >= p.t * p.n * p.beta**2 - 1e-9
         tv = total_variation(product_distribution(W, u), product_distribution(W, v))
         assert -math.log(max(1 - tv, 1e-300)) >= p.t * p.n * p.beta**2 - 1e-9
+
+
+@pytest.mark.parametrize("W,n,E,t", [
+    (bernoulli_family(2.0, 6), 8, 1e-5, 0.5),
+    (make_channel(list("abc"), [[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.25, 0.25, 0.5]]),
+     7, 1e-6, 0.4),
+])
+def test_rate_floor_is_thm1_lower(W, n, E, t):
+    """The construction's guarantee is Theorem 1's bound, bit for bit."""
+    code = construct(W, n, E, t)
+    assert len(code.letter_alphabet) >= 2
+    assert code.rate_floor == thm1_lower(W, n, E, t, mode="greedy").value
 
 
 def test_code_json_round_trip():

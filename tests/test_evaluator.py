@@ -12,7 +12,7 @@ from dicode import evaluator
 from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
 from dicode.cli import main
 from dicode.codebook import assemble_code, code_to_json, construct, word_output_entropy
-from dicode.errors import SizeGuardError
+from dicode.errors import SizeGuardError, ValidationError
 from dicode.evaluator import (
     DEFAULT_QSTEP,
     JointTypeDP,
@@ -48,9 +48,9 @@ def random_instance(rng):
 
 def test_letter_spectrum_masses_sum():
     W = make_channel(["a", "b"], [[0.7, 0.3], [1.0, 0.0]])
-    spec = letter_spectrum(W.matrix[0], W.matrix[1])
-    assert sum(m for _, m in spec.atoms) + spec.dead_mass == pytest.approx(1.0)
-    assert spec.dead_mass == pytest.approx(0.3)  # owner has a zero there
+    _, masses, dead_mass = letter_spectrum(W.matrix[0], W.matrix[1])
+    assert masses.sum() + dead_mass == pytest.approx(1.0)
+    assert dead_mass == pytest.approx(0.3)  # owner has a zero there
 
 
 def test_identity_owner_probability_one():
@@ -134,6 +134,15 @@ def test_lambda2_screened_mode_is_upper_bound():
     assert screened[1] >= full[1] - 1e-12   # stays a true upper bound
     assert screened[0] <= full[0] + 1e-12
     assert ceiling >= 0.0
+
+
+def test_negative_pair_budget_is_refused():
+    W = bernoulli_family(2.0, 6)
+    code = construct(W, 6, 1e-5, 0.5)
+    with pytest.raises(ValidationError, match="pair budget"):
+        measure_lambda2(code, W, pair_budget=-1)
+    with pytest.raises(ValidationError, match="pair budget"):
+        exact_error_report(code, W, pair_budget=-1)
 
 
 def test_pair_bound_only_mode():
