@@ -237,9 +237,18 @@ def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
         BoundPoint(upper, (), extras={"normalized": upper - loglog})
 
 
-def _hamming_volume(q: int, n: int, radius: int) -> int:
-    """Exact number of q-ary words within Hamming distance `radius`."""
-    return sum(math.comb(n, i) * (q - 1) ** i for i in range(max(0, radius) + 1))
+def _log2_hamming_volume(q: int, n: int, radius: int) -> float:
+    """log2 of the number of q-ary words of length n within Hamming distance
+    `radius`: the top term C(n, r)(q-1)^r from lgamma, plus the log of the
+    sum of every term divided by it, built downward from the radius by the
+    term ratios i / ((n - i + 1)(q - 1)).  O(radius) floats."""
+    r = min(max(0, radius), n)
+    i = np.arange(r, 0, -1)
+    rel = np.concatenate(([0.0], np.cumsum(np.log(i / ((n - i + 1) * (q - 1.0))))))
+    peak = rel.max()  # 0 unless the radius lies past the largest term
+    top = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
+           + r * math.log(q - 1))
+    return (top + peak + math.log(np.exp(rel - peak).sum())) / math.log(2)
 
 
 def ex2_dmc(W: ChannelModel, E: float, n: int):
@@ -250,7 +259,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
     Flagged 'lower-undefined' when t >= 1 (vacuous).
     upper: minimum distance d = ceil(n E log_alpha e - log_alpha 4) with
     1/alpha the maximum pairwise fidelity, fed into the sphere-packing bound
-    (exact integer volumes): rate = log2 q - log2 V_q(n, floor((d-1)/2)) / n.
+    (log-volumes in floats): rate = log2 q - log2 V_q(n, floor((d-1)/2)) / n.
     """
     if E < 0 or n < 1:
         raise ValidationError("need E >= 0 and n >= 1")
@@ -287,8 +296,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
         alpha = 1.0 / fmax
         d_min = math.ceil(n * E * math.log(math.e, alpha) - math.log(4.0, alpha))
     radius = max(0, (max(0, d_min) - 1) // 2)
-    volume = _hamming_volume(q, n, radius)
-    upper = math.log2(q) - math.log2(volume) / n
+    upper = math.log2(q) - _log2_hamming_volume(q, n, radius) / n
     return (BoundPoint(lower, tuple(flags_lo), extras={"t": t, "beta": beta}),
             BoundPoint(upper, (), extras={"d_min": d_min, "alpha_inv": fmax}))
 

@@ -1,29 +1,23 @@
 """Exact and Monte Carlo measurement of identification error probabilities.
 
 The decision set of a codeword x'^n is its entropy-typical set: outputs y^n
-with |log2 W_{x'^n}(y^n) + H(W_{x'^n})| <= delta sqrt(n).  The membership
-statistic is a sum of per-letter log-probabilities, so under the product law
-of a source word its distribution depends only on the pair's joint type: the
-count c of positions holding each (source letter a, owner letter b).  This
-is the method of types (Csiszar-Korner).
+with |log2 W_{x'^n}(y^n) + H(W_{x'^n})| <= delta sqrt(n).  The statistic is
+sum_b sum_y N_{b,y} log2 W(y|b), N_{b,y} counting the positions of owner
+letter b and output y, so under the product law of a source word its law
+depends only on the pair's joint type (Csiszar-Korner): the count of
+positions holding each (source letter a, owner letter b).
 
-The exact evaluator works on cells: integer grid keys round(v / qstep) with
-the cell's mass and the exact min/max of the true sums merged into it.  Each
-class (a, b) gets its c-fold spectrum once.  The joint types of one call are
-counted with numpy (one count row per type) and folded in batches: all cells
-of a batch sit in one flat table tagged by type, each class's powers are
-added to every type at once, and cells with equal (type, key) are merged.
-`_fold` and `_add` bound what is allocated at once, and STATE_GUARD limits
-the merged table.  The final table has one cell per type and grid key, which
-yields certified [lo, hi] enclosures for every acceptance probability:
-
-  lo counts cells whose whole true-value range lies inside the band,
-  hi additionally counts cells whose range touches it.
-
-Zero probabilities in the decoder word (log = -inf) drop out of the cells:
-their mass always lies outside the typical set.  The interval is a function
-of the joint type, delta and qstep, so the error measurements evaluate each
-distinct joint type once.
+The exact evaluator sums over the output-count lattice.  The n_b positions
+of owner letter b have C(n_b + k_b - 1, k_b - 1) count vectors over the k_b
+outputs W(.|b) reaches; an atom picks one vector per owner letter.  Atom
+values depend only on the owner's letter composition, by which the types of
+a call are grouped.  A vector's mass is built one position at a time from
+the source letters' law rows over the reached outputs (mass on an output
+W(.|b) never emits, log = -inf, lies outside the typical set and drops out),
+and an atom's is the product over owner letters.  lo sums the atoms inside
+the band shrunk by EDGE_FUZZ, hi those inside it widened by EDGE_FUZZ, at
+most ATOM_CHUNK lattice entries at a time.  STATE_GUARD is checked before
+anything is allocated.  Each distinct joint type is evaluated once.
 """
 
 from __future__ import annotations
@@ -40,17 +34,13 @@ from .codebook import DICode, word_output_entropy
 from .errors import SizeGuardError, ValidationError
 from .infodist import false_accept_bound, letter_tables
 
-DEFAULT_QSTEP = 2.0**-20
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
-#: refuse a merged cell table of more cells than this
-STATE_GUARD = 5_000_000
-#: leave an outer add of at most this many cells unmerged
-MERGE_CELLS = 1 << 14
-#: sums a larger add gathers at once, one range of keys, before merging them
-BLOCK_CELLS = 1 << 15
-#: unmerged cells one batch of joint types may hold at once
-BATCH_CELLS = 1 << 16
+#: refuse a joint type of more output-count atoms than this, or an owner letter
+#: whose lattice, held whole, has over a quarter as many vectors x outputs
+STATE_GUARD = 1 << 27
+#: lattice entries (atoms x joint types) summed at once
+ATOM_CHUNK = 1 << 16
 #: codeword pairs whose joint types are counted at once
 PAIR_CHUNK = 1 << 11
 
@@ -75,7 +65,7 @@ class ErrorReport:
     pair_mode: str = "exhaustive"    # exhaustive | screened | pair-bound
     analytic_ceiling: float | None = None
     dp_types: int | None = None       # distinct joint types evaluated
-    dp_states_max: int | None = None  # largest merged cell table
+    dp_states_max: int | None = None  # largest lattice of one type (atoms)
     pairs_exact: int | None = None    # ordered pairs covered by the exact DP
     mc_words_scored: int | None = None  # distinct MC output words, summed
 
@@ -89,83 +79,49 @@ class ErrorReport:
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
-def letter_spectrum(law_row, decode_row):
-    """Distribution of log2 decode_row(Y) with Y drawn from law_row: its
-    atoms' values and masses (arrays) and the mass at -inf."""
-    law_row, decode_row = np.asarray(law_row, float), np.asarray(decode_row, float)
-    live = (law_row != 0.0) & (decode_row != 0.0)
-    values = np.array([math.log2(q) for q in decode_row[live]], dtype=float)
-    return values, law_row[live], float(sum(law_row[(law_row != 0.0) & ~live]))
+def _lattice(n: int, logw):
+    """(values, pred, prefix) of the count vectors N of n positions over k =
+    len(logw) outputs, in colex order of their bars s_j = N_0 + ... + N_j + j:
+    values N . logw; prefix[m] = C(m + k - 1, k - 1), the first vectors, those
+    of m positions; pred[y, r], the index of vector r less one count of output
+    y < k - 1, or -1 if none (less one of output k - 1 it is r, in prefix[m-1])."""
+    k = len(logw)
+    bars, prefix = np.zeros((0, 1), dtype=np.int32), np.ones(n + 1, dtype=np.int64)
+    for r in range(1, k):
+        # r bars below n + r, by largest bar top: each of the first
+        # C(top, r - 1) sets of r - 1 bars, then top
+        start = np.repeat(np.cumsum(prefix) - prefix, prefix)
+        bars = np.vstack((bars[:, np.arange(start.size) - start],
+                          np.repeat(np.arange(r - 1, n + r, dtype=np.int32), prefix)))
+        prefix = np.cumsum(prefix)
+    counts = np.diff(bars, axis=0, prepend=-1, append=n + k - 1) - 1
+    values = sum(c * w for c, w in zip(counts, logw))
+    # moving bars j >= y down lowers the colex rank by sum C(s_j - 1, j)
+    binoms = [np.minimum(np.arange(n + 1), 1)]   # binoms[j][u] = C(u + j - 1, j)
+    while len(binoms) < k - 1:
+        binoms.append(np.cumsum(binoms[-1]))
+    pred, rank = np.empty(bars.shape, dtype=np.int32), np.arange(prefix[-1])
+    for y in reversed(range(k - 1)):
+        rank = rank - binoms[y][bars[y] - y]
+        pred[y] = np.where(counts[y] > 0, rank, -1)
+    return values, pred, prefix
 
 
-#: cell table: (grid key, mass, min true sum, max true sum), one array each
-_UNIT = (np.zeros(1, dtype=np.int64), np.ones(1), np.zeros(1), np.zeros(1))
-
-
-def _merge(cells):
-    """One cell per distinct key: summed mass, min of mins, max of maxes."""
-    key, mass, smin, smax = cells
-    if key.size < 2 or (key[1:] > key[:-1]).all():
-        return cells
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    return (key[starts], np.add.reduceat(mass[order], starts),
-            np.minimum.reduceat(smin[order], starts),
-            np.maximum.reduceat(smax[order], starts))
-
-
-def _outer(a, b):
-    """Every sum of a cell of `a` and a cell of `b`, unmerged, `a`-major."""
-    return (np.add.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel(),
-            np.add.outer(a[2], b[2]).ravel(), np.add.outer(a[3], b[3]).ravel())
-
-
-def _add(a, b):
-    """Merged cell table of every sum of a cell of `a` and a cell of `b`.
-
-    Products of at most MERGE_CELLS cells stay unmerged.  Larger ones are
-    built one range of sum keys at a time: with `a` merged (sorted, distinct
-    keys), binary search finds the largest range holding at most BLOCK_CELLS
-    sums, which are gathered and merged into their final cells.  Ranges are
-    disjoint, so the merged table is their concatenation; its size is checked
-    against STATE_GUARD before each range is allocated.
-    """
-    if a[0].size * b[0].size <= MERGE_CELLS:
-        return _outer(a, b)
-    if a[0].size < b[0].size:
-        a, b = b, a
-    a = _merge(a)
-    akey, bkey = a[0], b[0]
-
-    def below(k):
-        """Number of sums with key < k."""
-        return int(np.searchsorted(akey, k - bkey).sum())
-
-    parts, size = [], 0
-    k0, top = int(akey[0] + bkey.min()), int(akey[-1] + bkey.max()) + 1
-    while k0 < top:
-        # largest k1 > k0 with at most BLOCK_CELLS sums in [k0, k1)
-        base, lo, hi = below(k0), k0 + 1, top
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            lo, hi = (mid, hi) if below(mid) - base <= BLOCK_CELLS else (lo, mid - 1)
-        start = np.searchsorted(akey, k0 - bkey)
-        counts = np.searchsorted(akey, lo - bkey) - start
-        # cells a[start_j : start_j + counts_j] pair with cell j of b
-        j = np.repeat(np.arange(bkey.size), counts)
-        i = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-        parts.append(_merge((akey[i] + bkey[j], a[1][i] * b[1][j],
-                             a[2][i] + b[2][j], a[3][i] + b[3][j])))
-        size += parts[-1][0].size
-        if size > STATE_GUARD:
-            raise SizeGuardError(f"statistic DP cell table of {size} cells "
-                                 f"exceeds guard {STATE_GUARD}")
-        k0 = lo
-    # concatenate column by column, releasing each column's parts as it goes
-    columns = [list(column) for column in zip(*parts)]
-    del parts
-    return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
+def _masses(law, pred, prefix, splits):
+    """Probabilities of one owner letter's count vectors, then a zero column,
+    a row per row of `splits` (its positions per source letter).  Positions
+    are added one at a time, source letters in order: each moves every
+    vector's mass one count on, weighted by the source's `law` row."""
+    n, k, ends = int(splits[0].sum()), law.shape[1], np.cumsum(splits, axis=1)
+    mass = np.zeros((2, len(splits), prefix[-1] + 1))
+    mass[0, :, 0] = 1.0
+    for m in range(n):
+        old, new, size = mass[m % 2], mass[1 - m % 2], prefix[m + 1]
+        p = law[(ends <= m).sum(axis=1)]  # the source letter of position m
+        np.multiply(old[:, :size], p[:, -1:], out=new[:, :size])
+        for y in range(k - 1):
+            new[:, :size] += np.take(old, pred[y, :size], axis=1) * p[:, y, None]
+    return mass[n % 2]
 
 
 def joint_type(source_word, owner_word) -> tuple:
@@ -176,32 +132,29 @@ def joint_type(source_word, owner_word) -> tuple:
 
 
 class JointTypeDP:
-    """Certified acceptance probabilities of joint types under one (W, law, qstep).
+    """Certified acceptance probabilities of joint types under one (W, law).
 
     A joint type is a count row over the classes (a, b), class a*q + b.
-    Caches each class's c-fold spectrum and counts the work done: `types`
-    distinct joint types evaluated, `states_max` the largest final cell table,
-    `pairs_exact` ordered codeword pairs whose false-accept probability came
-    from the DP.
+    Caches each owner letter's lattice per position count and counts the
+    work done: `types` distinct joint types evaluated, `states_max` the
+    largest lattice of one type (its atoms), `pairs_exact` ordered codeword
+    pairs whose false-accept probability came from the DP.
     """
 
-    def __init__(self, W: ChannelModel, qstep: float = DEFAULT_QSTEP,
-                 law: ChannelModel | None = None):
-        self.W, self.qstep, self.law = W, qstep, law
+    def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
+        self.W, self.law = W, law
         self._law_matrix = (law or W).matrix
-        self._powers: dict[tuple, list] = {}
+        self._lattices: dict[tuple, tuple] = {}
         self.types = self.states_max = self.pairs_exact = 0
 
-    def _power(self, a, b, c: int):
-        """c-fold spectrum of class (a, b), built by merged single-letter adds."""
-        powers = self._powers.get((a, b))
-        if powers is None:
-            v, mass, _ = letter_spectrum(self._law_matrix[a], self.W.matrix[b])
-            keys = np.rint(v / self.qstep).astype(np.int64)
-            powers = self._powers[(a, b)] = [_merge((keys, mass, v, v))]
-        while len(powers) < c:
-            powers.append(_merge(_add(powers[-1], powers[0])))
-        return powers[c - 1]
+    def _letter(self, b: int, n: int):
+        """`_lattice` of owner letter b's n positions over the outputs W(.|b)
+        reaches, with the law rows over those outputs."""
+        if (b, n) not in self._lattices:
+            live = self.W.matrix[b] != 0.0
+            logw = [math.log2(w) for w in self.W.matrix[b][live]]
+            self._lattices[b, n] = (*_lattice(n, logw), self._law_matrix[:, live])
+        return self._lattices[b, n]
 
     def probs(self, jtypes, delta: float) -> dict:
         """`count_probs` of `joint_type` tuples, keyed by type."""
@@ -216,118 +169,52 @@ class JointTypeDP:
 
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
-        probability of joint types given as distinct count rows, folded in
-        batches of at most BATCH_CELLS unmerged cells.  A type's interval
-        depends only on its row, never on the types evaluated with it.
-        """
-        q, ent = self.W.n_inputs, letter_tables(self.W)[0]
-        steps = []  # per class present: its powers by count, count 0 the unit cell
-        weight, held = np.ones(len(counts)), np.ones(len(counts))
-        h_owner = np.zeros(len(counts))  # H(W_{x'^n}), summed in class order
-        for cl in np.flatnonzero(counts.any(axis=0)):
-            c = counts[:, cl]
-            self._power(cl // q, cl % q, int(c.max()))
-            parts = [_UNIT] + self._powers[cl // q, cl % q][:c.max()]
-            size = np.array([part[0].size for part in parts])
-            steps.append((cl, parts, np.cumsum(size) - size, size,
-                          tuple(np.concatenate(col) for col in zip(*parts))))
-            held *= size[c]  # cells a type holds after this class, at most
-            np.maximum(weight, held, out=weight)
-            h_owner += c * ent[cl % q]
-        theta = delta * np.sqrt(counts.sum(axis=1))
+        probability of joint types given as distinct count rows.  A type's
+        interval depends only on its row, never on the types evaluated with it."""
+        q = self.W.n_inputs
         lo, hi = np.zeros(len(counts)), np.zeros(len(counts))
-        for batch in _batches(weight):
-            lo[batch], hi[batch], states = _accept(
-                _fold(counts[batch], steps), -h_owner[batch] - theta[batch],
-                -h_owner[batch] + theta[batch])
-            self.states_max = max(self.states_max, states)
+        if not len(counts):
+            return lo, hi
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1, q, q)  # [type, a, b]
+        # group the types by owner composition, the n_b
+        order = np.lexsort(counts.sum(axis=1).T)
+        owners = counts[order].sum(axis=1)
+        changes = (owners[1:] != owners[:-1]).any(axis=1)
+        starts = np.flatnonzero(np.concatenate(([True], changes)))
+        owners, groups = owners[starts], np.split(order, starts[1:])
+        reach = (self.W.matrix != 0.0).sum(axis=1).tolist()
+        sizes = [[(math.comb(n + k - 1, k - 1), k) for n, k in zip(own, reach)]
+                 for own in owners.tolist()]
+        atoms = [math.prod(size for size, _ in row) for row in sizes]
+        entries = max(size * k for row in sizes for size, k in row)
+        if max(atoms) > STATE_GUARD or entries > STATE_GUARD // 4:
+            raise SizeGuardError(f"joint type of {max(atoms)} output-count atoms or "
+                                 f"{entries} lattice entries of one owner letter exceeds "
+                                 f"guard {STATE_GUARD} (entries: {STATE_GUARD // 4})")
+        self.states_max = max(self.states_max, max(atoms))
         self.types += len(counts)
+        ent = letter_tables(self.W)[0]
+        for own, size, types in zip(owners, atoms, groups):
+            letters = np.flatnonzero(own)
+            lattices = [self._letter(b, int(own[b])) for b in letters]
+            shape = [len(lattice[0]) for lattice in lattices]
+            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ ent)
+            width = min(size, ATOM_CHUNK)
+            for first in range(0, len(types), ATOM_CHUNK // width):
+                t = types[first:first + ATOM_CHUNK // width]
+                masses = [_masses(law, pred, prefix, counts[t, :, b])
+                          for b, (_, pred, prefix, law) in zip(letters, lattices)]
+                for start in range(0, size, width):
+                    idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
+                    dev = np.abs(sum(lat[0][i] for lat, i in zip(lattices, idx)) + h_owner)
+                    touch = np.flatnonzero(dev <= theta + EDGE_FUZZ)
+                    inside = dev[touch] <= theta - EDGE_FUZZ
+                    # C-ordered rows, so each type's sums are its own
+                    mass = math.prod(np.take(m, i[touch], axis=1)
+                                     for m, i in zip(masses, idx))
+                    hi[t] += mass.sum(axis=1)
+                    lo[t] += np.compress(inside, mass, axis=1).sum(axis=1)
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
-
-
-def _batches(weight):
-    """Consecutive type indices whose weights sum to at most BATCH_CELLS,
-    or a single heavier type."""
-    batch, total = [], 0.0
-    for t, w in enumerate(weight.tolist()):
-        if batch and total + w > BATCH_CELLS:
-            yield np.array(batch)
-            batch, total = [], 0.0
-        batch.append(t)
-        total += w
-    if batch:
-        yield np.array(batch)
-
-
-def _fold(counts, steps):
-    """Merged cells of a batch of joint types, (type id, key, mass, min, max);
-    each type's cells are contiguous and sorted by key.
-
-    Each type starts from the unit cell and adds its classes' powers in class
-    order.  Adds of at most MERGE_CELLS sums are gathered for the whole batch,
-    unmerged and in `_outer`'s order; larger ones go through `_add`, one type
-    at a time.  Type t's cells are start[t] : start[t] + size[t]; `layout`
-    lists the types in table order.
-    """
-    cells = tuple(np.concatenate([col] * len(counts)) for col in _UNIT)
-    start, size = np.arange(len(counts)), np.ones(len(counts), dtype=np.int64)
-    layout = start
-    for cl, parts, offset, psize, table in steps:
-        c = counts[:, cl]
-        if not c.any():
-            continue
-        out = size * psize[c]
-        big = np.flatnonzero(out > MERGE_CELLS)
-        small = np.flatnonzero(out <= MERGE_CELLS)
-        # sum r of small type t pairs its cell r // psize with power cell r % psize
-        o = out[small]
-        r = np.arange(o.sum()) - np.repeat(np.cumsum(o) - o, o)
-        per = np.repeat(psize[c[small]], o)
-        i = np.repeat(start[small], o) + r // per
-        j = np.repeat(offset[c[small]], o) + r % per
-        pieces = []
-        if small.size:
-            pieces.append((cells[0][i] + table[0][j], cells[1][i] * table[1][j],
-                           cells[2][i] + table[2][j], cells[3][i] + table[3][j]))
-        for t in big.tolist():
-            seg = slice(start[t], start[t] + size[t])
-            pieces.append(_add(tuple(col[seg] for col in cells), parts[int(c[t])]))
-            out[t] = pieces[-1][0].size
-        layout, size = np.concatenate((small, big)), out
-        start = np.empty_like(start)
-        start[layout] = np.cumsum(size[layout]) - size[layout]
-        cells = pieces[0] if len(pieces) == 1 else tuple(
-            np.concatenate(col) for col in zip(*pieces))
-    return _merge_types(np.repeat(layout, size[layout]), cells)
-
-
-def _merge_types(tid, cells):
-    """`_merge` of each type's cells, which are contiguous: (type id, key,
-    mass, min, max), one cell per distinct (type id, key)."""
-    key, mass, smin, smax = cells
-    if ((key[1:] > key[:-1]) | (tid[1:] != tid[:-1])).all():
-        return tid, key, mass, smin, smax
-    order = np.lexsort((key, tid))
-    tid, key = tid[order], key[order]
-    starts = np.flatnonzero(np.concatenate(([True], (key[1:] != key[:-1])
-                                            | (tid[1:] != tid[:-1]))))
-    return (tid[starts], key[starts], np.add.reduceat(mass[order], starts),
-            np.minimum.reduceat(smin[order], starts),
-            np.maximum.reduceat(smax[order], starts))
-
-
-def _accept(cells, band_lo, band_hi):
-    """Mass of each type's cells inside (lo) and touching (hi) its band
-    [band_lo, band_hi], and the largest type's cell count."""
-    tid, _, mass, smin, smax = cells
-    types = len(band_lo)
-    if types > 1:  # each cell gets its type's band; one type's band broadcasts
-        band_lo, band_hi = band_lo[tid], band_hi[tid]
-    inside = (smin >= band_lo + EDGE_FUZZ) & (smax <= band_hi - EDGE_FUZZ)
-    touch = (smax >= band_lo - EDGE_FUZZ) & (smin <= band_hi + EDGE_FUZZ)
-    return (np.bincount(tid[inside], mass[inside], types),
-            np.bincount(tid[touch], mass[touch], types),
-            int(np.bincount(tid, minlength=types).max()))
 
 
 def _distinct(rows):
@@ -361,7 +248,6 @@ def _dp_for(dp: JointTypeDP | None, W: ChannelModel,
 
 
 def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
-                     qstep: float = DEFAULT_QSTEP,
                      law: ChannelModel | None = None) -> tuple[float, float]:
     """Certified enclosure of P[Y^n in typical set of owner_word].
 
@@ -370,7 +256,7 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     entropies and log-probabilities are the decoder's reference.
     """
     jtype = joint_type(source_word, owner_word)
-    return JointTypeDP(W, qstep, law).probs([jtype], delta)[jtype]
+    return JointTypeDP(W, law).probs([jtype], delta)[jtype]
 
 
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,

@@ -100,7 +100,7 @@ def test_criterion_3_exact_dp_against_enumeration():
         source = tuple(int(v) for v in rng.integers(0, n_in, n))
         owner = tuple(int(v) for v in rng.integers(0, n_in, n))
         delta = float(rng.uniform(0.2, 1.5))
-        lo, hi = typical_set_prob(W, source, owner, delta, qstep=2.0**-20)
+        lo, hi = typical_set_prob(W, source, owner, delta)
         bf = brute_force_typical_prob(W, source, owner, delta)
         assert lo - 1e-12 <= bf <= hi + 1e-12
         assert hi - lo <= 1e-6

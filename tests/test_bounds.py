@@ -1,8 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
+from dicode import bounds
 from dicode.bounds import (
     FIG_RECIPE_C,
     cor1_lower,
@@ -184,6 +186,30 @@ def test_ex2_gap_correction_shapes():
         low = 0.0 if not math.isfinite(lo.value) else max(lo.value, 0.0)
         assert 1.0 - low <= K1 * math.sqrt(E) * math.log2(1 / E) + 1e-12
         assert 1.0 - up.value <= K2 * E * math.log2(1 / E) + 1e-12
+
+
+def test_ex2_log_volume_matches_exact_sum():
+    """Against the exact integer sum of C(n, i)(q-1)^i, radii below, at and
+    past the largest term and past n."""
+    for q in (2, 3, 5):
+        for n in (1, 2, 7, 40, 257, 1000):
+            for radius in sorted({0, 1, n // 4, n // 2, n * (q - 1) // q, n - 1, n, n + 3}):
+                exact = math.log2(sum(math.comb(n, i) * (q - 1)**i
+                                      for i in range(min(radius, n) + 1)))
+                got = bounds._log2_hamming_volume(q, n, radius)
+                assert got == pytest.approx(exact, rel=1e-12, abs=1e-300)
+
+
+def test_ex2_long_blocklengths_are_fast():
+    """The sphere-packing volume costs O(radius) floats: BERN6 at E = 1e-3
+    has radius 3.6e6 at n = 10^7."""
+    W = bernoulli_family(2.0, 6)
+    for n in (10**6, 10**7):
+        start = time.perf_counter()
+        lo, up = ex2_dmc(W, 1e-3, n)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 < up.value < math.log2(W.n_inputs)
+        assert up.extras["d_min"] > n // 2
 
 
 def test_ex2_single_row():

@@ -2,7 +2,6 @@ import itertools
 import json
 import math
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
@@ -14,20 +13,17 @@ from dicode.cli import main
 from dicode.codebook import assemble_code, code_to_json, construct, word_output_entropy
 from dicode.errors import SizeGuardError, ValidationError
 from dicode.evaluator import (
-    DEFAULT_QSTEP,
     JointTypeDP,
     brute_force_typical_prob,
     choice_letters,
     exact_error_report,
     joint_type,
-    letter_spectrum,
     measure_lambda1,
     measure_lambda2,
     monte_carlo_errors,
     typical_set_prob,
     wilson_interval,
 )
-from dicode.infodist import letter_tables
 
 
 def random_channel(rng, n_in, n_out):
@@ -44,13 +40,6 @@ def random_instance(rng):
     owner = tuple(int(v) for v in rng.integers(0, n_in, n))
     delta = float(rng.uniform(0.2, 1.5))
     return W, source, owner, delta
-
-
-def test_letter_spectrum_masses_sum():
-    W = make_channel(["a", "b"], [[0.7, 0.3], [1.0, 0.0]])
-    _, masses, dead_mass = letter_spectrum(W.matrix[0], W.matrix[1])
-    assert masses.sum() + dead_mass == pytest.approx(1.0)
-    assert dead_mass == pytest.approx(0.3)  # owner has a zero there
 
 
 def test_identity_owner_probability_one():
@@ -75,16 +64,56 @@ def test_dp_interval_contains_enumeration():
         assert hi - lo <= 1e-6
 
 
-def test_interval_nesting_in_qstep():
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        W, source, owner, delta = random_instance(rng)
-        prev = (0.0, 1.0)
-        for step in (2.0**-8, 2.0**-12, 2.0**-16, 2.0**-20):
-            lo, hi = typical_set_prob(W, source, owner, delta, qstep=step)
-            assert lo >= prev[0] - 1e-12
-            assert hi <= prev[1] + 1e-12
-            prev = (lo, hi)
+def simplex_word(k: int, message: int) -> tuple:
+    """Codeword of `message` in the binary simplex code of length 2^k - 1."""
+    return tuple(bin(message & j).count("1") % 2 for j in range(1, 2**k))
+
+
+def bsc_flip_oracle(W, n: int, d: int, delta: float) -> float:
+    """Acceptance probability of a word at Hamming distance d from the owner
+    on a BSC: the statistic depends only on the flip count F against the
+    owner, F = Bin(d, 1 - eps) + Bin(n - d, eps).  Each term is a ratio of
+    exact integers (the channel's float entries), rounded once."""
+    (keep, keep_den), (flip, flip_den) = (w.as_integer_ratio() for w in W.matrix[0].tolist())
+    log_keep, log_flip = (math.log2(w) for w in W.matrix[0])
+    h = word_output_entropy(W, (0,) * n)
+    terms = []
+    for f in range(n + 1):
+        if abs(f * log_flip + (n - f) * log_keep + h) > delta * math.sqrt(n):
+            continue
+        for j in range(max(0, f - n + d), min(d, f) + 1):  # j flips among the d
+            keeps, flips = n - d - f + 2 * j, d + f - 2 * j
+            terms.append(math.comb(d, j) * math.comb(n - d, f - j) * keep**keeps * flip**flips
+                         / (keep_den**keeps * flip_den**flips))
+    return math.fsum(terms)
+
+
+def encloses(interval, truth, rel=1e-12):
+    lo, hi = interval
+    return lo * (1 - rel) <= truth <= hi * (1 + rel)
+
+
+def test_bsc_simplex_pairs_against_flip_count_oracle():
+    """BSC(0.01), simplex words at k=8 (n=255, distance 128): the cross pair
+    accepts with probability near 3e-242, the own pair near 0.81."""
+    W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
+    own, other = simplex_word(8, 3), simplex_word(8, 1)
+    for source, d in ((other, 128), (own, 0)):
+        assert sum(a != b for a, b in zip(source, own)) == d
+        interval = typical_set_prob(W, source, own, delta=1.0)
+        assert encloses(interval, bsc_flip_oracle(W, 255, d, 1.0))
+        assert interval[0] > 0.0
+
+
+def test_long_bsc_simplex_own_pair():
+    """n=4095: the own pair's 2048 x 2049 atoms evaluate and enclose the
+    flip-count oracle."""
+    W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
+    word = simplex_word(12, 5)
+    dp = JointTypeDP(W)
+    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    assert dp.states_max == 2048 * 2049
+    assert encloses(interval, bsc_flip_oracle(W, 4095, 0, 1.0))
 
 
 def test_lambda_measurements_identity_code():
@@ -254,58 +283,13 @@ def word_pair_cases(draw, max_n=7, zeros=False):
 
 
 @settings(max_examples=60, deadline=None)
-@given(word_pair_cases(zeros=True), st.sampled_from([2.0**-2, 2.0**-5]))
-def test_typical_set_prob_encloses_enumeration(case, coarse):
+@given(word_pair_cases(zeros=True))
+def test_typical_set_prob_encloses_enumeration(case):
     W, law, source, owner, delta = case
     lo, hi = typical_set_prob(W, source, owner, delta, law=law)
     truth = brute_force_typical_prob(W, source, owner, delta, law=law)
     assert lo - 1e-12 <= truth <= hi + 1e-12
     assert hi - lo <= 1e-6
-    # on a coarse grid many cells straddle a band edge; still an enclosure
-    lo, hi = typical_set_prob(W, source, owner, delta, qstep=coarse, law=law)
-    assert lo - 1e-12 <= truth <= hi + 1e-12
-
-
-def random_cells(rng, size):
-    """Unmerged cell table: keys with repeats, in no order."""
-    key = rng.integers(-40, 40, size)
-    smin = key * 0.5 - rng.uniform(0.0, 0.25, size)
-    return key, rng.random(size), smin, smin + rng.uniform(0.0, 0.25, size)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 60), st.integers(1, 60), st.integers(1, 50), st.integers(0, 2**32 - 1))
-def test_add_equals_merged_outer_add(na, nb, block, seed):
-    rng = np.random.default_rng(seed)
-    a, b = random_cells(rng, na), random_cells(rng, nb)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "MERGE_CELLS", 0)
-        mp.setattr(evaluator, "BLOCK_CELLS", block)
-        key, mass, smin, smax = evaluator._add(a, b)
-    ref = evaluator._merge(evaluator._outer(a, b))
-    assert np.array_equal(key, ref[0])
-    assert np.array_equal(smin, ref[2]) and np.array_equal(smax, ref[3])
-    assert np.allclose(mass, ref[1], rtol=1e-12, atol=0.0)
-
-
-@settings(max_examples=40, deadline=None)
-@given(word_pair_cases(zeros=True), st.sampled_from([0, 8, 64]), st.integers(1, 64),
-       st.sampled_from([DEFAULT_QSTEP, 2.0**-2]))
-def test_key_range_blocks_enclose_enumeration(case, merge_cells, block, qstep):
-    """With a small MERGE_CELLS most adds take the key-range path, some from
-    unmerged tables; the cells do not depend on how many sums a range holds."""
-    W, law, source, owner, delta = case
-    truth = brute_force_typical_prob(W, source, owner, delta, law=law)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
-        whole = typical_set_prob(W, source, owner, delta, qstep, law=law)
-        mp.setattr(evaluator, "BLOCK_CELLS", block)
-        split = typical_set_prob(W, source, owner, delta, qstep, law=law)
-    assert [v.hex() for v in split] == [v.hex() for v in whole]
-    lo, hi = split
-    assert lo - 1e-12 <= truth <= hi + 1e-12
-    if qstep == DEFAULT_QSTEP:
-        assert hi - lo <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -341,8 +325,8 @@ def test_measurements_equal_per_pair_calls(case, data):
                                                   max(1.0 - p[0] for p in own))
 
 
-#: dyadic output distributions: their log-probabilities are integers, so the
-#: cells of different joint types share grid keys
+#: dyadic output distributions: their log-probabilities are integers, so
+#: many atoms of one joint type share a statistic value
 DYADIC = [(1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25,) * 4, (0.5, 0.25, 0.125, 0.125)]
 
 
@@ -375,104 +359,60 @@ def assert_batch_equals_single_pairs(W, law, words, delta):
             assert [v.hex() for v in batched[joint_type(a, b)]] == [v.hex() for v in single]
 
 
-@settings(max_examples=40, deadline=None)
-@given(code_cases(), st.sampled_from([0, 4, 32, evaluator.MERGE_CELLS]))
-def test_batch_equals_single_type_evaluation(case, merge_cells):
-    """With a small MERGE_CELLS some types of a batch take `_add`'s key-range
-    path while others stay in the batch gather."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
-        assert_batch_equals_single_pairs(*case)
-
-
-#: classes (0, 0) and (1, 0) share owner row 0, so the sums of their 2-fold
-#: spectra meet three at a time on one key; those masses sum in add order
+#: source letters 0 and 1 share owner letter 0, so one owner letter's count
+#: vectors take their mass from two law rows
 SHARED_OWNER_CASE = (make_channel(["a", "b"], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]), None,
                      [(0, 0, 1, 1), (0, 0, 0, 0), (1, 1, 0, 0)], 0.7)
 
 
 @settings(max_examples=40, deadline=None)
-@given(code_cases(), st.sampled_from([0, 4, 32, evaluator.MERGE_CELLS]))
-@example(SHARED_OWNER_CASE, evaluator.MERGE_CELLS)
-def test_batch_cells_equal_per_type_fold(case, merge_cells):
-    """Each type's merged cells equal the reference fold of its class powers,
-    `_merge(reduce(_add, powers))` in class order, key for key and bit for bit.
-    Its interval equals the reference band test, which sums each type's mass
-    with `ndarray.sum`, up to the roundoff of summing in another order."""
-    W, law, words, delta = case
-    folds = []
-    fold = evaluator._fold
-
-    def spy(counts, steps):
-        folds.append((counts, fold(counts, steps)))
-        return folds[-1][1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evaluator, "MERGE_CELLS", merge_cells)
-        mp.setattr(evaluator, "_fold", spy)
-        dp = JointTypeDP(W, law=law)
-        probs = dp.probs([joint_type(a, b) for a in words for b in words], delta)
-        q, ent = W.n_inputs, letter_tables(W)[0]
-        for counts, (tid, *cells) in folds:
-            for t, row in enumerate(counts):
-                jtype = tuple(((cl // q, cl % q), int(c)) for cl, c in enumerate(row) if c)
-                powers = [dp._power(a, b, c) for (a, b), c in jtype]
-                want = evaluator._merge(reduce(evaluator._add, powers))
-                for got, ref in zip(cells, want):
-                    assert np.array_equal(got[tid == t], ref)
-
-                _, mass, smin, smax = want
-                h_owner = sum(c * ent[b] for (_, b), c in jtype)
-                theta = delta * math.sqrt(sum(c for _, c in jtype))
-                band_lo, band_hi = -h_owner - theta, -h_owner + theta
-                fuzz = evaluator.EDGE_FUZZ
-                inside = (smin >= band_lo + fuzz) & (smax <= band_hi - fuzz)
-                touch = (smax >= band_lo - fuzz) & (smin <= band_hi + fuzz)
-                ref = [min(float(mass[mask].sum()), 1.0) for mask in (inside, touch)]
-                assert probs[jtype] == pytest.approx(ref, rel=mass.size * 2.0**-52, abs=0.0)
+@given(code_cases())
+@example(SHARED_OWNER_CASE)
+def test_batch_equals_single_type_evaluation(case):
+    assert_batch_equals_single_pairs(*case)
 
 
 def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
     """Class (0, 1) is dead: law row 0 puts no mass where W row 1 is positive,
-    so every type holding it has an empty cell table and interval [0, 0]."""
+    so every type holding it has interval [0, 0].  With a small ATOM_CHUNK
+    the batch mixes types summed in several chunks with one-chunk types that
+    share a block of rows."""
     W = make_channel(["a", "b", "c"], [[0.6, 0.4, 0.0], [0.0, 0.0, 1.0],
                                        [0.2, 0.3, 0.5]])
     words = [(0, 0, 2, 2, 0, 2), (1, 1, 2, 0, 2, 2), (2, 0, 1, 2, 2, 0), (0, 2, 0, 2, 1, 1)]
-    batches, seen = evaluator._batches, []
-
-    def spy(weight):
-        for batch in batches(weight):
-            seen.append(weight[batch])
-            yield batch
-
-    monkeypatch.setattr(evaluator, "_batches", spy)
-    monkeypatch.setattr(evaluator, "MERGE_CELLS", 8)
+    monkeypatch.setattr(evaluator, "ATOM_CHUNK", 8)
+    dp = JointTypeDP(W)
+    dp.probs([joint_type(a, b) for a in words for b in words], 0.8)
+    assert dp.states_max > 8
     assert_batch_equals_single_pairs(W, None, words, 0.8)
     assert typical_set_prob(W, words[0], words[1], 0.8) == (0.0, 0.0)
-    # the first, batched evaluation held types with and without key-range adds
-    assert len(seen[0]) == len({joint_type(a, b) for a in words for b in words})
-    assert (seen[0] > 8).any() and (seen[0] <= 8).any()
 
 
 def test_batch_memory_stays_within_batch_bound(monkeypatch):
-    """560 types of 1000 cells each: unbatched they would peak near 70 MB."""
+    """1000 types of 1000 atoms each share one owner composition: their
+    masses alone would take 8 MB at once, a block of ATOM_CHUNK entries 32 KB."""
     W = make_channel(["a", "b", "c", "d"], GUARD_ROWS + [[0.05, 0.23, 0.29, 0.43],
                                                          [0.37, 0.41, 0.03, 0.19]])
-    # three classes of count 2; each 2-fold class spectrum has C(5, 3) = 10 cells
-    rows = np.zeros((560, 16), dtype=np.int64)
-    for t, classes in enumerate(itertools.combinations(range(16), 3)):
-        rows[t, list(classes)] = 2
+    # owner letters 0, 1, 2 hold 2 positions each, which have C(5, 3) = 10
+    # count vectors; each pair of positions takes one of 10 source splits
+    splits = list(itertools.combinations_with_replacement(range(4), 2))
+    rows = np.zeros((1000, 4, 4), dtype=np.int64)
+    for t, per_owner in enumerate(itertools.product(splits, repeat=3)):
+        for b, split in enumerate(per_owner):
+            for a in split:
+                rows[t, a, b] += 1
+    rows = rows.reshape(1000, 16)
     dp = JointTypeDP(W)
-    whole = dp.count_probs(rows, 1.0)  # builds the class spectra
+    whole = dp.count_probs(rows, 1.0)  # builds the owner letters' lattices
     assert dp.states_max == 1000
-    monkeypatch.setattr(evaluator, "BATCH_CELLS", 1 << 12)
+    monkeypatch.setattr(evaluator, "ATOM_CHUNK", 1 << 12)
     tracemalloc.start()
     try:
         split = dp.count_probs(rows, 1.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 256 * evaluator.BATCH_CELLS
+    assert peak < 64 * evaluator.ATOM_CHUNK
     assert all(np.array_equal(a, b) for a, b in zip(split, whole))
 
 
@@ -601,18 +541,19 @@ def test_monte_carlo_memory():
 # size guard and work counters
 
 #: two inputs whose 4 output log-probabilities are rationally independent
-#: (prime numerators), so a 22-fold class spectrum keeps all C(25, 3) = 2300
-#: cells.  GUARD_WORD against itself has classes (0, 0) and (1, 1): their sums
-#: merge to 4.87M cells, just under STATE_GUARD.
+#: (prime numerators), so the C(25, 3) = 2300 count vectors of 22 positions
+#: of one owner letter take 2300 distinct values.  GUARD_WORD against itself
+#: has 2300^2 = 5.29M atoms, under STATE_GUARD.
 GUARD_ROWS = [[0.11, 0.13, 0.17, 0.59], [0.07, 0.19, 0.31, 0.43]]
 GUARD_WORD = (0,) * 22 + (1,) * 22
-#: a guard far below GUARD_WORD's merged table, for tests of the guard itself
+#: a guard far below GUARD_WORD's lattice, for tests of the guard itself
 SMALL_GUARD = 20_000
 
 
 def test_dp_guard_counts_merged_cells():
-    """Classes (0, 0) and (1, 0) share owner row 0, so their 2300-cell spectra
-    have 5.29M sums but only C(47, 3) = 16,215 merged cells."""
+    """Against an all-0 owner word, GUARD_WORD's 44 positions share owner
+    letter 0, whose lattice has C(47, 3) = 16,215 count vectors, fed by two
+    source letters.  GUARD_WORD against itself evaluates its 5.29M atoms."""
     W = make_channel(["a", "b"], GUARD_ROWS)
     dp = JointTypeDP(W)
     jtype = joint_type(GUARD_WORD, (0,) * 44)
@@ -620,11 +561,14 @@ def test_dp_guard_counts_merged_cells():
     assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
     assert dp.states_max == 16_215
     assert typical_set_prob(W, GUARD_WORD, (0,) * 44, delta=1.0) == (lo, hi)
+    (lo, hi), = dp.probs([joint_type(GUARD_WORD, GUARD_WORD)], 1.0).values()
+    assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
+    assert dp.states_max == 2300**2
 
 
 def test_dp_size_guard_fails_before_allocating(monkeypatch):
-    """The DP stops after one block of BLOCK_CELLS sums once the merged table
-    passes the guard; the whole 4.87M-cell table would take 156 MB."""
+    """The guard counts GUARD_WORD's 5.29M atoms before any lattice is built;
+    its masses alone would take 42 MB."""
     monkeypatch.setattr(evaluator, "STATE_GUARD", SMALL_GUARD)
     W = make_channel(["a", "b"], GUARD_ROWS)
     tracemalloc.start()
@@ -634,7 +578,45 @@ def test_dp_size_guard_fails_before_allocating(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 256 * evaluator.BLOCK_CELLS
+    assert peak < 1 << 20
+
+
+def test_dp_size_guard_counts_sparse_lattice(monkeypatch):
+    """30 positions over 8 outputs have C(37, 7) = 10.3M count vectors; a
+    dense 31^7 grid of them would hold 27.5G entries.  The guard refuses the
+    type before either exists: by its atoms under a small guard, and by its
+    owner letter's 82.4M lattice entries (vectors x outputs) under the real
+    one, whose atom limit it meets."""
+    rng = np.random.default_rng(17)
+    W = random_channel(rng, 2, 8)
+    for guard, match in ((SMALL_GUARD, "10295472 output-count atoms"),
+                         (evaluator.STATE_GUARD, "82363776 lattice entries")):
+        monkeypatch.setattr(evaluator, "STATE_GUARD", guard)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeGuardError, match=match):
+                typical_set_prob(W, (1,) * 30, (0,) * 30, delta=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_dp_guard_admits_long_binary_pair(monkeypatch):
+    """Past the guard, with the position DP replaced by a stop: the n=16,383
+    simplex own pair (67.1M atoms) and the all-zero word's own pair (one
+    owner letter of 16,384 count vectors)."""
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(evaluator, "_masses", admitted)
+    W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
+    for word in (simplex_word(14, 5), (0,) * 16_383):
+        with pytest.raises(Admitted):
+            typical_set_prob(W, word, word, delta=1.0)
 
 
 def test_evaluate_size_guard_exit_code(tmp_path, capsys, monkeypatch):
