@@ -239,16 +239,22 @@ def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
 
 def _log2_hamming_volume(q: int, n: int, radius: int) -> float:
     """log2 of the number of q-ary words of length n within Hamming distance
-    `radius`: the top term C(n, r)(q-1)^r from lgamma, plus the log of the
-    sum of every term divided by it, built downward from the radius by the
-    term ratios i / ((n - i + 1)(q - 1)).  O(radius) floats."""
+    `radius`.  The terms T_i = C(n, i)(q-1)^i are log-concave: from the
+    largest, T_m with m <= radius (lgamma), both sides are summed from the
+    term ratios, 4096 at a time, until a term drops below 2^-64 T_m."""
     r = min(max(0, radius), n)
-    i = np.arange(r, 0, -1)
-    rel = np.concatenate(([0.0], np.cumsum(np.log(i / ((n - i + 1) * (q - 1.0))))))
-    peak = rel.max()  # 0 unless the radius lies past the largest term
-    top = (math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-           + r * math.log(q - 1))
-    return (top + peak + math.log(np.exp(rel - peak).sum())) / math.log(2)
+    total, m = 1.0, min(r, (n + 1) * (q - 1) // q)  # m: the terms' mode, or the radius
+    # T_{i-1} / T_i = i / ((n - i + 1)(q - 1)) below m, T_{i+1} / T_i above
+    for steps, ratio in ((m, lambda j: (m - j) / ((n - m + j + 1) * (q - 1.0))),
+                         (r - m, lambda j: (n - m - j) * (q - 1.0) / (m + j + 1))):
+        last = 0.0
+        for start in range(0, steps, 4096):
+            logs = last + np.cumsum(np.log(ratio(np.arange(start, min(start + 4096, steps)))))
+            total, last = total + float(np.exp(logs).sum()), float(logs[-1])
+            if last < -64 * math.log(2):
+                break
+    top = math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1) + m * math.log(q - 1)
+    return (top + math.log(total)) / math.log(2)
 
 
 def ex2_dmc(W: ChannelModel, E: float, n: int):

@@ -7,17 +7,14 @@ letter b and output y, so under the product law of a source word its law
 depends only on the pair's joint type (Csiszar-Korner): the count of
 positions holding each (source letter a, owner letter b).
 
-The exact evaluator sums over the output-count lattice.  The n_b positions
-of owner letter b have C(n_b + k_b - 1, k_b - 1) count vectors over the k_b
-outputs W(.|b) reaches; an atom picks one vector per owner letter.  Atom
-values depend only on the owner's letter composition, by which the types of
-a call are grouped.  A vector's mass is built one position at a time from
-the source letters' law rows over the reached outputs (mass on an output
-W(.|b) never emits, log = -inf, lies outside the typical set and drops out),
-and an atom's is the product over owner letters.  lo sums the atoms inside
-the band shrunk by EDGE_FUZZ, hi those inside it widened by EDGE_FUZZ, at
-most ATOM_CHUNK lattice entries at a time.  STATE_GUARD is checked before
-anything is allocated.  Each distinct joint type is evaluated once.
+The exact evaluator sums over output-count lattices, one per group of
+owner letters whose reached outputs share one set of log2 W(y|b) values
+(see JointTypeDP).  An atom picks one count vector per group: its value is
+fixed by the owner's letter composition, its mass is the product of the
+groups'.  Mass on an output W(.|b) never emits (log = -inf) lies outside the
+typical set and drops out.  lo and hi sum the atoms inside the band shrunk
+and widened by EDGE_FUZZ, ATOM_CHUNK lattice entries at a time, after the
+STATE_GUARD check.  Each distinct joint type is evaluated once.
 """
 
 from __future__ import annotations
@@ -36,8 +33,8 @@ from .infodist import false_accept_bound, letter_tables
 
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
-#: refuse a joint type of more output-count atoms than this, or an owner letter
-#: whose lattice, held whole, has over a quarter as many vectors x outputs
+#: refuse a joint type of more output-count atoms than this, or one with a
+#: group whose lattice, held whole, has more entries (vectors x values)
 STATE_GUARD = 1 << 27
 #: lattice entries (atoms x joint types) summed at once
 ATOM_CHUNK = 1 << 16
@@ -85,33 +82,38 @@ def _lattice(n: int, logw):
     values N . logw; prefix[m] = C(m + k - 1, k - 1), the first vectors, those
     of m positions; pred[y, r], the index of vector r less one count of output
     y < k - 1, or -1 if none (less one of output k - 1 it is r, in prefix[m-1])."""
-    k = len(logw)
-    bars, prefix = np.zeros((0, 1), dtype=np.int32), np.ones(n + 1, dtype=np.int64)
+    k = len(logw)  # int32 holds every index: STATE_GUARD keeps the vectors below 2^27
+    bars, prefix = np.zeros((0, 1), dtype=np.int32), np.ones(n + 1, dtype=np.int32)
     for r in range(1, k):
         # r bars below n + r, by largest bar top: each of the first
         # C(top, r - 1) sets of r - 1 bars, then top
-        start = np.repeat(np.cumsum(prefix) - prefix, prefix)
-        bars = np.vstack((bars[:, np.arange(start.size) - start],
+        start = np.repeat(np.cumsum(prefix, dtype=np.int32) - prefix, prefix)
+        bars = np.vstack((bars[:, np.arange(start.size, dtype=np.int32) - start],
                           np.repeat(np.arange(r - 1, n + r, dtype=np.int32), prefix)))
-        prefix = np.cumsum(prefix)
-    counts = np.diff(bars, axis=0, prepend=-1, append=n + k - 1) - 1
+        prefix = np.cumsum(prefix, dtype=np.int32)
+    # N_j = s_j - s_{j-1} - 1 with s_{-1} = -1 and s_{k-1} = n + k - 1, in place
+    counts = np.full((k, bars.shape[1]), n + k - 1, dtype=np.int32)
+    counts[:-1] = bars
+    counts[1:] -= bars
+    counts[1:] -= 1
     values = sum(c * w for c, w in zip(counts, logw))
-    # moving bars j >= y down lowers the colex rank by sum C(s_j - 1, j)
-    binoms = [np.minimum(np.arange(n + 1), 1)]   # binoms[j][u] = C(u + j - 1, j)
+    # moving bars j >= y down lowers the colex rank by sum C(s_j - 1, j);
+    # pred[y] overwrites N_y once it is read
+    binoms = [np.minimum(np.arange(n + 1, dtype=np.int32), 1)]  # C(u + j - 1, j)
     while len(binoms) < k - 1:
-        binoms.append(np.cumsum(binoms[-1]))
-    pred, rank = np.empty(bars.shape, dtype=np.int32), np.arange(prefix[-1])
+        binoms.append(np.cumsum(binoms[-1], dtype=np.int32))
+    rank = np.arange(prefix[-1], dtype=np.int32)
     for y in reversed(range(k - 1)):
-        rank = rank - binoms[y][bars[y] - y]
-        pred[y] = np.where(counts[y] > 0, rank, -1)
-    return values, pred, prefix
+        rank -= binoms[y][bars[y] - y]
+        counts[y] = np.where(counts[y] > 0, rank, -1)
+    return values, counts[:-1], prefix
 
 
 def _masses(law, pred, prefix, splits):
-    """Probabilities of one owner letter's count vectors, then a zero column,
-    a row per row of `splits` (its positions per source letter).  Positions
-    are added one at a time, source letters in order: each moves every
-    vector's mass one count on, weighted by the source's `law` row."""
+    """Probabilities of one group's count vectors, then a zero column, a row
+    per row of `splits` (its positions per class).  Positions are added one
+    at a time, classes in order: each moves every vector's mass one count
+    on, weighted by the class's `law` row."""
     n, k, ends = int(splits[0].sum()), law.shape[1], np.cumsum(splits, axis=1)
     mass = np.zeros((2, len(splits), prefix[-1] + 1))
     mass[0, :, 0] = 1.0
@@ -135,31 +137,37 @@ class JointTypeDP:
     """Certified acceptance probabilities of joint types under one (W, law).
 
     A joint type is a count row over the classes (a, b), class a*q + b.
-    Caches each owner letter's lattice per position count and counts the
-    work done: `types` distinct joint types evaluated, `states_max` the
-    largest lattice of one type (its atoms), `pairs_exact` ordered codeword
-    pairs whose false-accept probability came from the DP.
+    Owner letters whose reached outputs take the same k values log2 W(y|b)
+    form a group.  The statistic sees only how many of the group's n_g
+    positions land on each value, so the group has C(n_g + k - 1, k - 1)
+    count vectors, and a class's law row is summed over the outputs of each
+    value.  Caches each group's lattice per n_g and counts the work done:
+    `types` distinct joint types evaluated, `states_max` the largest lattice
+    of one type (its atoms), `pairs_exact` ordered codeword pairs whose
+    false-accept probability came from the DP.
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
         self.W, self.law = W, law
-        self._law_matrix = (law or W).matrix
+        #: values -> (owner letters, law rows of their classes, owner-major)
+        self._groups: dict[tuple, tuple] = {}
+        for b, row in enumerate(W.matrix):
+            logw = np.array([math.log2(w) if w else -math.inf for w in row])
+            values = tuple(sorted(set(logw[row != 0.0].tolist())))
+            rows = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
+            letters, laws = self._groups.get(values, ([], rows[:0]))
+            self._groups[values] = letters + [b], np.concatenate((laws, rows))
         self._lattices: dict[tuple, tuple] = {}
         self.types = self.states_max = self.pairs_exact = 0
 
-    def _letter(self, b: int, n: int):
-        """`_lattice` of owner letter b's n positions over the outputs W(.|b)
-        reaches, with the law rows over those outputs."""
-        if (b, n) not in self._lattices:
-            live = self.W.matrix[b] != 0.0
-            logw = [math.log2(w) for w in self.W.matrix[b][live]]
-            self._lattices[b, n] = (*_lattice(n, logw), self._law_matrix[:, live])
-        return self._lattices[b, n]
+    def _lattice(self, values: tuple, n: int):
+        if (values, n) not in self._lattices:
+            self._lattices[values, n] = _lattice(n, values)
+        return self._lattices[values, n]
 
     def probs(self, jtypes, delta: float) -> dict:
         """`count_probs` of `joint_type` tuples, keyed by type."""
-        jtypes = list(set(jtypes))
-        q = self.W.n_inputs
+        jtypes, q = list(set(jtypes)), self.W.n_inputs
         counts = np.zeros((len(jtypes), q * q), dtype=np.int64)
         for t, jtype in enumerate(jtypes):
             for (a, b), c in jtype:
@@ -171,8 +179,7 @@ class JointTypeDP:
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
         probability of joint types given as distinct count rows.  A type's
         interval depends only on its row, never on the types evaluated with it."""
-        q = self.W.n_inputs
-        lo, hi = np.zeros(len(counts)), np.zeros(len(counts))
+        q, lo, hi = self.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
         if not len(counts):
             return lo, hi
         counts = np.asarray(counts, dtype=np.int64).reshape(-1, q, q)  # [type, a, b]
@@ -181,32 +188,32 @@ class JointTypeDP:
         owners = counts[order].sum(axis=1)
         changes = (owners[1:] != owners[:-1]).any(axis=1)
         starts = np.flatnonzero(np.concatenate(([True], changes)))
-        owners, groups = owners[starts], np.split(order, starts[1:])
-        reach = (self.W.matrix != 0.0).sum(axis=1).tolist()
-        sizes = [[(math.comb(n + k - 1, k - 1), k) for n, k in zip(own, reach)]
-                 for own in owners.tolist()]
+        owners, types_of = owners[starts], np.split(order, starts[1:])
+        sizes = [[(math.comb(int(own[letters].sum()) + len(values) - 1, len(values) - 1),
+                   len(values)) for values, (letters, _) in self._groups.items()]
+                 for own in owners]
         atoms = [math.prod(size for size, _ in row) for row in sizes]
         entries = max(size * k for row in sizes for size, k in row)
-        if max(atoms) > STATE_GUARD or entries > STATE_GUARD // 4:
-            raise SizeGuardError(f"joint type of {max(atoms)} output-count atoms or "
-                                 f"{entries} lattice entries of one owner letter exceeds "
-                                 f"guard {STATE_GUARD} (entries: {STATE_GUARD // 4})")
+        if max(atoms) > STATE_GUARD or entries > STATE_GUARD:
+            raise SizeGuardError(f"joint type of {max(atoms)} output-count atoms or {entries} "
+                                 f"lattice entries of one group exceeds guard {STATE_GUARD}")
         self.states_max = max(self.states_max, max(atoms))
         self.types += len(counts)
-        ent = letter_tables(self.W)[0]
-        for own, size, types in zip(owners, atoms, groups):
-            letters = np.flatnonzero(own)
-            lattices = [self._letter(b, int(own[b])) for b in letters]
-            shape = [len(lattice[0]) for lattice in lattices]
-            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ ent)
+        for own, size, types in zip(owners, atoms, types_of):
+            parts = [(self._lattice(values, int(own[letters].sum())), letters, law)
+                     for values, (letters, law) in self._groups.items() if own[letters].any()]
+            shape = [len(lattice[0]) for lattice, _, _ in parts]
+            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ letter_tables(self.W)[0])
             width = min(size, ATOM_CHUNK)
             for first in range(0, len(types), ATOM_CHUNK // width):
                 t = types[first:first + ATOM_CHUNK // width]
-                masses = [_masses(law, pred, prefix, counts[t, :, b])
-                          for b, (_, pred, prefix, law) in zip(letters, lattices)]
+                # positions per class (a, b) of the group, owner-major like its law rows
+                masses = [_masses(law, pred, prefix,
+                                  counts[t][:, :, letters].transpose(0, 2, 1).reshape(len(t), -1))
+                          for (_, pred, prefix), letters, law in parts]
                 for start in range(0, size, width):
                     idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
-                    dev = np.abs(sum(lat[0][i] for lat, i in zip(lattices, idx)) + h_owner)
+                    dev = np.abs(sum(lat[0][i] for (lat, _, _), i in zip(parts, idx)) + h_owner)
                     touch = np.flatnonzero(dev <= theta + EDGE_FUZZ)
                     inside = dev[touch] <= theta - EDGE_FUZZ
                     # C-ordered rows, so each type's sums are its own
@@ -238,8 +245,7 @@ def _type_rows(code: DICode, q: int, src, own):
     return _distinct(np.concatenate(rows))
 
 
-def _dp_for(dp: JointTypeDP | None, W: ChannelModel,
-            law: ChannelModel | None) -> JointTypeDP:
+def _dp_for(dp: JointTypeDP | None, W: ChannelModel, law: ChannelModel | None) -> JointTypeDP:
     if dp is None:
         return JointTypeDP(W, law=law)
     if dp.W is not W or dp.law is not law:
@@ -262,21 +268,16 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
                              law: ChannelModel | None = None) -> float:
     """Independent enumeration over all |Y|^n outputs (small n only)."""
-    law_matrix = (law or W).matrix
-    n = len(owner_word)
-    size = W.output_size**n
-    if size > 1 << 22:
+    law_matrix, n = (law or W).matrix, len(owner_word)
+    if W.output_size**n > 1 << 22:
         raise SizeGuardError("enumeration too large")
-    h_owner = word_output_entropy(W, owner_word)
-    theta = delta * math.sqrt(n)
-
     mass, stat = np.ones(1), np.zeros(1)
     for xs, xo in zip(source_word, owner_word):
         with np.errstate(divide="ignore"):
             logs = np.log2(W.matrix[xo])
         mass = np.kron(mass, law_matrix[xs])
         stat = (stat[:, None] + logs[None, :]).ravel()
-    inside = np.abs(stat + h_owner) <= theta
+    inside = np.abs(stat + word_output_entropy(W, owner_word)) <= delta * math.sqrt(n)
     return float(mass[inside].sum())
 
 
@@ -285,7 +286,7 @@ def measure_lambda1(code: DICode, W: ChannelModel,
                     dp: JointTypeDP | None = None) -> tuple[float, float]:
     """Worst-case miss probability max_j (1 - P_j[own typical set]).
 
-    `dp` lends its spectrum cache and counters (a fresh one by default).
+    `dp` lends its lattice cache and counters (a fresh one by default).
     """
     dp = _dp_for(dp, W, law)
     own = np.arange(code.size)
@@ -305,7 +306,7 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     the reported hi endpoint keeps the analytic ceiling of the pairs that were
     skipped, so it remains a true upper bound (pair_mode "screened").  Each
     pair's ceiling is computed once; pairs are ranked by its raw value.  Pairs
-    sharing a joint type share one DP.  `dp` lends its spectrum cache and
+    sharing a joint type share one DP.  `dp` lends its lattice cache and
     counters (a fresh one by default).
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
@@ -329,9 +330,8 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         src, own = np.array(evaluate, dtype=np.int64).reshape(-1, 2).T
     p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, src, own), code.delta)
     dp.pairs_exact += len(src)
-    lo, hi = float(np.max(p_lo, initial=0.0)), float(np.max(p_hi, initial=0.0))
     ceiling = max([0.0] + [min(1.0, bound[jk]) for jk in skipped])
-    hi = max(hi, ceiling)
+    lo, hi = float(np.max(p_lo, initial=0.0)), max(float(np.max(p_hi, initial=0.0)), ceiling)
     mode = "exhaustive" if exhaustive else "screened" if len(src) else "pair-bound"
     return (lo, hi), mode, ceiling
 

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -201,13 +202,19 @@ def test_ex2_log_volume_matches_exact_sum():
 
 
 def test_ex2_long_blocklengths_are_fast():
-    """The sphere-packing volume costs O(radius) floats: BERN6 at E = 1e-3
-    has radius 3.6e6 at n = 10^7."""
+    """The sphere-packing volume sums O(sqrt(n)) terms in fixed-size chunks:
+    BERN6 at E = 1e-3 has radius 3.6e6 at n = 10^7 and 3.6e8 at n = 10^9."""
     W = bernoulli_family(2.0, 6)
-    for n in (10**6, 10**7):
+    for n in (10**6, 10**7, 10**9):
+        tracemalloc.start()
         start = time.perf_counter()
-        lo, up = ex2_dmc(W, 1e-3, n)
+        try:
+            lo, up = ex2_dmc(W, 1e-3, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
         assert time.perf_counter() - start < 1.0
+        assert peak < 1 << 20
         assert 0.0 < up.value < math.log2(W.n_inputs)
         assert up.extras["d_min"] > n // 2
 

@@ -106,13 +106,14 @@ def test_bsc_simplex_pairs_against_flip_count_oracle():
 
 
 def test_long_bsc_simplex_own_pair():
-    """n=4095: the own pair's 2048 x 2049 atoms evaluate and enclose the
-    flip-count oracle."""
+    """n=4095: both BSC letters take the values log2 0.99 and log2 0.01, so
+    they share one lattice of 4096 flip counts; the own pair evaluates and
+    encloses the flip-count oracle."""
     W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
     word = simplex_word(12, 5)
     dp = JointTypeDP(W)
     (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
-    assert dp.states_max == 2048 * 2049
+    assert dp.states_max == 4096
     assert encloses(interval, bsc_flip_oracle(W, 4095, 0, 1.0))
 
 
@@ -582,41 +583,126 @@ def test_dp_size_guard_fails_before_allocating(monkeypatch):
 
 
 def test_dp_size_guard_counts_sparse_lattice(monkeypatch):
-    """30 positions over 8 outputs have C(37, 7) = 10.3M count vectors; a
-    dense 31^7 grid of them would hold 27.5G entries.  The guard refuses the
-    type before either exists: by its atoms under a small guard, and by its
-    owner letter's 82.4M lattice entries (vectors x outputs) under the real
-    one, whose atom limit it meets."""
+    """An owner letter over 8 outputs of independent log-probabilities: 30
+    positions have C(37, 7) = 10.3M count vectors, 40 have 62.9M; a dense
+    (n+1)^7 grid of them would hold 27.5G or 164G entries.  The guard refuses
+    each type before any lattice exists: under a small guard the 30-position
+    one by its atoms and an 8-position one (6,435 atoms) by its 51,480
+    lattice entries (vectors x values), under the real guard the
+    40-position one by its 503M entries, though it meets the atom limit."""
     rng = np.random.default_rng(17)
     W = random_channel(rng, 2, 8)
-    for guard, match in ((SMALL_GUARD, "10295472 output-count atoms"),
-                         (evaluator.STATE_GUARD, "82363776 lattice entries")):
+    for guard, n, match in ((SMALL_GUARD, 30, "10295472 output-count atoms"),
+                            (SMALL_GUARD, 8, "6435 output-count atoms or 51480 lattice entries"),
+                            (evaluator.STATE_GUARD, 40, "503131992 lattice entries")):
         monkeypatch.setattr(evaluator, "STATE_GUARD", guard)
         tracemalloc.start()
         try:
             with pytest.raises(SizeGuardError, match=match):
-                typical_set_prob(W, (1,) * 30, (0,) * 30, delta=1.0)
+                typical_set_prob(W, (1,) * n, (0,) * n, delta=1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
 
 
+class Admitted(Exception):
+    pass
+
+
+def admitted(*args):
+    raise Admitted
+
+
+@pytest.mark.parametrize("k, n", [(8, 26), (9, 21), (10, 18)])
+def test_dp_guard_admits_letters_under_five_million_vectors(monkeypatch, k, n):
+    """One owner letter over k outputs of independent log-probabilities, with
+    the lattice build replaced by a stop: C(n + k - 1, k - 1) is 4.27M, 4.29M
+    and 4.69M count vectors, 34M-47M lattice entries, so the guard admits
+    every letter of at most 5M vectors at these k."""
+    monkeypatch.setattr(evaluator, "_lattice", admitted)
+    W = random_channel(np.random.default_rng(k), 2, k)
+    assert math.comb(n + k - 1, k - 1) <= 5_000_000
+    with pytest.raises(Admitted):
+        typical_set_prob(W, (1,) * n, (0,) * n, delta=1.0)
+
+
 def test_dp_guard_admits_long_binary_pair(monkeypatch):
     """Past the guard, with the position DP replaced by a stop: the n=16,383
-    simplex own pair (67.1M atoms) and the all-zero word's own pair (one
-    owner letter of 16,384 count vectors)."""
-    class Admitted(Exception):
-        pass
-
-    def admitted(*args):
-        raise Admitted
-
+    simplex own pair and the all-zero word's own pair.  Both BSC letters
+    take the values log2 0.99 and log2 0.01, so each is one lattice of
+    16,384 flip counts."""
     monkeypatch.setattr(evaluator, "_masses", admitted)
     W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
     for word in (simplex_word(14, 5), (0,) * 16_383):
         with pytest.raises(Admitted):
             typical_set_prob(W, word, word, delta=1.0)
+
+
+def test_bern6_outputs_of_equal_log_probability_share_a_count():
+    """BERN6 letters 1/2, 1/4, 1/8 and 1/16, 120 positions each, against
+    themselves (n = 480): both outputs of 1/2 have log2 = -1, so that letter
+    has one count vector and the type 121^3 = 1.77M atoms.  Against a full
+    float sum over the three binomial counts."""
+    W = bernoulli_family(2.0, 6)
+    word = sum(((x,) * 120 for x in (2, 3, 4, 5)), ())
+    dp = JointTypeDP(W)
+    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    assert dp.states_max == 121**3
+    stat = -120.0 + np.zeros((1, 1, 1))
+    mass = np.ones((1, 1, 1))
+    for axis, k in enumerate((2, 3, 4)):
+        x, ones = 2.0**-k, np.arange(121)
+        shape = [1, 1, 1]
+        shape[axis] = 121
+        stat = stat + (ones * math.log2(x) + (120 - ones) * math.log2(1 - x)).reshape(shape)
+        mass = mass * np.array([math.comb(120, j) * x**j * (1 - x)**(120 - j)
+                                for j in range(121)]).reshape(shape)
+    inside = np.abs(stat + word_output_entropy(W, word)) <= math.sqrt(480)
+    assert encloses(interval, float(mass[inside].sum()))
+    assert 0.0 < interval[0] <= interval[1] < 1.0
+
+
+def test_permuted_rows_share_a_lattice_and_enclose_enumeration():
+    """Rows that permute one distribution (some entries zero) give every
+    owner letter the same values, so all letters form one group; with and
+    without a separate law, the interval encloses the enumeration."""
+    rng = np.random.default_rng(3)
+    for trial in range(60):
+        k, q, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 9))
+        base = rng.random(k) ** 2 * (rng.random(k) > 0.3)
+        base[0] += 0.05
+        W = make_channel([str(i) for i in range(q)],
+                         [rng.permutation(base / base.sum()) for _ in range(q)])
+        law = None
+        if trial % 2:
+            m = rng.random((q, k)) * (rng.random((q, k)) > 0.2)
+            m[:, 0] += 0.02
+            law = make_channel([str(i) for i in range(q)], m / m.sum(axis=1, keepdims=True))
+        source, owner = (tuple(int(v) for v in rng.integers(0, q, n)) for _ in range(2))
+        delta = float(rng.uniform(0.1, 1.5))
+        truth = brute_force_typical_prob(W, source, owner, delta, law)
+        assert encloses(typical_set_prob(W, source, owner, delta, law), truth, rel=1e-12)
+
+
+def test_symmetric_channel_letters_share_one_lattice():
+    """A 4-ary symmetric channel (13/16 kept, 1/16 to each other output): all
+    four letters take the values log2 13/16 and log2 1/16, so an own pair of
+    120 positions per letter (n = 480) is one lattice of 481 flip counts,
+    where one lattice per letter over its two values would have 121^4 =
+    214M atoms.  Against the exact flip-count sum, F = Bin(480, 3/16)."""
+    W = make_channel(list("abcd"), [[13 / 16 if x == y else 1 / 16 for y in range(4)]
+                                    for x in range(4)])
+    word = sum(((x,) * 120 for x in range(4)), ())
+    dp = JointTypeDP(W)
+    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    assert dp.states_max == 481
+    h = word_output_entropy(W, word)
+    truth = math.fsum(math.comb(480, f) * 13**(480 - f) * 3**f / 16**480
+                      for f in range(481)
+                      if abs(f * -4.0 + (480 - f) * math.log2(13 / 16) + h) <= math.sqrt(480))
+    assert encloses(interval, truth)
+    assert 0.0 < interval[0] <= interval[1] < 1.0
 
 
 def test_evaluate_size_guard_exit_code(tmp_path, capsys, monkeypatch):
