@@ -347,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--trials", type=int, help=f"mc only; default {DEFAULT_TRIALS}")
     p.add_argument("--pair-budget", type=int,
-                   help=f"exact only; default {DEFAULT_PAIR_BUDGET}")
+                   help="exact only: with more ordered pairs, joint types ranked by "
+                        "analytic ceiling get the DP until they cover this many "
+                        f"pairs; default {DEFAULT_PAIR_BUDGET}")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")

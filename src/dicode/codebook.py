@@ -72,24 +72,6 @@ class CodeParams:
 
 
 @dataclass(frozen=True)
-class TypicalSetSpec:
-    """Decoder data for one codeword: accept y^n iff the word's output
-    log-probability sits within delta * sqrt(n) of minus its entropy."""
-
-    owner_word: tuple[int, ...]
-    delta: float
-    owner_entropy: float
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise ValidationError("decoder width must be nonnegative")
-        object.__setattr__(self, "owner_word", tuple(self.owner_word))
-
-    def width_in_range(self, y_size: int) -> bool:
-        return self.delta <= math.sqrt(len(self.owner_word)) * math.log2(y_size)
-
-
-@dataclass(frozen=True)
 class DICode:
     """A constructed code: letters, codewords, and typical-set decoder data."""
 
@@ -111,9 +93,6 @@ class DICode:
     @property
     def blocklength(self) -> int:
         return self.params.n
-
-    def decoder_spec(self, j: int) -> TypicalSetSpec:
-        return TypicalSetSpec(self.codewords[j], self.delta, self.entropies[j])
 
 
 def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
@@ -268,7 +247,7 @@ def _reed_solomon_code(q: int, n: int, t: float) -> list[tuple[int, ...]]:
 
 def word_output_entropy(W: ChannelModel, word) -> float:
     """Entropy in bits of the product output distribution of a word."""
-    ents = letter_tables(W)[0]
+    ents = letter_tables(W)
     return float(sum(ents[x] for x in word))
 
 

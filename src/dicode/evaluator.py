@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -126,13 +125,6 @@ def _masses(law, pred, prefix, splits):
     return mass[n % 2]
 
 
-def joint_type(source_word, owner_word) -> tuple:
-    """Sorted ((source letter, owner letter), count) classes of a word pair."""
-    if len(source_word) != len(owner_word):
-        raise ValidationError("source and owner words must have equal length")
-    return tuple(sorted(Counter(zip(source_word, owner_word)).items()))
-
-
 class JointTypeDP:
     """Certified acceptance probabilities of joint types under one (W, law).
 
@@ -165,16 +157,6 @@ class JointTypeDP:
             self._lattices[values, n] = _lattice(n, values)
         return self._lattices[values, n]
 
-    def probs(self, jtypes, delta: float) -> dict:
-        """`count_probs` of `joint_type` tuples, keyed by type."""
-        jtypes, q = list(set(jtypes)), self.W.n_inputs
-        counts = np.zeros((len(jtypes), q * q), dtype=np.int64)
-        for t, jtype in enumerate(jtypes):
-            for (a, b), c in jtype:
-                counts[t, a * q + b] = c
-        return {jtype: (float(lo), float(hi))
-                for jtype, lo, hi in zip(jtypes, *self.count_probs(counts, delta))}
-
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
         probability of joint types given as distinct count rows.  A type's
@@ -203,7 +185,7 @@ class JointTypeDP:
             parts = [(self._lattice(values, int(own[letters].sum())), letters, law)
                      for values, (letters, law) in self._groups.items() if own[letters].any()]
             shape = [len(lattice[0]) for lattice, _, _ in parts]
-            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ letter_tables(self.W)[0])
+            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ letter_tables(self.W))
             width = min(size, ATOM_CHUNK)
             for first in range(0, len(types), ATOM_CHUNK // width):
                 t = types[first:first + ATOM_CHUNK // width]
@@ -224,25 +206,30 @@ class JointTypeDP:
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
-def _distinct(rows):
-    """Distinct rows of a 2-D integer array, compared as bytes."""
+def _distinct(rows, pairs):
+    """Distinct rows of a 2-D integer array, compared as bytes, and the sum
+    of `pairs` over the copies of each."""
     rows = np.ascontiguousarray(rows)
     view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return np.unique(view).view(rows.dtype).reshape(-1, rows.shape[1])
+    uniq, inverse = np.unique(view, return_inverse=True)
+    return (uniq.view(rows.dtype).reshape(-1, rows.shape[1]),
+            np.bincount(inverse, pairs, len(uniq)).astype(np.int64))
 
 
 def _type_rows(code: DICode, q: int, src, own):
     """Distinct joint types of the word pairs (codeword src[p], codeword
-    own[p]) as count rows, counted PAIR_CHUNK pairs at a time."""
+    own[p]) as count rows, and the number of pairs of each, counted
+    PAIR_CHUNK pairs at a time."""
     words = np.array(code.codewords, dtype=np.int64)
     dtype = np.min_scalar_type(code.blocklength)
-    rows = [np.zeros((0, q * q), dtype=dtype)]
+    chunks = [(np.zeros((0, q * q), dtype=dtype), np.zeros(0))]
     for s in range(0, len(src), PAIR_CHUNK):
         cls = words[src[s:s + PAIR_CHUNK]] * q + words[own[s:s + PAIR_CHUNK]]
         cls += np.arange(len(cls))[:, None] * (q * q)
         counts = np.bincount(cls.ravel(), minlength=len(cls) * q * q)
-        rows.append(_distinct(counts.astype(dtype).reshape(-1, q * q)))
-    return _distinct(np.concatenate(rows))
+        chunks.append(_distinct(counts.astype(dtype).reshape(-1, q * q), np.ones(len(cls))))
+    rows, pairs = zip(*chunks)
+    return _distinct(np.concatenate(rows), np.concatenate(pairs))
 
 
 def _dp_for(dp: JointTypeDP | None, W: ChannelModel, law: ChannelModel | None) -> JointTypeDP:
@@ -261,8 +248,12 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     else under W); the typical set itself is always defined through W, whose
     entropies and log-probabilities are the decoder's reference.
     """
-    jtype = joint_type(source_word, owner_word)
-    return JointTypeDP(W, law).probs([jtype], delta)[jtype]
+    if len(source_word) != len(owner_word):
+        raise ValidationError("source and owner words must have equal length")
+    q = W.n_inputs
+    cls = np.array(source_word, dtype=np.int64) * q + np.array(owner_word, dtype=np.int64)
+    lo, hi = JointTypeDP(W, law).count_probs(np.bincount(cls, minlength=q * q)[None], delta)
+    return float(lo[0]), float(hi[0])
 
 
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
@@ -290,7 +281,7 @@ def measure_lambda1(code: DICode, W: ChannelModel,
     """
     dp = _dp_for(dp, W, law)
     own = np.arange(code.size)
-    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, own, own), code.delta)
+    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, own, own)[0], code.delta)
     return float(np.max(1.0 - p_hi, initial=0.0)), float(np.max(1.0 - p_lo, initial=0.0))
 
 
@@ -300,14 +291,17 @@ def measure_lambda2(code: DICode, W: ChannelModel,
                     dp: JointTypeDP | None = None):
     """Worst-case false-accept probability over ordered codeword pairs.
 
-    All N(N-1) pairs get the exact DP when that fits the pair budget
-    (pair_mode "exhaustive").  Otherwise every pair gets the cheap analytic
-    ceiling, the worst pair_budget pairs by that ceiling get the exact DP, and
-    the reported hi endpoint keeps the analytic ceiling of the pairs that were
-    skipped, so it remains a true upper bound (pair_mode "screened").  Each
-    pair's ceiling is computed once; pairs are ranked by its raw value.  Pairs
-    sharing a joint type share one DP.  `dp` lends its lattice cache and
-    counters (a fresh one by default).
+    The pairs are grouped by joint type, and each type evaluated gets the
+    exact DP once.  When N(N-1) exceeds the pair budget, every type first
+    gets the analytic ceiling `false_accept_bound`, and the types are ranked
+    by it, highest first (ties in row order).  Types are evaluated in that
+    order until they cover pair_budget pairs: a type is evaluated when fewer
+    than pair_budget pairs precede it, so every pair of an evaluated type
+    counts in `dp.pairs_exact`, which can exceed the budget.  The hi endpoint
+    keeps the largest ceiling, clamped to 1, of the skipped types, so it
+    remains a true upper bound.  pair_mode is "exhaustive" when every type
+    is evaluated, "pair-bound" when none is, else "screened".  `dp` lends
+    its lattice cache and counters (a fresh one by default).
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
     raises ValidationError.
@@ -319,25 +313,23 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         return (0.0, 0.0), "exhaustive", 0.0
     # source u_j measured against owner u_k's decision set, j-major
     src, own = np.nonzero(~np.eye(code.size, dtype=bool))
-    exhaustive = len(src) <= pair_budget
-    skipped = []
-    if not exhaustive:
-        bound = {(j, k): false_accept_bound(W, code.codewords[k], code.codewords[j],
-                                            code.delta)
-                 for j, k in zip(src.tolist(), own.tolist())}
-        ranked = sorted(bound, key=lambda jk: -bound[jk])
-        evaluate, skipped = ranked[:pair_budget], ranked[pair_budget:]
-        src, own = np.array(evaluate, dtype=np.int64).reshape(-1, 2).T
-    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, src, own), code.delta)
-    dp.pairs_exact += len(src)
-    ceiling = max([0.0] + [min(1.0, bound[jk]) for jk in skipped])
+    rows, pairs = _type_rows(code, W.n_inputs, src, own)
+    evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
+    if len(src) > pair_budget:
+        bound = false_accept_bound(W, rows, code.delta)
+        order = np.argsort(-bound, kind="stable")
+        evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
+        ceiling = min(1.0, float(np.max(bound[~evaluate], initial=0.0)))
+    p_lo, p_hi = dp.count_probs(rows[evaluate], code.delta)
+    dp.pairs_exact += int(pairs[evaluate].sum())
     lo, hi = float(np.max(p_lo, initial=0.0)), max(float(np.max(p_hi, initial=0.0)), ceiling)
-    mode = "exhaustive" if exhaustive else "screened" if len(src) else "pair-bound"
+    mode = "exhaustive" if evaluate.all() else "screened" if evaluate.any() else "pair-bound"
     return (lo, hi), mode, ceiling
 
 
 def _exponent(value: float, n: int) -> float:
-    return math.inf if value <= 0.0 else -math.log2(value) / n
+    # 0.0 - x, not -x: a value of 1 gives 0.0, never -0.0
+    return math.inf if value <= 0.0 else 0.0 - math.log2(value) / n
 
 
 def exact_error_report(code: DICode, W: ChannelModel,

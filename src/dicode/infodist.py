@@ -21,7 +21,7 @@ LOG2 = math.log(2.0)
 #: refuse exact hypothesis-testing computations above this many outcomes
 HT_OUTCOME_GUARD = 10**7
 
-#: channel -> (per-letter entropies, letter-pair fidelities filled on demand)
+#: channel -> per-letter output entropies
 _LETTER_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -136,52 +136,40 @@ def typical_miss_bound(delta: float, y_size: int) -> float:
     return 2.0 * math.exp(-(delta**2) * c)
 
 
-def letter_tables(W) -> tuple[list[float], dict]:
-    """Per-letter output entropies of a channel and its letter-pair fidelity
-    table.  Channels are immutable, so both are built once per channel object;
-    fidelities are filled in as pairs are first asked for."""
-    tables = _LETTER_TABLES.get(W)
-    if tables is None:
-        tables = _LETTER_TABLES[W] = ([entropy(row) for row in W.matrix], {})
-    return tables
+def letter_tables(W) -> list[float]:
+    """Per-letter output entropies of a channel.  Channels are immutable, so
+    they are built once per channel object."""
+    ents = _LETTER_TABLES.get(W)
+    if ents is None:
+        ents = _LETTER_TABLES[W] = [entropy(row) for row in W.matrix]
+    return ents
 
 
-def fidelity_product(W, owner_word, source_word) -> float:
-    """Letterwise fidelity product between two words' output distributions."""
-    fid = letter_tables(W)[1]
-    eps = 1.0
-    for xo, xs in zip(owner_word, source_word):
-        if xo != xs:
-            f = fid.get((xo, xs))
-            if f is None:
-                f = fid[xo, xs] = fidelity(W.matrix[xo], W.matrix[xs])
-            eps *= f
-    return eps
+def false_accept_bound(W, rows, delta: float) -> np.ndarray:
+    """Analytic ceilings on a source word's mass inside an owner's typical
+    set, one per joint-type count row (positions per class a*q + b, source
+    letter a, owner letter b).
 
-
-def false_accept_bound(W, owner_word, source_word, delta: float) -> float:
-    """Analytic ceiling on the source word's mass inside the owner's typical set.
-
-    Combines the typicality tail with the fidelity product of the two words and
-    their entropy gap (bits).  Raw value; vacuous results above 1 are returned
-    as-is.
+    tail + eps + eps 2^exponent, with eps the letterwise fidelity product,
+    log2 eps = sum_{a != b} N_ab log2 F(a, b), and exponent = 2 delta sqrt(n)
+    + sum N_ab (H_b - H_a) bits.  Both terms are formed from log2 eps, so a
+    product below the float range does not hide a growth term above it.  Raw
+    values; vacuous results above 1 are returned as-is.
     """
-    if len(owner_word) != len(source_word):
-        raise ValidationError("words must have equal length")
-    n = len(owner_word)
-    eps = fidelity_product(W, owner_word, source_word)
-    ent = letter_tables(W)[0]
-    h_owner = sum(ent[x] for x in owner_word)
-    h_source = sum(ent[x] for x in source_word)
+    q = W.n_inputs
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, q * q)
+    log_fid = np.zeros((q, q))
+    for a in range(q):
+        for b in range(q):
+            if a != b:
+                f = fidelity(W.matrix[a], W.matrix[b])
+                log_fid[a, b] = math.log2(f) if f else -math.inf
+    ent = np.array(letter_tables(W))
+    log_eps = (np.where(rows > 0, log_fid.ravel(), 0.0) * rows).sum(axis=1)
+    exponent = 2.0 * delta * np.sqrt(rows.sum(axis=1)) + rows @ (ent - ent[:, None]).ravel()
     tail = typical_miss_bound(delta, W.output_size)
-    exponent = 2.0 * delta * math.sqrt(n) + h_owner - h_source
-    if eps == 0.0:
-        return tail
-    try:
-        growth = 2.0**exponent
-    except OverflowError:
-        growth = math.inf
-    return tail + eps * (1.0 + growth)
+    with np.errstate(over="ignore"):
+        return tail + np.exp2(log_eps) + np.exp2(log_eps + exponent)
 
 
 def product_distribution(W, word) -> np.ndarray:

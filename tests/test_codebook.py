@@ -260,10 +260,6 @@ def test_assemble_code_delta_round_trip():
     assert code.params.delta == pytest.approx(0.8)
     assert code.min_hamming == 3
     assert code.entropies[0] == pytest.approx(word_output_entropy(W, (0, 0, 1)))
-    spec = code.decoder_spec(1)
-    assert spec.owner_word == (1, 1, 0)
-    assert spec.delta == 0.8
-    assert spec.width_in_range(W.output_size)
 
 
 def test_min_pairwise_hamming():

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,13 +18,24 @@ from dicode.evaluator import (
     brute_force_typical_prob,
     choice_letters,
     exact_error_report,
-    joint_type,
     measure_lambda1,
     measure_lambda2,
     monte_carlo_errors,
     typical_set_prob,
     wilson_interval,
 )
+from dicode.infodist import false_accept_bound
+
+
+def type_row(q, source, owner):
+    """Joint-type count row of a word pair: positions per class a*q + b."""
+    return np.bincount(np.array(source) * q + np.array(owner), minlength=q * q)
+
+
+def own_type_probs(dp, word, delta):
+    """`count_probs` of a word's own pair, as one (lo, hi)."""
+    (lo,), (hi,) = dp.count_probs([type_row(dp.W.n_inputs, word, word)], delta)
+    return lo, hi
 
 
 def random_channel(rng, n_in, n_out):
@@ -112,7 +124,7 @@ def test_long_bsc_simplex_own_pair():
     W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
     word = simplex_word(12, 5)
     dp = JointTypeDP(W)
-    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    interval = own_type_probs(dp, word, 1.0)
     assert dp.states_max == 4096
     assert encloses(interval, bsc_flip_oracle(W, 4095, 0, 1.0))
 
@@ -150,20 +162,6 @@ def test_lambda2_against_enumeration():
     l1 = measure_lambda1(code, W)
     want1 = max(1 - brute_force_typical_prob(W, w, w, 0.9) for w in code.codewords)
     assert l1[0] - 1e-12 <= want1 <= l1[1] + 1e-12
-
-
-def test_lambda2_screened_mode_is_upper_bound():
-    rng = np.random.default_rng(15)
-    W = random_channel(rng, 4, 2)
-    words = [tuple(int(v) for v in rng.integers(0, 4, 6)) for _ in range(6)]
-    words = list(dict.fromkeys(words))
-    code = assemble_code(W, words, delta=1.0)
-    full, _, _ = measure_lambda2(code, W, pair_budget=10**6)
-    screened, mode, ceiling = measure_lambda2(code, W, pair_budget=4)
-    assert mode == "screened"
-    assert screened[1] >= full[1] - 1e-12   # stays a true upper bound
-    assert screened[0] <= full[0] + 1e-12
-    assert ceiling >= 0.0
 
 
 def test_negative_pair_budget_is_refused():
@@ -251,6 +249,10 @@ def test_error_report_json_round_trip():
     rep = exact_error_report(code, W)
     text = rep.to_json()
     assert '"method": "exact-dp"' in text
+    # a screened hi of 1 gives the exponent 0.0, not -0.0
+    screened = exact_error_report(code, W, pair_budget=0)
+    assert screened.lambda2[1] == 1.0
+    assert "-0.0" not in screened.to_json()
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +354,14 @@ def code_cases(draw, max_n=6, max_words=5):
 def assert_batch_equals_single_pairs(W, law, words, delta):
     """One batched evaluation of every ordered pair's joint type gives each
     type the interval of `typical_set_prob` on that pair alone, bit for bit."""
-    batched = JointTypeDP(W, law=law).probs(
-        [joint_type(a, b) for a in words for b in words], delta)
+    q = W.n_inputs
+    rows = sorted({tuple(type_row(q, a, b)) for a in words for b in words})
+    batched = dict(zip(rows, zip(*JointTypeDP(W, law=law).count_probs(np.array(rows), delta))))
     for a in words:
         for b in words:
             single = typical_set_prob(W, a, b, delta, law=law)
-            assert [v.hex() for v in batched[joint_type(a, b)]] == [v.hex() for v in single]
+            assert ([v.hex() for v in batched[tuple(type_row(q, a, b))]]
+                    == [v.hex() for v in single])
 
 
 #: source letters 0 and 1 share owner letter 0, so one owner letter's count
@@ -373,6 +377,27 @@ def test_batch_equals_single_type_evaluation(case):
     assert_batch_equals_single_pairs(*case)
 
 
+@settings(max_examples=30, deadline=None)
+@given(code_cases())
+def test_lambda2_screened_mode_is_upper_bound(case):
+    """At every pair budget from 0 to N(N-1) the screened interval encloses
+    the exhaustive one, the DP covers at least the budget's pairs, and the
+    mode is exhaustive exactly when it covers every pair."""
+    W, law, words, delta = case
+    if len(words) < 2:
+        return
+    code = assemble_code(W, words, delta=delta)
+    pairs = code.size * (code.size - 1)
+    full, _, _ = measure_lambda2(code, W, law=law)
+    for budget in range(pairs + 1):
+        dp = JointTypeDP(W, law=law)
+        (lo, hi), mode, ceiling = measure_lambda2(code, W, budget, law=law, dp=dp)
+        assert lo <= full[0] and hi >= full[1]
+        assert 0.0 <= ceiling <= 1.0
+        assert dp.pairs_exact >= min(budget, pairs)
+        assert (mode == "exhaustive") == (dp.pairs_exact == pairs)
+
+
 def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
     """Class (0, 1) is dead: law row 0 puts no mass where W row 1 is positive,
     so every type holding it has interval [0, 0].  With a small ATOM_CHUNK
@@ -383,7 +408,7 @@ def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
     words = [(0, 0, 2, 2, 0, 2), (1, 1, 2, 0, 2, 2), (2, 0, 1, 2, 2, 0), (0, 2, 0, 2, 1, 1)]
     monkeypatch.setattr(evaluator, "ATOM_CHUNK", 8)
     dp = JointTypeDP(W)
-    dp.probs([joint_type(a, b) for a in words for b in words], 0.8)
+    dp.count_probs(np.unique([type_row(3, a, b) for a in words for b in words], axis=0), 0.8)
     assert dp.states_max > 8
     assert_batch_equals_single_pairs(W, None, words, 0.8)
     assert typical_set_prob(W, words[0], words[1], 0.8) == (0.0, 0.0)
@@ -557,12 +582,11 @@ def test_dp_guard_counts_merged_cells():
     source letters.  GUARD_WORD against itself evaluates its 5.29M atoms."""
     W = make_channel(["a", "b"], GUARD_ROWS)
     dp = JointTypeDP(W)
-    jtype = joint_type(GUARD_WORD, (0,) * 44)
-    (lo, hi), = dp.probs([jtype], 1.0).values()
+    (lo,), (hi,) = dp.count_probs([type_row(2, GUARD_WORD, (0,) * 44)], 1.0)
     assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
     assert dp.states_max == 16_215
     assert typical_set_prob(W, GUARD_WORD, (0,) * 44, delta=1.0) == (lo, hi)
-    (lo, hi), = dp.probs([joint_type(GUARD_WORD, GUARD_WORD)], 1.0).values()
+    lo, hi = own_type_probs(dp, GUARD_WORD, 1.0)
     assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
     assert dp.states_max == 2300**2
 
@@ -647,7 +671,7 @@ def test_bern6_outputs_of_equal_log_probability_share_a_count():
     W = bernoulli_family(2.0, 6)
     word = sum(((x,) * 120 for x in (2, 3, 4, 5)), ())
     dp = JointTypeDP(W)
-    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    interval = own_type_probs(dp, word, 1.0)
     assert dp.states_max == 121**3
     stat = -120.0 + np.zeros((1, 1, 1))
     mass = np.ones((1, 1, 1))
@@ -695,7 +719,7 @@ def test_symmetric_channel_letters_share_one_lattice():
                                     for x in range(4)])
     word = sum(((x,) * 120 for x in range(4)), ())
     dp = JointTypeDP(W)
-    (interval,) = dp.probs([joint_type(word, word)], 1.0).values()
+    interval = own_type_probs(dp, word, 1.0)
     assert dp.states_max == 481
     h = word_output_entropy(W, word)
     truth = math.fsum(math.comb(480, f) * 13**(480 - f) * 3**f / 16**480
@@ -723,8 +747,8 @@ def test_report_work_counters():
     W = bernoulli_family(2.0, 4)
     code = assemble_code(W, [(0, 2, 1, 3), (1, 3, 2, 0), (2, 0, 3, 1), (0, 1, 2, 3)],
                          delta=0.8)
-    words = code.codewords
-    types = {joint_type(a, b) for a in words for b in words}
+    words, q = code.codewords, W.n_inputs
+    types = {tuple(type_row(q, a, b)) for a in words for b in words}
     rep = exact_error_report(code, W)
     assert (rep.dp_types, rep.pairs_exact) == (len(types), 12)
     assert rep.dp_states_max >= 1
@@ -732,8 +756,18 @@ def test_report_work_counters():
     assert (payload["dp_types"], payload["pairs_exact"]) == (len(types), 12)
     assert payload["dp_states_max"] == rep.dp_states_max
 
+    # budget 5: types ranked by ceiling (ties in row order) are evaluated
+    # until they cover 5 pairs, and every pair of each counts
     screened = exact_error_report(code, W, pair_budget=5)
-    assert screened.pair_mode == "screened" and screened.pairs_exact == 5
+    cross = Counter(tuple(type_row(q, a, b)) for a in words for b in words if a != b)
+    rows = sorted(cross)
+    bound = false_accept_bound(W, rows, code.delta)
+    covered = np.cumsum([cross[rows[t]] for t in np.argsort(-bound, kind="stable")])
+    evaluated = int(np.searchsorted(covered, 5)) + 1
+    own_types = len({tuple(type_row(q, w, w)) for w in words})
+    assert screened.pair_mode == "screened"
+    assert screened.dp_types == own_types + evaluated < len(types)
+    assert screened.pairs_exact == covered[evaluated - 1] >= 5
     assert exact_error_report(code, W, pair_budget=0).pairs_exact == 0
     assert rep.mc_words_scored is payload["mc_words_scored"] is None
     mc = json.loads(monte_carlo_errors(code, W, trials=100, seed=1).to_json())
