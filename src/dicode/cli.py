@@ -162,7 +162,7 @@ def cmd_construct(args) -> int:
               0, _hash_file(args.channel))
     if code.params.remark_trivial:
         print("warning: exponent target is in the trivial regime "
-              "(packing radius >= sqrt(2)); rate floor is vacuous", file=sys.stderr)
+              "(packing radius > 1/sqrt(2)); one letter, rate 0", file=sys.stderr)
     print(json.dumps(summary, sort_keys=True))
     return EXIT_OK
 

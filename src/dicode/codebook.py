@@ -63,7 +63,7 @@ class CodeParams:
     c: float
     K: float
     y_size: int
-    remark_trivial: bool      # packing radius beta >= sqrt(2): bound vacuous
+    remark_trivial: bool      # beta > 1/sqrt(2): one letter, rate 0
     guarantee_valid: bool     # c t beta^2 <= 1 and delta within range
     lambda1_ceiling: float    # 2 exp(-c tau^2 n)
     lambda2_ceiling: float    # 5 exp(-c tau^2 n)
@@ -98,9 +98,10 @@ class DICode:
 def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
     """Couple an exponent target E > 0 and distance fraction t into (beta, tau).
 
-    The trivial regime (beta >= sqrt(2), i.e. E >= 2 c t^2 / 3) is flagged,
-    not rejected; the same goes for c t beta^2 > 1 where the error guarantee
-    no longer holds.
+    The trivial regime (beta > 1/sqrt(2), i.e. E > c t^2 / 24) is flagged,
+    not rejected: the square-root outputs have diameter sqrt(2), so no two
+    letters are 2 beta apart, the code has one word and its rate is 0.  The
+    same goes for c t beta^2 > 1 where the error guarantee no longer holds.
     """
     if E <= 0:
         raise ValidationError("exponent target must be positive")
@@ -116,7 +117,7 @@ def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
     return CodeParams(
         n=n, t=t, E_target=E, beta=beta, tau=tau, delta=delta, c=c, K=K,
         y_size=y_size,
-        remark_trivial=beta >= math.sqrt(2.0),
+        remark_trivial=beta > math.sqrt(0.5),
         guarantee_valid=(c * t * beta * beta <= 1.0) and (tau <= math.log2(y_size)),
         lambda1_ceiling=2.0 * decay,
         lambda2_ceiling=5.0 * decay,

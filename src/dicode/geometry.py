@@ -21,7 +21,7 @@ from .errors import SizeGuardError, ValidationError
 
 EXACT_SIZE_LIMIT = 64
 DISTANCE_SIZE_LIMIT = 4096   # a 128 MB float matrix
-DISTANCE_BLOCK = 64          # rows of the matrix built at once
+DISTANCE_BLOCK = 64          # rows built at once, through one (64, m) scratch array
 
 METRICS = ("euclidean", "total-variation")
 
@@ -47,22 +47,34 @@ class PointCloud:
     def distance_matrix(self) -> np.ndarray:
         """Build the (m, m) distance matrix anew, DISTANCE_BLOCK rows at a time.
 
-        Each cell sums its coordinates in the same order as a one-shot
-        broadcast, and p_i - p_j is exactly -(p_j - p_i), so the matrix is
-        bitwise symmetric (greedy covering relies on it).  Clouds above
-        DISTANCE_SIZE_LIMIT points are refused before anything is allocated.
+        Each block adds its squared (euclidean) or absolute (total variation)
+        coordinate differences one coordinate at a time, in index order, as
+        numpy's own sum does below 8 coordinates (from 8 up it groups the sum
+        and may round differently).  p_i - p_j is exactly -(p_j - p_i), so the
+        matrix is bitwise symmetric (greedy covering relies on it).  Clouds
+        above DISTANCE_SIZE_LIMIT points are refused before anything is
+        allocated.
         """
         p = self.points
         m = p.shape[0]
         if m > DISTANCE_SIZE_LIMIT:
             raise SizeGuardError(f"distance matrix limited to {DISTANCE_SIZE_LIMIT} points")
-        dist = np.empty((m, m))
+        euclidean = self.metric == "euclidean"
+        fold = np.square if euclidean else np.abs
+        coords = np.ascontiguousarray(p.T)
+        dist = np.zeros((m, m))
+        scratch = np.empty((DISTANCE_BLOCK, m))
         for lo in range(0, m, DISTANCE_BLOCK):
-            diff = p[lo:lo + DISTANCE_BLOCK, None, :] - p[None, :, :]
-            if self.metric == "euclidean":
-                dist[lo:lo + DISTANCE_BLOCK] = np.sqrt((diff**2).sum(axis=2))
-            else:
-                dist[lo:lo + DISTANCE_BLOCK] = 0.5 * np.abs(diff).sum(axis=2)
+            rows = dist[lo:lo + DISTANCE_BLOCK]
+            diff = scratch[:len(rows)]
+            for x in coords:
+                np.subtract(x[lo:lo + DISTANCE_BLOCK, None], x, out=diff)
+                fold(diff, out=diff)
+                rows += diff
+        if euclidean:
+            np.sqrt(dist, out=dist)
+        else:
+            dist *= 0.5
         return dist
 
     @cached_property
@@ -144,15 +156,26 @@ def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
     return sorted(best)
 
 
+def _column_counts(rows: np.ndarray) -> np.ndarray:
+    """Column sums of 0/1 byte rows, summed in bytes 255 rows at a time (a
+    byte holds 255 ones without wrapping)."""
+    counts = np.zeros(rows.shape[1], dtype=np.int64)
+    for lo in range(0, len(rows), 255):
+        counts += np.add.reduce(rows[lo:lo + 255], axis=0, dtype=np.uint8)
+    return counts
+
+
 def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
     """Greedy set cover: repeatedly take the ball covering most uncovered
     points; ties by lowest center index.
 
     gains[c], the uncovered points in ball c, is updated as points become
-    covered, so a whole cover costs O(m^2), not O(m^2) per pick.
+    covered, so a whole cover costs O(m^2), not O(m^2) per pick.  The
+    distance matrix is bitwise symmetric, so row p of `balls` marks the balls
+    that contain p, and the gains are column sums of ball rows.
     """
-    balls = dist <= delta
-    gains = np.count_nonzero(balls, axis=1)
+    balls = (dist <= delta).view(np.uint8)
+    gains = _column_counts(balls)
     uncovered = np.ones(dist.shape[0], dtype=bool)
     left = uncovered.size
     chosen: list[int] = []
@@ -164,9 +187,7 @@ def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
         chosen.append(c)
         uncovered[new] = False
         left -= new.size
-        # the distance matrix is bitwise symmetric, so row p of `balls` marks
-        # the balls that contain p
-        gains -= np.count_nonzero(balls[new], axis=0)
+        gains -= _column_counts(balls[new])
     return sorted(chosen)
 
 

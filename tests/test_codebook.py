@@ -46,12 +46,20 @@ def test_derive_params_round_trip():
 
 def test_trivial_regime_flag_threshold():
     _, c = typicality_constants(2)
-    threshold = 2 * c * 0.25 / 3  # E at which beta reaches sqrt(2) for t = 1/2
-    assert derive_params(0.001, 0.5, 2, 8).remark_trivial is False
+    threshold = c * 0.25 / 24  # E at which beta reaches 1/sqrt(2) for t = 1/2
+    # beta = 1.21 at E = 1e-3: beyond the sqrt-output diameter's half, one letter
+    assert derive_params(0.001, 0.5, 2, 8).remark_trivial is True
     assert derive_params(0.001, 0.5, 2, 8).beta == pytest.approx(1.2137, abs=2e-4)
     assert derive_params(0.002, 0.5, 2, 8).remark_trivial is True
     assert derive_params(threshold * 1.0001, 0.5, 2, 8).remark_trivial
     assert not derive_params(threshold * 0.9999, 0.5, 2, 8).remark_trivial
+    # the flag matches the packing: BERN6 packs one letter at E = 1e-3, and
+    # the identity channel's two outputs (sqrt(2) apart) pack just below it
+    assert build_letter_alphabet(bernoulli_family(2.0, 6), 1.2137).count == 1
+    below = derive_params(threshold * 0.9999, 0.5, 2, 8).beta
+    assert build_letter_alphabet(identity_channel(2), below).count == 2
+    above = derive_params(threshold * 1.0001, 0.5, 2, 8).beta
+    assert build_letter_alphabet(identity_channel(2), above).count == 1
 
 
 def test_letter_alphabet_identity_and_flat():

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dicode import geometry
 from dicode.channel import bernoulli_family
@@ -247,6 +248,37 @@ def test_greedy_covering_equals_rescanning(data, m, dim, metric):
         assert _greedy_covering(dist, dist[i, j]) == rescanning_greedy_covering(dist, dist[i, j])
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), m=st.integers(256, 700), dim=st.integers(1, 2),
+       metric=st.sampled_from(geometry.METRICS))
+def test_greedy_covering_counts_past_a_byte(data, m, dim, metric):
+    # a cluster of over 255 near-coincident points: its ball covers more than
+    # 255 new points and its columns start above 255, past one byte counter
+    size = data.draw(st.integers(256, m))
+    grid = data.draw(hnp.arrays(np.int64, (m - size, dim), elements=st.integers(0, 4)))
+    centre = data.draw(hnp.arrays(np.int64, dim, elements=st.integers(0, 4)))
+    jitter = data.draw(hnp.arrays(np.int64, (size, dim), elements=st.integers(0, 3)))
+    order = data.draw(st.permutations(range(m)))
+    points = np.concatenate([centre + 1e-9 * jitter, grid])[list(order)]
+    dist = PointCloud(points, metric).distance_matrix()
+    cluster = np.argsort(order)[:size]
+    radii = [dist[np.ix_(cluster, cluster)].max()]
+    assert np.count_nonzero(dist <= radii[0], axis=0).max() > 255
+    for _ in range(2):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        radii.append(dist[i, j])
+    for r in radii:
+        assert _greedy_covering(dist, r) == rescanning_greedy_covering(dist, r)
+
+
+def test_greedy_covering_ball_of_257_points():
+    # 200 points at 0, one at 1, 56 at 2: the middle ball holds all 257 and is
+    # the whole cover; a count wrapped at 256 would read 1 and pick two balls
+    cloud = line_cloud([0.0] * 200 + [1.0] + [2.0] * 56)
+    dist = cloud.distance_matrix()
+    assert _greedy_covering(dist, 1.0) == rescanning_greedy_covering(dist, 1.0) == [200]
+
+
 def test_greedy_covering_degenerate_ball():
     cloud = PointCloud(np.array([[0.0], [1.0], [np.nan], [2.0]]))
     dist = cloud.distance_matrix()
@@ -258,11 +290,32 @@ def test_greedy_covering_degenerate_ball():
 
 @pytest.mark.parametrize("metric", geometry.METRICS)
 @pytest.mark.parametrize("m", [1, 63, 64, 65, 129])
-def test_distance_matrix_blocks_bitwise_equal(m, metric):
-    rng = np.random.default_rng(m)
-    cloud = PointCloud(rng.standard_normal((m, 7)), metric)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data(), blocks=st.integers(0, 2), dim=st.integers(1, 7))
+def test_distance_matrix_blocks_bitwise_equal(m, metric, data, blocks, dim):
+    # below 8 coordinates numpy sums in index order, as the blocks do
+    m += blocks * geometry.DISTANCE_BLOCK
+    points = data.draw(hnp.arrays(np.float64, (m, dim), elements=st.floats(
+        -1e6, 1e6, allow_nan=False, allow_infinity=False)))
+    cloud = PointCloud(points, metric)
     dist = cloud.distance_matrix()
     assert np.array_equal(bits(dist), bits(broadcast_distance_matrix(cloud)))
+    assert np.array_equal(bits(dist), bits(dist.T))
+
+
+@pytest.mark.parametrize("metric", geometry.METRICS)
+def test_distance_matrix_sums_coordinates_in_index_order(metric):
+    # from 8 coordinates up numpy's pairwise sum rounds differently in some
+    # cells (here about one in five); the blocks still add in index order
+    points = np.random.default_rng(11).standard_normal((70, 8))
+    cloud = PointCloud(points, metric)
+    dist = cloud.distance_matrix()
+    for i, j in itertools.product(range(0, 70, 3), repeat=2):
+        total = 0.0
+        for a, b in zip(points[i], points[j]):
+            total += (a - b) * (a - b) if metric == "euclidean" else abs(a - b)
+        want = math.sqrt(total) if metric == "euclidean" else 0.5 * total
+        assert dist[i, j].tobytes() == np.float64(want).tobytes()
     assert np.array_equal(bits(dist), bits(dist.T))
 
 
