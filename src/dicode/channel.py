@@ -48,9 +48,10 @@ class ChannelModel:
 def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
     """Validate, renormalize rows, and freeze a channel.
 
-    Rejects negative entries, entries above 1 + tolerance, and rows whose sum
-    deviates from 1 by more than ROW_SUM_HARD_TOL.  Surviving rows are divided
-    by their sum so every row is an exact distribution afterwards.
+    Rejects non-finite or negative entries, entries above 1 + tolerance, and
+    rows whose sum deviates from 1 by more than ROW_SUM_HARD_TOL.  Surviving
+    rows are divided by their sum so every row is an exact distribution
+    afterwards.
     """
     m = np.array(matrix, dtype=float)
     if m.ndim != 2:
@@ -60,6 +61,8 @@ def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
         raise ValidationError("channel needs at least one input")
     if n_y < 2:
         raise ValidationError("channel needs at least two outputs")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("channel matrix has non-finite entries")
     if np.any(m < 0):
         raise ValidationError("channel matrix has negative entries")
     if np.any(m > 1 + ROW_SUM_HARD_TOL):
@@ -82,8 +85,8 @@ def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
         cvec = np.array(cost, dtype=float)
         if cvec.shape != (n_x,):
             raise ValidationError("cost vector length does not match inputs")
-        if np.any(cvec < 0):
-            raise ValidationError("costs must be nonnegative")
+        if not np.all(np.isfinite(cvec)) or np.any(cvec < 0):
+            raise ValidationError("costs must be finite and nonnegative")
         cvec.flags.writeable = False
 
     return ChannelModel(labels, m, cvec, family, residual)

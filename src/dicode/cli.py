@@ -3,20 +3,22 @@
 Subcommands: construct, evaluate, bounds, geometry, channel check.
 Every command writes its outputs plus a run manifest into --out; reruns with
 the same manifest parameters produce byte-identical CSV/JSON.  All work runs
-serially and only `evaluate --method mc` reads --seed; exact runs record a
-null seed.  Exit codes: 0 success, 2 validation failure, 3 size-guard
-refusal (a range axis or a `bounds` grid of more than GRID_LIMIT points is
-refused before it is built).  Exit 2 also covers an
-option the command would ignore: --seed/--jobs on construct, --jobs on
-evaluate, --trials/--seed with `--method exact`, --pair-budget with `--method
-mc`, --mode with `--task dimension`, and --formula, --channel, --E-axis or
-a single-value option with `--recipe fig2` (bounds and geometry accept
---seed and --jobs, for nothing).  So do a non-numeric or non-finite axis
-value or a 4th axis field other than `log`, an unreadable or non-code
-`--code` file, a negative --pair-budget, a `bounds` grid lacking a key the
-formula reads, --svg with an x value (n or E) missing or not positive, a
-channel formula without --channel and fig2 with n < 2.
-Diagnostics go to stderr as single `error code=... msg=...` lines.
+serially.
+
+A command accepts exactly the options it reads; every refusal is one
+`error code=... msg=...` line on stderr.  Exit codes: 0 success, 2
+validation failure (every parser error included), 3 size-guard refusal (a
+range axis or a `bounds` grid of more than GRID_LIMIT points, refused before
+it is built).  Three refusals depend on another option's value:
+--trials/--seed with `evaluate --method exact` and --pair-budget with
+`--method mc`; --formula, --channel, --E-axis and the single-value options
+with `bounds --recipe fig2`; --mode with `geometry --task dimension`.
+bounds and geometry accept --seed and --jobs and change nothing, because the
+benchmark's tabulate workload passes them.
+
+manifest.json records the parsed options with defaults resolved, except
+NOT_PARAMETERS, plus the channel file's SHA-256 and the seed (null for exact
+runs, 0 where none is read).
 """
 
 from __future__ import annotations
@@ -47,13 +49,35 @@ EXIT_SIZE_GUARD = 3
 DEFAULT_TRIALS = 10000
 #: refuse an axis, or a `bounds` grid, of more points than this
 GRID_LIMIT = 10**5
+#: block lengths `bounds --recipe fig2` sweeps without --n-axis
+FIG2_N_AXIS = "1e3:1e9:7:log"
+#: parsed options that are not run parameters: dispatch, the output
+#: directory, the seed (recorded on its own) and options no result depends on
+NOT_PARAMETERS = {"fn", "command", "channel_command", "out", "seed", "jobs", "svg"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Parser errors become ValidationErrors, reported by `main`."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def _seed_from_env(value):
     if value is not None:
-        return int(value)
+        return value
     env = os.environ.get("DIRL_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ValidationError(f"DIRL_SEED must be an integer, not {env!r}") from None
 
 
 def _hash_file(path) -> str:
@@ -65,17 +89,18 @@ def _write(path: Path, text: str):
     path.write_text(text)
 
 
-def _manifest(out_dir: Path, command: str, params: dict, seed: int,
-              channel_hash: str | None):
+def _manifest(args, seed=0):
     payload = {
-        "command": command,
-        "channel_sha256": channel_hash,
-        "parameters": params,
+        "command": " ".join(filter(None, (args.command,
+                                          getattr(args, "channel_command", None)))),
+        "channel_sha256": _hash_file(args.channel) if args.channel else None,
+        "parameters": {key: value for key, value in vars(args).items()
+                       if key not in NOT_PARAMETERS},
         "seed": seed,
         "tool_version": __version__,
         "timestamp_unix": int(time.time()),
     }
-    _write(out_dir / "manifest.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    _write(Path(args.out) / "manifest.json", json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _refuse_ignored(why: str, given: dict):
@@ -132,14 +157,11 @@ def cmd_channel_check(args) -> int:
         _write(out / "channel_check.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
         _write(out / "channel_normalized.json",
                json.dumps(channel_to_spec(W), sort_keys=True, indent=1) + "\n")
-        _manifest(out, "channel check", {"channel": str(args.channel)},
-                  0, _hash_file(args.channel))
+        _manifest(args)
     return EXIT_OK
 
 
 def cmd_construct(args) -> int:
-    _refuse_ignored("construct is deterministic and serial",
-                    {"--seed": args.seed, "--jobs": args.jobs})
     W = load_channel(args.channel)
     code = construct(W, args.n, args.E, args.t, code_mode=args.code_mode)
     out = Path(args.out)
@@ -156,10 +178,7 @@ def cmd_construct(args) -> int:
         "guarantee_valid": code.params.guarantee_valid,
     }
     _write(out / "construct_summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
-    _manifest(out, "construct",
-              {"channel": str(args.channel), "n": args.n, "E": args.E,
-               "t": args.t, "code_mode": args.code_mode},
-              0, _hash_file(args.channel))
+    _manifest(args)
     if code.params.remark_trivial:
         print("warning: exponent target is in the trivial regime "
               "(packing radius > 1/sqrt(2)); one letter, rate 0", file=sys.stderr)
@@ -170,10 +189,9 @@ def cmd_construct(args) -> int:
 def cmd_evaluate(args) -> int:
     unused = ({"--trials": args.trials, "--seed": args.seed} if args.method == "exact"
               else {"--pair-budget": args.pair_budget})
-    _refuse_ignored(f"evaluate --method {args.method} would ignore these",
-                    {"--jobs": args.jobs, **unused})
-    trials = DEFAULT_TRIALS if args.trials is None else args.trials
-    pair_budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
+    _refuse_ignored(f"evaluate --method {args.method} would ignore these", unused)
+    args.trials = DEFAULT_TRIALS if args.trials is None else args.trials
+    args.pair_budget = DEFAULT_PAIR_BUDGET if args.pair_budget is None else args.pair_budget
     W = load_channel(args.channel)
     try:
         code = code_from_json(Path(args.code).read_text())
@@ -181,16 +199,12 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
     seed = _seed_from_env(args.seed) if args.method == "mc" else None
     if args.method == "exact":
-        report = exact_error_report(code, W, pair_budget=pair_budget)
+        report = exact_error_report(code, W, pair_budget=args.pair_budget)
     else:
-        report = monte_carlo_errors(code, W, trials=trials, seed=seed)
+        report = monte_carlo_errors(code, W, trials=args.trials, seed=seed)
     out = Path(args.out)
     _write(out / "error_report.json", report.to_json() + "\n")
-    _manifest(out, "evaluate",
-              {"channel": str(args.channel), "code": str(args.code),
-               "method": args.method, "trials": trials,
-               "pair_budget": pair_budget},
-              seed, _hash_file(args.channel))
+    _manifest(args, seed)
     print(report.to_json())
     return EXIT_OK
 
@@ -198,16 +212,16 @@ def cmd_evaluate(args) -> int:
 #: single-value `bounds` options: (flag, grid key, type, help).  Each sets one
 #: grid key, also its name in the manifest.
 BOUNDS_VALUES = (
-    ("--t", "t", float, "Hamming distance fraction"),
-    ("--eta", "eta", float, "dimension slack"),
-    ("--alpha", "alpha", float, "Renyi order for thm5/thm6"),
-    ("--d", "d", float, "dimension value for cor1/cor2"),
-    ("--a", "a", float, "ladder base for ex1"),
-    ("--cost-cap", "A", float, "cost cap A for power_capacity"),
-    ("--omega", "omega", float, "smallest channel probability for thm5"),
-    ("--lambda-bound", "lambda", float, "bounded error for thm5/thm6"),
-    ("--delta-part", "delta_part", float, "partition slack for thm5/thm6"),
-    ("--delta-trunc", "delta_trunc", float, "truncation level for thm6"),
+    ("--t", "t", finite_float, "Hamming distance fraction"),
+    ("--eta", "eta", finite_float, "dimension slack"),
+    ("--alpha", "alpha", finite_float, "Renyi order for thm5/thm6"),
+    ("--d", "d", finite_float, "dimension value for cor1/cor2"),
+    ("--a", "a", finite_float, "ladder base for ex1"),
+    ("--cost-cap", "A", finite_float, "cost cap A for power_capacity"),
+    ("--omega", "omega", finite_float, "smallest channel probability for thm5"),
+    ("--lambda-bound", "lambda", finite_float, "bounded error for thm5/thm6"),
+    ("--delta-part", "delta_part", finite_float, "partition slack for thm5/thm6"),
+    ("--delta-trunc", "delta_trunc", finite_float, "truncation level for thm6"),
     ("--y-size", "y_size", int, "output alphabet size without --channel"),
 )
 
@@ -232,28 +246,20 @@ def cmd_bounds(args) -> int:
             "--recipe fig2 sweeps trend_lower and trend_upper over --n-axis alone",
             {"--formula": args.formula, "--channel": args.channel, "--E-axis": args.E_axis,
              **{flag: getattr(args, key) for flag, key, _, _ in BOUNDS_VALUES}})
+        args.formula, args.n_axis = ["trend_lower", "trend_upper"], args.n_axis or FIG2_N_AXIS
+    args.formula = args.formula or ["thm1_lower"]
     W = load_channel(args.channel) if args.channel else None
-    if args.recipe == "fig2":
-        ns = [int(round(v)) for v in _parse_axis(args.n_axis or "1e3:1e9:7:log")]
-        grid, formulas = [{"n": n} for n in ns], ["trend_lower", "trend_upper"]
-    else:
-        grid, formulas = _bounds_grid(args), args.formula or ["thm1_lower"]
+    grid = _bounds_grid(args)
     # the chart's x axis is log10: n for n sweeps, E otherwise
-    x_key = "n" if args.recipe == "fig2" or (args.n_axis and not args.E_axis) else "E"
+    x_key = "n" if args.n_axis and not args.E_axis else "E"
     if args.svg and not all(g.get(x_key, 0) > 0 for g in grid):
         raise ValidationError(f"--svg plots {x_key} on a log axis: give every "
                               f"point a positive {x_key}")
-    curves = [sweep(f, grid, W) for f in formulas]
+    curves = [sweep(f, grid, W) for f in args.formula]
     csv_text = curves_to_csv(curves)
     out = Path(args.out)
     _write(out / "bounds.csv", csv_text)
-    chan_hash = _hash_file(args.channel) if args.channel else None
-    _manifest(out, "bounds",
-              {"formula": formulas, "recipe": args.recipe,
-               "channel": str(args.channel) if args.channel else None,
-               "n_axis": args.n_axis, "E_axis": args.E_axis,
-               **{key: getattr(args, key) for _, key, _, _ in BOUNDS_VALUES}},
-              0, chan_hash)
+    _manifest(args)
     if args.svg:
         series = []
         for curve in curves:
@@ -276,7 +282,7 @@ def cmd_bounds(args) -> int:
 def cmd_geometry(args) -> int:
     if args.task == "dimension":
         _refuse_ignored("geometry --task dimension would ignore it", {"--mode": args.mode})
-    mode = args.mode or "greedy"
+    args.mode = args.mode or "greedy"
     W = load_channel(args.channel)
     cloud = cloud_from_channel(W, args.embedding)
     radii = _parse_axis(args.radii)
@@ -289,17 +295,14 @@ def cmd_geometry(args) -> int:
               est.exact_counts) for r, lc in zip(est.radii_grid, est.log_counts)])
     else:
         fn = max_packing if args.task == "packing" else min_covering
-        results = [fn(cloud, r, mode=mode) for r in radii]
+        results = [fn(cloud, r, mode=args.mode) for r in radii]
         csv_text = rows_to_csv(
             ("radius", "count", "exact", "centers"),
             [(r, res.count, res.exact, " ".join(map(str, res.center_indices)))
              for r, res in zip(radii, results)])
     out = Path(args.out)
     _write(out / "geometry.csv", csv_text)
-    _manifest(out, "geometry",
-              {"channel": str(args.channel), "task": args.task, "mode": mode,
-               "embedding": args.embedding, "radii": args.radii},
-              0, _hash_file(args.channel))
+    _manifest(args)
     if (args.task in ("covering", "packing") and W.family
             and W.family.get("family") == "bernoulli"):
         scale = float(W.family["a"]) ** -float(W.family["k_max"])
@@ -314,10 +317,9 @@ def cmd_geometry(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dicode",
-                                     description="identification codes over finite "
-                                                 "channels: construction, error "
-                                                 "evaluation, rate bounds")
+    parser = _Parser(prog="dicode",
+                     description="identification codes over finite channels: "
+                                 "construction, error evaluation, rate bounds")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -325,19 +327,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--channel", required=channel_required,
                        help="channel spec file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="RNG seed of `evaluate --method mc` (fallback: "
-                            "DIRL_SEED, then 0); bounds and geometry accept "
-                            "it and change nothing; refused elsewhere")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="work runs serially: bounds and geometry accept "
-                            "it and change nothing; refused elsewhere")
+
+    def inert(p):
+        p.add_argument("--seed", type=int, help="accepted; changes nothing")
+        p.add_argument("--jobs", type=int, help="accepted; work runs serially")
 
     p = sub.add_parser("construct", help="build a code for a channel")
     common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--E", type=float, required=True, help="error exponent target")
-    p.add_argument("--t", type=float, required=True, help="Hamming distance fraction")
+    p.add_argument("--E", type=finite_float, required=True, help="error exponent target")
+    p.add_argument("--t", type=finite_float, required=True,
+                   help="Hamming distance fraction")
     p.add_argument("--code-mode", choices=("greedy", "linear"), default="greedy")
     p.set_defaults(fn=cmd_construct)
 
@@ -346,6 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--trials", type=int, help=f"mc only; default {DEFAULT_TRIALS}")
+    p.add_argument("--seed", type=int,
+                   help="mc only: RNG seed; default DIRL_SEED, then 0")
     p.add_argument("--pair-budget", type=int,
                    help="exact only: with more ordered pairs, joint types ranked by "
                         "analytic ceiling get the DP until they cover this many "
@@ -354,10 +356,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
     common(p, channel_required=False)
+    inert(p)
     p.add_argument("--formula", nargs="+",
                    help=f"formula ids ({' '.join(FORMULAS)}); default thm1_lower")
     p.add_argument("--recipe", choices=("fig2",), default=None,
-                   help="predefined capacity-trend sweep (d=1)")
+                   help="predefined capacity-trend sweep (d=1); default --n-axis "
+                        f"{FIG2_N_AXIS}")
     p.add_argument("--n-axis", help="blocklength axis, e.g. 1e3:1e9:7:log")
     p.add_argument("--E-axis", help="exponent axis, e.g. 1e-6:1e-3:20:log")
     for flag, key, kind, text in BOUNDS_VALUES:
@@ -367,6 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="packing/covering/dimension tables")
     common(p)
+    inert(p)
     p.add_argument("--task", choices=("packing", "covering", "dimension"),
                    required=True)
     p.add_argument("--mode", choices=("greedy", "exact"),
@@ -386,9 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error code=VALIDATION msg={exc}", file=sys.stderr)

@@ -103,8 +103,8 @@ def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
     letters are 2 beta apart, the code has one word and its rate is 0.  The
     same goes for c t beta^2 > 1 where the error guarantee no longer holds.
     """
-    if E <= 0:
-        raise ValidationError("exponent target must be positive")
+    if not 0 < E < math.inf:
+        raise ValidationError("exponent target must be positive and finite")
     if not 0 < t < 1:
         raise ValidationError("distance fraction t must lie in (0, 1)")
     if n < 1:

@@ -249,7 +249,7 @@ _COUNTS = {
 def _count(kind: str, cloud: PointCloud, delta: float, mode: str) -> CountResult:
     """Run the (kind, mode) count; "auto" is exact up to EXACT_SIZE_LIMIT
     points and greedy above, "exact" is refused above it."""
-    if delta <= 0:
+    if not delta > 0:  # also refuses NaN, on which the greedy packing never stops
         raise ValidationError("radius must be positive")
     if mode == "auto":
         mode = "exact" if len(cloud) <= EXACT_SIZE_LIMIT else "greedy"

@@ -44,6 +44,24 @@ def test_negative_entry_rejected():
         make_channel(["a", "b"], [[1.1, -0.1], [0.5, 0.5]])
 
 
+# json reads NaN and Infinity; a NaN entry passed every check and gave a NaN
+# row-sum residual, a NaN cost a NaN power_capacity row
+NON_FINITE_SPECS = {
+    "matrix-nan": ('[[NaN, 0.5], [0.5, 0.5]]', 'null'),
+    "matrix-inf": ('[[Infinity, 0.5], [0.5, 0.5]]', 'null'),
+    "cost-nan": ('[[0.5, 0.5], [0.5, 0.5]]', '[NaN, 1]'),
+    "cost-inf": ('[[0.5, 0.5], [0.5, 0.5]]', '[Infinity, 1]'),
+}
+
+
+@pytest.mark.parametrize("matrix,cost", NON_FINITE_SPECS.values(), ids=NON_FINITE_SPECS.keys())
+def test_non_finite_entry_rejected(matrix, cost, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"inputs": ["a", "b"], "matrix": {matrix}, "cost": {cost}}}')
+    with pytest.raises(ValidationError, match="finite"):
+        load_channel(path)
+
+
 def test_soft_residual_renormalized():
     W = make_channel(["a"], [[0.5, 0.5 + 1e-9]])
     assert abs(W.matrix[0].sum() - 1.0) < 1e-12

@@ -269,6 +269,95 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     assert "error code=VALIDATION" in capsys.readouterr().err
 
 
+# argparse's own exit: a usage dump and SystemExit(2) raised through main
+PARSER_ERRORS = {
+    "missing-required": ["construct", "--channel", "{bern}", "--n", "4", "--t", "0.5"],
+    "construct-with-seed": ["construct", "--channel", "{bern}", "--n", "4", "--E", "1e-5",
+                            "--t", "0.5", "--seed", "1"],
+    "construct-with-jobs": ["construct", "--channel", "{bern}", "--n", "4", "--E", "1e-5",
+                            "--t", "0.5", "--jobs", "1"],
+    "evaluate-with-jobs": ["evaluate", "--channel", "{bern}", "--code", "{bern}",
+                           "--jobs", "2"],
+    "bad-method": ["evaluate", "--channel", "{bern}", "--code", "{bern}", "--method", "dp"],
+    "n-not-a-number": ["construct", "--channel", "{bern}", "--n", "x", "--E", "1e-5",
+                       "--t", "0.5"],
+    "E-nan": ["construct", "--channel", "{bern}", "--n", "4", "--E", "nan", "--t", "0.5"],
+    "d-nan": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4", "--eta", "0.1",
+              "--d", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", PARSER_ERRORS.values(), ids=PARSER_ERRORS.keys())
+def test_parser_error_is_one_validation_line(argv, bern_file, tmp_path, capsys):
+    argv = [a.format(bern=bern_file) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=dicode")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"], ["--version"]])
+def test_help_and_version_exit_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+def test_seed_env_must_be_an_integer(bern_file, tmp_path, monkeypatch, capsys):
+    code = tmp_path / "code.json"
+    code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
+                                               [(0, 1, 2), (3, 4, 5)], delta=1.0)))
+    monkeypatch.setenv("DIRL_SEED", "abc")
+    assert main(["evaluate", "--channel", str(bern_file), "--code", str(code),
+                 "--method", "mc", "--trials", "10", "--out", str(tmp_path / "o")]) == 2
+    assert "error code=VALIDATION msg=DIRL_SEED" in capsys.readouterr().err
+
+
+# every option a manifest records, per command; a new option joins the
+# manifest only by changing this table
+MANIFEST_PARAMETERS = {
+    "channel check": {"channel"},
+    "construct": {"channel", "n", "E", "t", "code_mode"},
+    "evaluate": {"channel", "code", "method", "trials", "pair_budget"},
+    "bounds": {"formula", "recipe", "channel", "n_axis", "E_axis", "t", "eta", "alpha",
+               "d", "a", "A", "omega", "lambda", "delta_part", "delta_trunc", "y_size"},
+    "geometry": {"channel", "task", "mode", "embedding", "radii"},
+}
+
+
+def test_manifest_parameters_are_pinned(bern_file, tmp_path):
+    bern, code = str(bern_file), str(tmp_path / "code" / "code.json")
+    runs = {
+        "check": ["channel", "check", "--channel", bern],
+        "code": ["construct", "--channel", bern, "--n", "6", "--E", "1e-5", "--t", "0.5"],
+        "exact": ["evaluate", "--channel", bern, "--code", code],
+        "mc": ["evaluate", "--channel", bern, "--code", code, "--method", "mc",
+               "--trials", "10", "--seed", "4"],
+        "bounds": ["bounds", "--channel", bern, "--E-axis", "1e-5", "--n-axis", "100",
+                   "--t", "0.5", "--svg", "--seed", "1", "--jobs", "2"],
+        "fig2": ["bounds", "--recipe", "fig2"],
+        "geometry": ["geometry", "--channel", bern, "--task", "packing", "--radii", "0.5",
+                     "--seed", "1", "--jobs", "2"],
+    }
+    manifests = {}
+    for name, argv in runs.items():
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0
+        manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert set(manifests[name]["parameters"]) \
+            == MANIFEST_PARAMETERS[manifests[name]["command"]], name
+    assert {name: m["seed"] for name, m in manifests.items()} \
+        == {"check": 0, "code": 0, "exact": None, "mc": 4, "bounds": 0, "fig2": 0,
+            "geometry": 0}
+    # defaults are recorded resolved
+    assert manifests["exact"]["parameters"]["trials"] == cli.DEFAULT_TRIALS
+    assert manifests["mc"]["parameters"]["pair_budget"] == cli.DEFAULT_PAIR_BUDGET
+    assert manifests["bounds"]["parameters"]["formula"] == ["thm1_lower"]
+    assert manifests["geometry"]["parameters"]["mode"] == "greedy"
+    assert {k: manifests["fig2"]["parameters"][k] for k in ("formula", "n_axis")} \
+        == {"formula": ["trend_lower", "trend_upper"], "n_axis": cli.FIG2_N_AXIS}
+
+
 # --svg draws a log10 x axis; it had no x value (float("") failed), or a zero
 # one (log10(0) failed), and exited 1 after bounds.csv was written
 SVG_WITHOUT_X = {

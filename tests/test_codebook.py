@@ -35,6 +35,13 @@ def test_derive_params_reference_point():
     assert p.e1_floor == pytest.approx(1e-5 - 1 / 12)
 
 
+@pytest.mark.parametrize("E", [math.nan, math.inf, 0.0, -1e-5])
+def test_derive_params_refuses_bad_exponent(E):
+    # an infinite E used to give an infinite delta in code.json
+    with pytest.raises(ValidationError, match="exponent target"):
+        derive_params(E, 0.5, 2, 8)
+
+
 def test_derive_params_round_trip():
     _, c = typicality_constants(2)
     beta = 0.61

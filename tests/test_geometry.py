@@ -1,7 +1,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +145,33 @@ def test_single_point_dimension():
     cloud = line_cloud([0.5] * 8)
     est = estimate_dimension(cloud, [0.4, 0.2, 0.1, 0.05])
     assert est.slope == 0.0
+
+
+NAN_RADIUS_CHILD = """
+import numpy as np
+from dicode.errors import ValidationError
+from dicode.geometry import PointCloud, max_packing, min_covering
+
+cloud = PointCloud(np.linspace(0.0, 1.0, 8).reshape(-1, 1))
+for fn in (max_packing, min_covering):
+    for mode in ("greedy", "exact"):
+        try:
+            fn(cloud, float("nan"), mode=mode)
+        except ValidationError:
+            continue
+        raise SystemExit(f"{fn.__name__} {mode} accepted a NaN radius")
+"""
+
+
+def test_nan_radius_refused():
+    """A NaN radius passed `delta <= 0`, and the greedy packing, which stops
+    when no distance reaches the radius, then picked centres forever.  The
+    child runs under a timeout, so that a hang fails the test."""
+    src = str(Path(geometry.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", NAN_RADIUS_CHILD], capture_output=True,
+                          text=True, timeout=30, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_dimension_grid_validation():
