@@ -102,7 +102,7 @@ def bernoulli_family(a: float, k_max: int) -> ChannelModel:
 
     Input x emits symbol 1 with probability x, so each row is (1-x, x).
     """
-    if a <= 1:
+    if not a > 1:  # also refuses NaN, whose ladder at k_max = 0 is finite
         raise ValidationError("ladder base must satisfy a > 1")
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")

@@ -13,8 +13,8 @@ it is built).  Three refusals depend on another option's value:
 --trials/--seed with `evaluate --method exact` and --pair-budget with
 `--method mc`; --formula, --channel, --E-axis and the single-value options
 with `bounds --recipe fig2`; --mode with `geometry --task dimension`.
-bounds and geometry accept --seed and --jobs and change nothing, because the
-benchmark's tabulate workload passes them.
+bounds accepts --seed and --jobs, and geometry --seed, and they change
+nothing, because the benchmark's tabulate workload passes them there.
 
 manifest.json records the parsed options with defaults resolved, except
 NOT_PARAMETERS, plus the channel file's SHA-256 and the seed (null for exact
@@ -328,9 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="channel spec file (JSON)")
         p.add_argument("--out", required=True, help="output directory")
 
-    def inert(p):
-        p.add_argument("--seed", type=int, help="accepted; changes nothing")
-        p.add_argument("--jobs", type=int, help="accepted; work runs serially")
+    def inert(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, type=int, help="accepted; changes nothing")
 
     p = sub.add_parser("construct", help="build a code for a channel")
     common(p)
@@ -356,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
     common(p, channel_required=False)
-    inert(p)
+    inert(p, "--seed", "--jobs")
     p.add_argument("--formula", nargs="+",
                    help=f"formula ids ({' '.join(FORMULAS)}); default thm1_lower")
     p.add_argument("--recipe", choices=("fig2",), default=None,
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("geometry", help="packing/covering/dimension tables")
     common(p)
-    inert(p)
+    inert(p, "--seed")
     p.add_argument("--task", choices=("packing", "covering", "dimension"),
                    required=True)
     p.add_argument("--mode", choices=("greedy", "exact"),

@@ -62,6 +62,15 @@ def test_non_finite_entry_rejected(matrix, cost, tmp_path):
         load_channel(path)
 
 
+# at k_max = 0 a NaN base gives the finite ladder [0.0, nan**0] = [0.0, 1.0]
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_nan_bernoulli_base_rejected(k_max, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"family": "bernoulli", "a": NaN, "k_max": {k_max}}}')
+    with pytest.raises(ValidationError, match="a > 1"):
+        load_channel(path)
+
+
 def test_soft_residual_renormalized():
     W = make_channel(["a"], [[0.5, 0.5 + 1e-9]])
     assert abs(W.matrix[0].sum() - 1.0) < 1e-12
