@@ -31,7 +31,6 @@ from .geometry import (
     DimensionEstimate,
     PackingResult,
     PointCloud,
-    cloud_from_channel,
     estimate_dimension,
     max_packing,
     min_covering,
@@ -55,7 +54,7 @@ __all__ = [
     "ErrorReport", "exact_error_report", "measure_lambda1", "measure_lambda2",
     "monte_carlo_errors", "typical_set_prob",
     "CoveringResult", "DimensionEstimate", "PackingResult", "PointCloud",
-    "cloud_from_channel", "estimate_dimension", "max_packing", "min_covering",
+    "estimate_dimension", "max_packing", "min_covering",
     "binary_entropy", "entropy", "fidelity", "hypothesis_testing_divergence",
     "renyi_divergence", "sqrt_embed", "total_variation", "typicality_constants",
 ]

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, dedupe_and_purge
+from .channel import ChannelModel
 from .errors import ValidationError
-from .geometry import cloud_from_channel, max_packing, min_covering
-from .infodist import binary_entropy, fidelity, typicality_constants
+from .geometry import max_packing, min_covering
+from .infodist import binary_entropy, typicality_constants
 
 LN4 = math.log(4.0)
 #: relative width at which power_capacity's bisection for the tilt stops
@@ -131,7 +131,7 @@ def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
     flags = []
     if beta >= math.sqrt(2.0):
         flags.append("trivial-regime")
-    pack = max_packing(cloud_from_channel(W, "sqrt"), beta, mode=mode)
+    pack = max_packing(W.sqrt_cloud, beta, mode=mode)
     return BoundPoint(thm1_rate(pack.count, t, n, W.output_size), tuple(flags),
                       "exact" if pack.exact else "lower-bound",
                       {"packing_count": pack.count, "beta": beta})
@@ -145,7 +145,7 @@ def thm2_upper(W: ChannelModel, n: int, E: float, mode: str = "auto") -> BoundPo
     if n * E / 2.0 < LN4:
         flags.append("precondition-nE-unmet")
     r = covering_radius(E)
-    cover = min_covering(cloud_from_channel(W, "sqrt"), r, mode=mode)
+    cover = min_covering(W.sqrt_cloud, r, mode=mode)
     return BoundPoint(math.log2(cover.count), tuple(flags),
                       "exact" if cover.exact else "upper-bound",
                       {"covering_count": cover.count, "radius": r})
@@ -260,8 +260,8 @@ def _log2_hamming_volume(q: int, n: int, radius: int) -> float:
 def ex2_dmc(W: ChannelModel, E: float, n: int):
     """Rate bracket for a purged finite channel at exponent target E.
 
-    lower: t = sqrt(6E / (c beta^4)) with 2 beta the minimum pairwise
-    square-root distance; rate = (1-t) log2 |rows| - H(t,1-t) - log-penalty.
+    lower: t = sqrt(6E / (c beta^4)), 2 beta the least W.purged.sqrt_cloud
+    distance; rate = (1-t) log2 |rows| - H(t,1-t) - log-penalty.
     Flagged 'lower-undefined' when t >= 1 (vacuous).
     upper: minimum distance d = ceil(n E log_alpha e - log_alpha 4) with
     1/alpha the maximum pairwise fidelity, fed into the sphere-packing bound
@@ -269,20 +269,15 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
     """
     if E < 0 or n < 1:
         raise ValidationError("need E >= 0 and n >= 1")
-    purged = dedupe_and_purge(W)
+    purged = W.purged
     q = purged.n_inputs
     if q == 1:
         zero = BoundPoint(0.0, ("single-output-row",))
         return zero, zero
 
-    roots = np.sqrt(purged.matrix)
-    dmin = math.inf
-    fmax = 0.0
-    for i in range(q):
-        for j in range(i + 1, q):
-            dmin = min(dmin, float(np.linalg.norm(roots[i] - roots[j])))
-            fmax = max(fmax, fidelity(purged.matrix[i], purged.matrix[j]))
-    beta = dmin / 2.0
+    off = ~np.eye(q, dtype=bool)
+    beta = float(purged.sqrt_cloud.distances[off].min()) / 2.0
+    fmax = float(purged.fidelities[off].max())
     _, c = typicality_constants(purged.output_size)
 
     flags_lo = []
@@ -310,12 +305,12 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
 def power_capacity(W: ChannelModel, A: float) -> BoundPoint:
     """max H(p) over input distributions with expected cost <= A, in bits.
 
-    The channel must be purged first (duplicate rows merged).  If the uniform
+    Inputs with duplicate rows are merged first (`W.purged`).  If the uniform
     distribution is feasible the cap is inactive and the value is log2 |X|;
     otherwise the maximizer is the exponential tilt p_x ~ exp(-mu phi(x)) with
     mu >= 0 chosen by bisection so the cost constraint is tight.
     """
-    purged = dedupe_and_purge(W)
+    purged = W.purged
     phi = purged.cost_vector()
     if A < phi.min():
         raise ValidationError(f"cost cap {A} below cheapest input {phi.min()}")
@@ -442,16 +437,21 @@ def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
+def _y_size(g: dict, W: ChannelModel | None) -> int:
+    """|Y|: the channel's when one is given, else the grid's (default 2)."""
+    return W.output_size if W is not None else g.get("y_size", 2)
+
+
 #: formula_id -> evaluator of one grid point g (a dict) on channel W.  Entries
 #: look the formula functions up by module-global name at call time.
 FORMULAS = {
     "thm1_lower": lambda g, W: thm1_lower(W, g["n"], g["E"], g["t"]),
     "thm2_upper": lambda g, W: thm2_upper(W, g["n"], g["E"]),
     "cor1_lower": lambda g, W: cor1_lower(g["d"], g["eta"], g["E"], g["t"], g["n"],
-                                          g.get("y_size", 2)),
+                                          _y_size(g, W)),
     "cor2_upper": lambda g, W: cor2_upper(g["d"], g["eta"], g["E"]),
     "improved_good_lower": lambda g, W: improved_good_lower(
-        g["d"], g["eta"], g["E"], g["t"], g["n"], g.get("y_size", 2)),
+        g["d"], g["eta"], g["E"], g["t"], g["n"], _y_size(g, W)),
     "improved_bad_upper": lambda g, W: improved_bad_upper(g["d"], g["eta"], g["E"]),
     "ex1_bern_lower": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[0],
     "ex1_bern_upper": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[1],
@@ -464,8 +464,7 @@ FORMULAS = {
         g.get("alpha", 2.0), g.get("delta_trunc", 0.5), g.get("lambda", 0.5),
         g.get("delta_part")),
     "power_capacity": lambda g, W: power_capacity(W, g["A"]),
-    "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0),
-                                                  g.get("y_size", 2)),
+    "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0), _y_size(g, W)),
     "trend_upper": lambda g, W: trend_upper_point(g["n"], g.get("d", 1.0)),
 }
 
@@ -478,8 +477,9 @@ CHANNEL_FORMULAS = frozenset({"thm1_lower", "thm2_upper", "ex2_dmc_lower",
 def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
     """Evaluate one formula over an explicit list of grid-point dicts, in order.
 
-    A channel formula without W, or a grid point lacking a parameter the
-    formula reads, raises ValidationError.
+    A channel formula without W, a grid point lacking a parameter the formula
+    reads, or a grid point with y_size alongside W (whose |Y| every formula
+    reads) raises ValidationError.
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula id {formula_id!r}")
@@ -487,6 +487,8 @@ def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
         raise ValidationError(f"formula {formula_id!r} needs a channel")
     point = FORMULAS[formula_id]
     grid = tuple(dict(g) for g in grid)
+    if W is not None and any("y_size" in g for g in grid):
+        raise ValidationError("a channel fixes |Y|: give y_size only without one")
     try:
         points = tuple(point(g, W) for g in grid)
     except KeyError as exc:

@@ -2,19 +2,27 @@
 
 A channel is a |X| x |Y| row-stochastic matrix.  Rows are renormalized on
 construction (the residual is recorded); a row-sum deviation beyond the hard
-tolerance is rejected outright.  Instances are immutable and safe to share;
-they compare and hash by identity, so derived data can be cached per channel.
+tolerance is rejected outright.  Instances are immutable and safe to share,
+and they compare and hash by identity.  A channel owns the tables derived
+from it, each built on first use and dying with the channel: the `log2`
+matrix the exact DP and Monte Carlo decoders read, the letter `entropies`,
+the letter `fidelities`, the `purged` form, and the `sqrt_cloud` /
+`raw_cloud` point clouds whose distance matrices the packing and covering
+counts share.  Every table array is read-only.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import PointCloud
+from .infodist import entropy, sqrt_embed
 
 ROW_SUM_HARD_TOL = 1e-6   # ingestion: reject beyond this
 ROW_EQUAL_TOL = 1e-12     # duplicate-row detection
@@ -43,6 +51,43 @@ class ChannelModel:
         if self.cost is None:
             return np.zeros(self.n_inputs)
         return self.cost
+
+    @cached_property
+    def log2(self) -> np.ndarray:
+        """log2 W(y|x), -inf where W(y|x) = 0."""
+        with np.errstate(divide="ignore"):
+            return _read_only(np.log2(self.matrix))
+
+    @cached_property
+    def entropies(self) -> tuple[float, ...]:
+        """Output entropy of each input letter, in bits."""
+        return tuple(entropy(row) for row in self.matrix)
+
+    @cached_property
+    def fidelities(self) -> np.ndarray:
+        """F[a, b] = sum_y sqrt(W(y|a) W(y|b)), bit-equal to infodist.fidelity."""
+        m = self.matrix
+        return _read_only(np.stack([np.sqrt(row * m).sum(axis=1) for row in m]))
+
+    @cached_property
+    def purged(self) -> ChannelModel:
+        """The channel with duplicate rows merged (`dedupe_and_purge`)."""
+        return dedupe_and_purge(self)
+
+    @cached_property
+    def sqrt_cloud(self) -> PointCloud:
+        """Square-root rows under the Euclidean metric."""
+        return PointCloud(sqrt_embed(self.matrix), "euclidean")
+
+    @cached_property
+    def raw_cloud(self) -> PointCloud:
+        """The rows themselves under total variation."""
+        return PointCloud(self.matrix, "total-variation")
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
@@ -73,8 +118,7 @@ def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
         bad = int(np.argmax(np.abs(sums - 1.0)))
         raise ValidationError(
             f"row {bad} sums to {float(sums[bad])!r} (deviation > {ROW_SUM_HARD_TOL})")
-    m = m / sums[:, None]
-    m.flags.writeable = False
+    m = _read_only(m / sums[:, None])
 
     labels = tuple(str(s) for s in labels)
     if len(labels) != n_x:
@@ -82,12 +126,11 @@ def make_channel(labels, matrix, cost=None, family=None) -> ChannelModel:
 
     cvec = None
     if cost is not None:
-        cvec = np.array(cost, dtype=float)
+        cvec = _read_only(np.array(cost, dtype=float))
         if cvec.shape != (n_x,):
             raise ValidationError("cost vector length does not match inputs")
         if not np.all(np.isfinite(cvec)) or np.any(cvec < 0):
             raise ValidationError("costs must be finite and nonnegative")
-        cvec.flags.writeable = False
 
     return ChannelModel(labels, m, cvec, family, residual)
 

@@ -17,7 +17,8 @@ bounds accepts --seed and --jobs, and geometry --seed, and they change
 nothing, because the benchmark's tabulate workload passes them there.
 
 manifest.json records the parsed options with defaults resolved, except
-NOT_PARAMETERS, plus the channel file's SHA-256 and the seed (null for exact
+NOT_PARAMETERS, plus the channel file's SHA-256 (not its path, so a run
+records the same manifest in any checkout) and the seed (null for exact
 runs, 0 where none is read).
 """
 
@@ -39,7 +40,7 @@ from .channel import channel_to_spec, load_channel
 from .codebook import code_from_json, code_to_json, construct
 from .errors import SizeGuardError, ValidationError
 from .evaluator import DEFAULT_PAIR_BUDGET, exact_error_report, monte_carlo_errors
-from .geometry import cloud_from_channel, estimate_dimension, max_packing, min_covering
+from .geometry import estimate_dimension, max_packing, min_covering
 from .svgplot import line_chart
 
 EXIT_OK = 0
@@ -52,8 +53,9 @@ GRID_LIMIT = 10**5
 #: block lengths `bounds --recipe fig2` sweeps without --n-axis
 FIG2_N_AXIS = "1e3:1e9:7:log"
 #: parsed options that are not run parameters: dispatch, the output
-#: directory, the seed (recorded on its own) and options no result depends on
-NOT_PARAMETERS = {"fn", "command", "channel_command", "out", "seed", "jobs", "svg"}
+#: directory, the seed and the channel path (recorded on their own, the
+#: channel by its SHA-256) and options no result depends on
+NOT_PARAMETERS = {"fn", "command", "channel_command", "channel", "out", "seed", "jobs", "svg"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -284,7 +286,7 @@ def cmd_geometry(args) -> int:
         _refuse_ignored("geometry --task dimension would ignore it", {"--mode": args.mode})
     args.mode = args.mode or "greedy"
     W = load_channel(args.channel)
-    cloud = cloud_from_channel(W, args.embedding)
+    cloud = W.sqrt_cloud if args.embedding == "sqrt" else W.raw_cloud
     radii = _parse_axis(args.radii)
     if args.task == "dimension":
         est = estimate_dimension(cloud, radii)

@@ -34,8 +34,8 @@ import numpy as np
 from .bounds import packing_radius, thm1_rate
 from .channel import ChannelModel
 from .errors import SizeGuardError, ValidationError
-from .geometry import cloud_from_channel, max_packing
-from .infodist import letter_tables, typicality_constants
+from .geometry import max_packing
+from .infodist import typicality_constants
 
 #: refuse greedy scans beyond this many candidate words
 GREEDY_SCAN_LIMIT = 1 << 24
@@ -131,8 +131,7 @@ def build_letter_alphabet(W: ChannelModel, beta: float, mode: str = "greedy"):
 
     Returns the geometry PackingResult; center_indices are channel inputs.
     """
-    cloud = cloud_from_channel(W, "sqrt")
-    return max_packing(cloud, beta, mode=mode)
+    return max_packing(W.sqrt_cloud, beta, mode=mode)
 
 
 def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -248,8 +247,7 @@ def _reed_solomon_code(q: int, n: int, t: float) -> list[tuple[int, ...]]:
 
 def word_output_entropy(W: ChannelModel, word) -> float:
     """Entropy in bits of the product output distribution of a word."""
-    ents = letter_tables(W)
-    return float(sum(ents[x] for x in word))
+    return float(sum(W.entropies[x] for x in word))
 
 
 def entropy_binning(codewords, W: ChannelModel):

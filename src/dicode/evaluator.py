@@ -28,7 +28,7 @@ import numpy as np
 from .channel import ChannelModel
 from .codebook import DICode, word_output_entropy
 from .errors import SizeGuardError, ValidationError
-from .infodist import false_accept_bound, letter_tables
+from .infodist import false_accept_bound
 
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
@@ -143,8 +143,7 @@ class JointTypeDP:
         self.W, self.law = W, law
         #: values -> (owner letters, law rows of their classes, owner-major)
         self._groups: dict[tuple, tuple] = {}
-        for b, row in enumerate(W.matrix):
-            logw = np.array([math.log2(w) if w else -math.inf for w in row])
+        for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
             values = tuple(sorted(set(logw[row != 0.0].tolist())))
             rows = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
             letters, laws = self._groups.get(values, ([], rows[:0]))
@@ -185,7 +184,7 @@ class JointTypeDP:
             parts = [(self._lattice(values, int(own[letters].sum())), letters, law)
                      for values, (letters, law) in self._groups.items() if own[letters].any()]
             shape = [len(lattice[0]) for lattice, _, _ in parts]
-            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ letter_tables(self.W))
+            theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
             width = min(size, ATOM_CHUNK)
             for first in range(0, len(types), ATOM_CHUNK // width):
                 t = types[first:first + ATOM_CHUNK // width]
@@ -405,10 +404,8 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     cdf /= cdf[:, -1:]
     theta = code.delta * math.sqrt(n)
     h = np.array([word_output_entropy(W, w) for w in code.codewords])
-    with np.errstate(divide="ignore"):
-        logw = np.log2(W.matrix)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
-    tables = np.ascontiguousarray(logw[np.array(code.codewords)].transpose(1, 2, 0))
+    tables = np.ascontiguousarray(W.log2[np.array(code.codewords)].transpose(1, 2, 0))
     radix = W.output_size
 
     worst_miss = worst_false = scored = 0

@@ -10,7 +10,6 @@ packing or covering number.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -123,17 +122,17 @@ def _greedy_packing(dist: np.ndarray, delta: float) -> list[int]:
     return sorted(chosen)
 
 
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int whose bit j is the row's entry j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
     """Maximum subset with pairwise distance >= 2*delta (max independent set
     of the conflict graph), by branch and bound over bitmasks."""
     m = dist.shape[0]
-    conflict = [0] * m
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if j != i and dist[i, j] < 2 * delta:
-                mask |= 1 << j
-        conflict[i] = mask
+    conflict = _row_masks(dist < 2 * delta)
 
     best: list[int] = []
 
@@ -194,19 +193,14 @@ def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
 def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     """Minimum set cover by branch and bound, bounded by the greedy solution."""
     m = dist.shape[0]
-    ball = [0] * m
-    for c in range(m):
-        mask = 0
-        for p in range(m):
-            if dist[c, p] <= delta:
-                mask |= 1 << p
-        ball[c] = mask
+    inside = dist <= delta
+    ball = _row_masks(inside)
     full = (1 << m) - 1
     best = _greedy_covering(dist, delta)
     best_len = len(best)
 
     # centers that could ever cover each point, for branching
-    coverers = [[c for c in range(m) if ball[c] >> p & 1] for p in range(m)]
+    coverers = [np.flatnonzero(col).tolist() for col in inside.T]
 
     def search(covered: int, chosen: list[int]):
         nonlocal best, best_len
@@ -316,25 +310,3 @@ def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
         exact_counts=exact,
     )
 
-
-#: channel -> {embedding: cloud}; entries die with the channel
-_CHANNEL_CLOUDS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def cloud_from_channel(W, embedding: str = "sqrt") -> PointCloud:
-    """Point cloud of a channel's output distributions.
-
-    embedding="sqrt" gives the square-root rows under the Euclidean metric,
-    embedding="raw" the rows themselves under total variation.  Channels are
-    immutable, so the same channel object always gets the same cloud back,
-    and with it the same distance matrix.
-    """
-    clouds = _CHANNEL_CLOUDS.setdefault(W, {})
-    if embedding not in clouds:
-        if embedding == "sqrt":
-            clouds[embedding] = PointCloud(np.sqrt(W.matrix), "euclidean")
-        elif embedding == "raw":
-            clouds[embedding] = PointCloud(W.matrix, "total-variation")
-        else:
-            raise ValidationError(f"unknown embedding {embedding!r}")
-    return clouds[embedding]

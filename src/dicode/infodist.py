@@ -10,7 +10,6 @@ Conventions fixed here and used everywhere downstream:
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -20,9 +19,6 @@ LOG2 = math.log(2.0)
 
 #: refuse exact hypothesis-testing computations above this many outcomes
 HT_OUTCOME_GUARD = 10**7
-
-#: channel -> per-letter output entropies
-_LETTER_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def total_variation(p, q) -> float:
@@ -136,35 +132,24 @@ def typical_miss_bound(delta: float, y_size: int) -> float:
     return 2.0 * math.exp(-(delta**2) * c)
 
 
-def letter_tables(W) -> list[float]:
-    """Per-letter output entropies of a channel.  Channels are immutable, so
-    they are built once per channel object."""
-    ents = _LETTER_TABLES.get(W)
-    if ents is None:
-        ents = _LETTER_TABLES[W] = [entropy(row) for row in W.matrix]
-    return ents
-
-
 def false_accept_bound(W, rows, delta: float) -> np.ndarray:
     """Analytic ceilings on a source word's mass inside an owner's typical
     set, one per joint-type count row (positions per class a*q + b, source
     letter a, owner letter b).
 
     tail + eps + eps 2^exponent, with eps the letterwise fidelity product,
-    log2 eps = sum_{a != b} N_ab log2 F(a, b), and exponent = 2 delta sqrt(n)
-    + sum N_ab (H_b - H_a) bits.  Both terms are formed from log2 eps, so a
-    product below the float range does not hide a growth term above it.  Raw
-    values; vacuous results above 1 are returned as-is.
+    log2 eps = sum_{a != b} N_ab log2 F(a, b) over F = W.fidelities, and
+    exponent = 2 delta sqrt(n) + sum N_ab (H_b - H_a) bits.  Both terms are
+    formed from log2 eps, so a product below the float range does not hide a
+    growth term above it.  Raw values; vacuous results above 1 are returned
+    as-is.
     """
     q = W.n_inputs
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, q * q)
-    log_fid = np.zeros((q, q))
-    for a in range(q):
-        for b in range(q):
-            if a != b:
-                f = fidelity(W.matrix[a], W.matrix[b])
-                log_fid[a, b] = math.log2(f) if f else -math.inf
-    ent = np.array(letter_tables(W))
+    log_fid = np.array([[math.log2(f) if f else -math.inf for f in row]
+                        for row in W.fidelities.tolist()])
+    np.fill_diagonal(log_fid, 0.0)
+    ent = np.array(W.entropies)
     log_eps = (np.where(rows > 0, log_fid.ravel(), 0.0) * rows).sum(axis=1)
     exponent = 2.0 * delta * np.sqrt(rows.sum(axis=1)) + rows @ (ent - ent[:, None]).ravel()
     tail = typical_miss_bound(delta, W.output_size)

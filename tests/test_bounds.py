@@ -27,7 +27,7 @@ from dicode.bounds import (
 )
 from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.errors import ValidationError
-from dicode.geometry import PointCloud, cloud_from_channel
+from dicode.geometry import PointCloud, max_packing
 from dicode.infodist import binary_entropy, typicality_constants
 
 BSC = make_channel(["p", "m"], [[0.9, 0.1], [0.1, 0.9]])
@@ -150,6 +150,18 @@ def test_ex2_reference_geometry():
     assert lo.extras["beta"] == pytest.approx(
         math.sqrt(2) * (math.sqrt(0.9) - math.sqrt(0.1)) / 2)
     assert up.extras["alpha_inv"] == pytest.approx(0.6)
+
+
+@pytest.mark.parametrize("W", [
+    BSC,
+    make_channel(list("abcd"), np.full((4, 4), 0.1) + 0.6 * np.eye(4)),
+    bernoulli_family(2.0, 6),
+], ids=["bsc", "4-ary-symmetric", "bern6"])
+def test_ex2_beta_packs_every_purged_letter(W):
+    """beta is half the smallest distance between purged letters, so the
+    exact beta-packing of the purged sqrt cloud keeps every letter."""
+    beta = ex2_dmc(W, 1e-6, 100)[0].extras["beta"]
+    assert max_packing(W.purged.sqrt_cloud, beta, "exact").count == W.purged.n_inputs
 
 
 def test_ex2_identity_limits():
@@ -319,6 +331,23 @@ def test_sweep_unknown_formula():
         sweep("nope", [])
 
 
+def test_sweep_reads_y_size_from_channel():
+    """With a channel, every formula that reads |Y| takes the channel's, and a
+    grid y_size beside it is refused; without one, cor1_lower falls back to 2."""
+    W4 = make_channel(list("ab"), [[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]])
+    g = {"d": 1.0, "eta": 0.0, "t": 0.5, "E": 1e-5, "n": 100}
+    assert sweep("cor1_lower", [g], W4).points[0].value == \
+        cor1_lower(1.0, 0.0, 1e-5, 0.5, 100, y_size=4).value == pytest.approx(-0.4696, abs=1e-4)
+    assert sweep("cor1_lower", [g]).points[0].value == pytest.approx(-0.3757, abs=1e-4)
+    assert sweep("improved_good_lower", [g], W4).points[0].value == \
+        improved_good_lower(1.0, 0.0, 1e-5, 0.5, 100, y_size=4).value
+    assert sweep("trend_lower", [{"n": 1000}], W4).points[0].value == \
+        trend_lower_point(1000, y_size=4).value
+    for formula_id in ("cor1_lower", "thm6_stein"):
+        with pytest.raises(ValidationError, match="y_size"):
+            sweep(formula_id, [dict(g, y_size=4)], W4)
+
+
 @pytest.mark.parametrize("formula_id", ["thm1_lower", "thm2_upper"])
 def test_sweep_builds_distance_matrix_once(formula_id, monkeypatch):
     builds = []
@@ -334,7 +363,7 @@ def test_sweep_builds_distance_matrix_once(formula_id, monkeypatch):
     sweep(formula_id, grid, W)
     sweep(formula_id, grid, W)
     assert len(builds) == 1
-    assert builds[0] is cloud_from_channel(W, "sqrt")
+    assert builds[0] is W.sqrt_cloud
 
 
 def test_sweep_channel_formulas():

@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dicode.channel import (
     truncate_channel,
 )
 from dicode.errors import ValidationError
+from dicode.infodist import entropy, fidelity
 
 
 def test_identity_load(tmp_path):
@@ -127,6 +130,57 @@ def test_purge_keeps_cheapest():
     assert Q.n_inputs == 1
     # identity unchanged
     assert dedupe_and_purge(identity_channel(2)).n_inputs == 2
+
+
+TABLES = ("log2", "entropies", "fidelities", "purged", "sqrt_cloud", "raw_cloud")
+
+
+def test_tables_built_once_and_read_only():
+    W = make_channel(list("abc"), [[1, 0, 0], [1, 0, 0], [0.25, 0.25, 0.5]], cost=[1, 0, 2])
+    for name in TABLES:
+        assert getattr(W, name) is getattr(W, name), name
+    for table in (W.log2, W.fidelities, W.sqrt_cloud.points, W.raw_cloud.points):
+        assert not table.flags.writeable
+    assert W.entropies == tuple(entropy(row) for row in W.matrix) == (0.0, 0.0, 1.5)
+
+
+def test_log2_table_has_minus_inf_at_zeros():
+    W = bernoulli_family(2.0, 6)
+    with np.errstate(divide="ignore"):
+        want = np.log2(W.matrix)
+    assert W.log2.tobytes() == want.tobytes()
+    assert W.log2[0, 1] == -np.inf and W.log2[1, 0] == -np.inf
+
+
+def test_fidelities_equal_fidelity_bitwise():
+    rng = np.random.default_rng(7)
+    channels = [bernoulli_family(2.0, 6), identity_channel(3)]
+    for n_y in (2, 5, 39):
+        m = rng.random((6, n_y)) * (rng.random((6, n_y)) < 0.8)
+        m[:, 0] += 1e-3
+        channels.append(make_channel(list("abcdef"), m / m.sum(axis=1, keepdims=True)))
+    for W in channels:
+        for a in range(W.n_inputs):
+            for b in range(W.n_inputs):
+                assert float.hex(float(W.fidelities[a, b])) == \
+                    float.hex(fidelity(W.matrix[a], W.matrix[b]))
+
+
+def test_purged_equals_dedupe_and_purge():
+    W = make_channel(list("abcd"), [[1, 0], [0.5, 0.5], [1, 0], [0.5, 0.5]],
+                     cost=[2, 1, 0, 3])
+    P, Q = W.purged, dedupe_and_purge(W)
+    assert P.input_labels == Q.input_labels == ("b", "c")
+    assert P.matrix.tobytes() == Q.matrix.tobytes()
+    assert P.cost.tobytes() == Q.cost.tobytes()
+
+
+def test_tables_die_with_their_channel():
+    W = bernoulli_family(2.0, 6)
+    refs = [weakref.ref(W.sqrt_cloud), weakref.ref(W.raw_cloud), weakref.ref(W.purged)]
+    del W
+    gc.collect()
+    assert all(ref() is None for ref in refs)
 
 
 def test_rows_are_distributions():

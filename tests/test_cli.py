@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -266,6 +267,10 @@ MALFORMED = {
     "E-nan": ["construct", "--channel", "{bern}", "--n", "4", "--E", "nan", "--t", "0.5"],
     "d-nan": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4", "--eta", "0.1",
               "--d", "nan"],
+    "y-size-with-channel": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
+                            "--E-axis", "1e-3", "--n-axis", "10", "--y-size", "3"],
+    "embedding-cube": ["geometry", "--channel", "{bern}", "--task", "packing",
+                       "--radii", "0.5", "--embedding", "cube"],
 }
 
 
@@ -300,14 +305,15 @@ def test_seed_env_must_be_an_integer(bern_file, tmp_path, monkeypatch, capsys):
 
 
 # every option a manifest records, per command; a new option joins the
-# manifest only by changing this table
+# manifest only by changing this table.  The channel is recorded by its
+# SHA-256, never by its path, so a run's manifest is the same in any checkout
 MANIFEST_PARAMETERS = {
-    "channel check": {"channel"},
-    "construct": {"channel", "n", "E", "t", "code_mode"},
-    "evaluate": {"channel", "code", "method", "trials", "pair_budget"},
-    "bounds": {"formula", "recipe", "channel", "n_axis", "E_axis", "t", "eta", "alpha",
+    "channel check": set(),
+    "construct": {"n", "E", "t", "code_mode"},
+    "evaluate": {"code", "method", "trials", "pair_budget"},
+    "bounds": {"formula", "recipe", "n_axis", "E_axis", "t", "eta", "alpha",
                "d", "a", "A", "omega", "lambda", "delta_part", "delta_trunc", "y_size"},
-    "geometry": {"channel", "task", "mode", "embedding", "radii"},
+    "geometry": {"task", "mode", "embedding", "radii"},
 }
 
 
@@ -331,6 +337,8 @@ def test_manifest_parameters_are_pinned(bern_file, tmp_path):
         manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
         assert set(manifests[name]["parameters"]) \
             == MANIFEST_PARAMETERS[manifests[name]["command"]], name
+    assert {name: m["channel_sha256"] for name, m in manifests.items()} == dict.fromkeys(
+        runs, hashlib.sha256(bern_file.read_bytes()).hexdigest()) | {"fig2": None}
     assert {name: m["seed"] for name, m in manifests.items()} \
         == {"check": 0, "code": 0, "exact": None, "mc": 4, "bounds": 0, "fig2": 0,
             "geometry": 0}

@@ -21,7 +21,6 @@ from dicode.geometry import (
     PackingResult,
     PointCloud,
     _greedy_covering,
-    cloud_from_channel,
     estimate_dimension,
     max_packing,
     min_covering,
@@ -188,7 +187,7 @@ def test_bernoulli_ladder_covering_point():
     # raw output set of the base-2 ladder under total variation is the ladder
     # itself; at radius 1/16 the exact covering needs 4 balls
     W = bernoulli_family(2.0, 12)
-    cloud = cloud_from_channel(W, "raw")
+    cloud = W.raw_cloud
     res = min_covering(cloud, 1 / 16, "exact")
     assert res.count == 4
     assert math.log2(16 / 3) <= res.count <= math.log2(32)
@@ -198,7 +197,7 @@ def test_bernoulli_sqrt_cloud_flattens():
     # covering counts of the sqrt ladder grow like log(1/delta): slope of
     # log count vs -log delta keeps shrinking well above the truncation scale
     W = bernoulli_family(2.0, 12)
-    cloud = cloud_from_channel(W, "sqrt")
+    cloud = W.sqrt_cloud
     radii = [2.0**-k for k in range(2, 7)]
     est = estimate_dimension(cloud, radii)
     assert est.exact_counts
@@ -217,14 +216,12 @@ def test_cloud_points_are_a_read_only_copy():
     assert np.array_equal(cloud.distances, cloud.distance_matrix())
 
 
-def test_cloud_from_channel_shared_per_channel():
+def test_channel_clouds_shared_per_channel():
     W = bernoulli_family(2.0, 6)
-    assert cloud_from_channel(W, "sqrt") is cloud_from_channel(W, "sqrt")
-    assert cloud_from_channel(W, "raw") is not cloud_from_channel(W, "sqrt")
-    assert cloud_from_channel(bernoulli_family(2.0, 6), "sqrt") is not \
-        cloud_from_channel(W, "sqrt")
-    with pytest.raises(ValidationError):
-        cloud_from_channel(W, "cube")
+    assert W.sqrt_cloud is W.sqrt_cloud
+    assert W.raw_cloud is not W.sqrt_cloud
+    assert bernoulli_family(2.0, 6).sqrt_cloud is not W.sqrt_cloud
+    assert (W.sqrt_cloud.metric, W.raw_cloud.metric) == ("euclidean", "total-variation")
 
 
 def test_packing_and_covering_share_one_result_type():
