@@ -24,7 +24,6 @@ candidate words, and with them the scan's memory, before any is built.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -71,20 +70,29 @@ class CodeParams:
     e2_floor: float           # E - 3/n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DICode:
-    """A constructed code: letters, codewords, and typical-set decoder data."""
+    """A constructed code: letters, codewords, and typical-set decoder data.
+    Both arrays are read-only; words not of params.n letters are refused."""
 
     letter_alphabet: tuple[int, ...]       # channel input indices
-    codewords: tuple[tuple[int, ...], ...]  # channel input index sequences
+    codewords: np.ndarray                  # (N, n) int64 channel input indices
     delta: float
-    entropies: tuple[float, ...]           # H of each codeword's output, bits
+    entropies: np.ndarray                  # (N,) H of each codeword's output, bits
     min_hamming: int
     entropy_bin: tuple[float, float]
     params: CodeParams
     rate: float
     rate_floor: float                      # construction guarantee on the rate
     letter_count_exact: bool
+
+    def __post_init__(self):
+        words, ents = _word_array(self.codewords), np.array(self.entropies, dtype=float)
+        if words.shape[1] != self.params.n or ents.shape != words.shape[:1]:
+            raise ValidationError(f"need words of n = {self.params.n} letters, one entropy each")
+        for name, value in (("codewords", words), ("entropies", ents)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
@@ -93,6 +101,19 @@ class DICode:
     @property
     def blocklength(self) -> int:
         return self.params.n
+
+
+def _word_array(words) -> np.ndarray:
+    """Words as an (N, n) int64 array; no words, words of unequal length or
+    letters that are not non-negative integers raise ValidationError."""
+    try:
+        words = np.array(words)
+    except ValueError:  # words of unequal length
+        words = np.array(())
+    if words.dtype.kind not in "iu" or words.ndim != 2 or not words.size \
+            or words.astype(np.int64).min() < 0:
+        raise ValidationError("codewords must be words of one length over letters 0, 1, ...")
+    return words.astype(np.int64)
 
 
 def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
@@ -134,12 +155,8 @@ def build_letter_alphabet(W: ChannelModel, beta: float, mode: str = "greedy"):
     return max_packing(W.sqrt_cloud, beta, mode=mode)
 
 
-def _hamming(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a != b).sum(axis=-1)
-
-
-def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[int, ...]]:
-    """Maximal code over [q]^n with pairwise Hamming distance > t*n.
+def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
+    """Maximal code over [q]^n with pairwise Hamming distance > t*n (int64).
 
     greedy: lexicographic scan keeping every word compatible with all kept
     words (the lexicode).  Maximality gives the counting guarantee
@@ -150,14 +167,15 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[
     GREEDY_SCAN_LIMIT (2^24) candidates raise SizeGuardError before any
     array is allocated.
     linear: Reed-Solomon over the largest prime p <= q (needs n <= p), an
-    explicit maximum-distance-separable code with d = floor(t n) + 1.
+    explicit maximum-distance-separable code with d = floor(t n) + 1; after
+    a greedy refusal it applies only when q >= 11 and 7 <= n <= p.
     """
     if q < 1 or n < 1:
         raise ValidationError("need q >= 1 and n >= 1")
     if not 0 < t < 1:
         raise ValidationError("distance fraction t must lie in (0, 1)")
     if q == 1:
-        return [tuple([0] * n)]
+        return np.zeros((1, n), dtype=np.int64)
     min_excl = t * n  # required: d_H > min_excl
 
     if mode == "linear":
@@ -168,7 +186,8 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[
     total = q**n
     if total > GREEDY_SCAN_LIMIT:
         raise SizeGuardError(
-            f"greedy scan over {total} words refused; use mode='linear'")
+            f"greedy scan over {total} words refused; mode='linear' needs "
+            f"n <= {_largest_prime_leq(q)}, the largest prime <= q")
 
     bits = (q - 1).bit_length()
     # q^n <= 2^24 keeps bits * n <= 30; uint64 keeps a raised limit correct
@@ -208,7 +227,7 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> list[tuple[
 
 def _packed_words(q: int, n: int, bits: int, dtype) -> np.ndarray:
     """All of [q]^n, each word one integer of n `bits`-bit fields with the
-    first symbol in the most significant field, in itertools.product order."""
+    first symbol in the most significant field, in lexicographic order."""
     words = np.zeros(1, dtype)
     digits = np.arange(q, dtype=dtype)
     for _ in range(n):
@@ -216,10 +235,10 @@ def _packed_words(q: int, n: int, bits: int, dtype) -> np.ndarray:
     return words
 
 
-def _unpack_words(words: np.ndarray, n: int, bits: int) -> list[tuple[int, ...]]:
+def _unpack_words(words: np.ndarray, n: int, bits: int) -> np.ndarray:
     shifts = np.array([bits * (n - 1 - i) for i in range(n)], dtype=words.dtype)
     digits = (words[:, None] >> shifts) & words.dtype.type((1 << bits) - 1)
-    return [tuple(w) for w in digits.tolist()]
+    return digits.astype(np.int64)
 
 
 def _largest_prime_leq(q: int) -> int:
@@ -229,68 +248,60 @@ def _largest_prime_leq(q: int) -> int:
     raise ValidationError("no prime field available below alphabet size")
 
 
-def _reed_solomon_code(q: int, n: int, t: float) -> list[tuple[int, ...]]:
+def _reed_solomon_code(q: int, n: int, t: float) -> np.ndarray:
     p = _largest_prime_leq(q)
     if n > p:
         raise ValidationError(f"linear mode needs n <= field size ({n} > {p})")
     k = n - math.floor(t * n)  # distance n - k + 1 = floor(t n) + 1 > t n
     if p**k > LINEAR_SIZE_LIMIT:
         raise SizeGuardError(f"linear code with {p}^{k} words refused")
-    xs = np.arange(n) % p
-    powers = np.array([[pow(int(x), i, p) for i in range(k)] for x in xs])
-    code = []
-    for msg in itertools.product(range(p), repeat=k):
-        cw = (powers @ np.array(msg)) % p
-        code.append(tuple(int(v) for v in cw))
-    return code
+    # generator rows x^i at the points x = 0..n-1; messages in lexicographic
+    # order, first symbol most significant
+    powers = np.arange(n)[:, None] ** np.arange(k) % p
+    messages = np.indices((p,) * k).reshape(k, -1).T
+    return messages @ powers.T % p
 
 
-def word_output_entropy(W: ChannelModel, word) -> float:
-    """Entropy in bits of the product output distribution of a word."""
-    return float(sum(W.entropies[x] for x in word))
+def word_output_entropy(W: ChannelModel, words):
+    """Entropy in bits of the product output distribution of one word (a
+    float), or of each row of an (N, n) array: the letter entropies summed in
+    position order from +0.0, so a word of deterministic letters reads 0.0."""
+    h = np.cumsum(np.take(W.entropies, words), axis=-1)[..., -1] + 0.0
+    return float(h) if h.ndim == 0 else h
 
 
-def entropy_binning(codewords, W: ChannelModel):
+def entropy_binning(codewords: np.ndarray, W: ChannelModel):
     """Keep the largest sub-code whose output entropies fall in one unit bin.
 
     Bins are [s-1, s] for s = 1..ceil(n log2 |Y|); by pigeonhole the kept
-    sub-code has at least |code| / ceil(n log2 |Y|) words.  Returns
-    (kept_codewords, (s-1, s), kept_entropies).
+    sub-code has at least |code| / ceil(n log2 |Y|) words.  The fullest bin
+    wins, the lowest s on ties.  Returns (kept_codewords, (s-1, s),
+    kept_entropies), the words and entropies as arrays in code order.
     """
-    codewords = list(codewords)
-    if not codewords:
+    if not len(codewords):
         raise ValidationError("cannot bin an empty code")
-    n = len(codewords[0])
-    n_bins = max(1, math.ceil(n * math.log2(W.output_size)))
-    ents = [word_output_entropy(W, w) for w in codewords]
-    bins: dict[int, list[int]] = {}
-    for i, h in enumerate(ents):
-        s = min(n_bins, math.floor(h) + 1)
-        bins.setdefault(s, []).append(i)
-    best_s = min(bins, key=lambda s: (-len(bins[s]), s))
-    kept = bins[best_s]
-    return ([codewords[i] for i in kept], (float(best_s - 1), float(best_s)),
-            [ents[i] for i in kept])
+    n_bins = max(1, math.ceil(codewords.shape[1] * math.log2(W.output_size)))
+    ents = word_output_entropy(W, codewords)
+    bins = np.minimum(n_bins, np.floor(ents).astype(np.int64) + 1)
+    best_s = int(np.argmax(np.bincount(bins)))
+    kept = bins == best_s
+    return codewords[kept], (float(best_s - 1), float(best_s)), ents[kept]
 
 
 def min_pairwise_hamming(codewords) -> int:
     """Exact minimum pairwise Hamming distance (n for single-word codes)."""
     words = np.asarray(codewords)
-    if words.shape[0] < 2:
-        return int(words.shape[1])
-    best = words.shape[1]
-    for i in range(words.shape[0] - 1):
-        best = min(best, int(_hamming(words[i + 1:], words[i]).min()))
-    return best
+    return min((int((words[i + 1:] != words[i]).sum(axis=1).min())
+                for i in range(len(words) - 1)), default=words.shape[1])
 
 
 def _code(params: CodeParams, letters, codewords, delta: float, entropies,
           entropy_bin, rate_floor: float, exact: bool) -> DICode:
     return DICode(
         letter_alphabet=tuple(letters),
-        codewords=tuple(codewords),
+        codewords=codewords,
         delta=delta,
-        entropies=tuple(entropies),
+        entropies=entropies,
         min_hamming=min_pairwise_hamming(codewords),
         entropy_bin=entropy_bin,
         params=params,
@@ -312,8 +323,7 @@ def construct(W: ChannelModel, n: int, E: float, t: float,
     pack = build_letter_alphabet(W, params.beta)
     letters = pack.center_indices
     letter_words = distance_code(len(letters), n, t, mode=code_mode)
-    codewords = [tuple(letters[i] for i in w) for w in letter_words]
-    kept, ent_bin, ents = entropy_binning(codewords, W)
+    kept, ent_bin, ents = entropy_binning(np.array(letters)[letter_words], W)
     return _code(params, letters, kept, params.delta, ents, ent_bin,
                  thm1_rate(len(letters), t, n, W.output_size), pack.exact)
 
@@ -325,20 +335,16 @@ def assemble_code(W: ChannelModel, codewords, delta: float, t: float = 0.5) -> D
     (rate_floor is -inf).  The params record is back-solved so that the
     stored tau * sqrt(n) equals the requested delta.
     """
-    codewords = [tuple(w) for w in codewords]
-    if not codewords:
-        raise ValidationError("need at least one codeword")
-    n = len(codewords[0])
-    if any(len(w) != n for w in codewords):
-        raise ValidationError("codewords must share one blocklength")
+    words = _word_array(codewords)
+    n = words.shape[1]
     _, c = typicality_constants(W.output_size)
     tau = delta / math.sqrt(n)
     # invert tau = (sqrt(2)-1) t beta^2 and E = c t^2 beta^4 / 6
     e_implied = c * tau * tau * (3.0 + 2.0 * math.sqrt(2.0)) / 6.0
     params = derive_params(e_implied, t, W.output_size, n)
-    ents = [word_output_entropy(W, w) for w in codewords]
-    low = math.floor(min(ents))
-    return _code(params, sorted({x for w in codewords for x in w}), codewords,
+    ents = word_output_entropy(W, words)
+    low = math.floor(ents.min())
+    return _code(params, np.unique(words).tolist(), words,
                  delta, ents, (low, low + 1.0), -math.inf, False)
 
 
@@ -347,9 +353,9 @@ def code_to_json(code: DICode) -> str:
     payload = {
         "params": asdict(code.params) | {k: getattr(code, k) for k, _ in CODE_FIELDS},
         "letter_alphabet": list(code.letter_alphabet),
-        "codewords": [list(w) for w in code.codewords],
+        "codewords": code.codewords.tolist(),
         "delta": code.delta,
-        "entropies": list(code.entropies),
+        "entropies": code.entropies.tolist(),
     }
     return json.dumps(payload, sort_keys=True, indent=1)
 
@@ -360,9 +366,9 @@ def code_from_json(text: str) -> DICode:
     fields = {k: kind(p.pop(k)) for k, kind in CODE_FIELDS}
     return DICode(
         letter_alphabet=tuple(payload["letter_alphabet"]),
-        codewords=tuple(tuple(w) for w in payload["codewords"]),
+        codewords=payload["codewords"],
         delta=float(payload["delta"]),
-        entropies=tuple(float(h) for h in payload["entropies"]),
+        entropies=payload["entropies"],
         params=CodeParams(**p),
         **fields,
     )

@@ -215,11 +215,18 @@ def _distinct(rows, pairs):
             np.bincount(inverse, pairs, len(uniq)).astype(np.int64))
 
 
-def _type_rows(code: DICode, q: int, src, own):
+def _channel_words(code: DICode, W: ChannelModel) -> np.ndarray:
+    """The code's words, refused unless every letter is an input of W."""
+    if code.codewords.max() >= W.n_inputs:
+        raise ValidationError(f"code letter {code.codewords.max()} is not a channel input")
+    return code.codewords
+
+
+def _type_rows(code: DICode, W: ChannelModel, src, own):
     """Distinct joint types of the word pairs (codeword src[p], codeword
     own[p]) as count rows, and the number of pairs of each, counted
     PAIR_CHUNK pairs at a time."""
-    words = np.array(code.codewords, dtype=np.int64)
+    words, q = _channel_words(code, W), W.n_inputs
     dtype = np.min_scalar_type(code.blocklength)
     chunks = [(np.zeros((0, q * q), dtype=dtype), np.zeros(0))]
     for s in range(0, len(src), PAIR_CHUNK):
@@ -280,7 +287,7 @@ def measure_lambda1(code: DICode, W: ChannelModel,
     """
     dp = _dp_for(dp, W, law)
     own = np.arange(code.size)
-    p_lo, p_hi = dp.count_probs(_type_rows(code, W.n_inputs, own, own)[0], code.delta)
+    p_lo, p_hi = dp.count_probs(_type_rows(code, W, own, own)[0], code.delta)
     return float(np.max(1.0 - p_hi, initial=0.0)), float(np.max(1.0 - p_lo, initial=0.0))
 
 
@@ -312,7 +319,7 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         return (0.0, 0.0), "exhaustive", 0.0
     # source u_j measured against owner u_k's decision set, j-major
     src, own = np.nonzero(~np.eye(code.size, dtype=bool))
-    rows, pairs = _type_rows(code, W.n_inputs, src, own)
+    rows, pairs = _type_rows(code, W, src, own)
     evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
     if len(src) > pair_budget:
         bound = false_accept_bound(W, rows, code.delta)
@@ -403,13 +410,14 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     cdf = (law or W).matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     theta = code.delta * math.sqrt(n)
-    h = np.array([word_output_entropy(W, w) for w in code.codewords])
+    words = _channel_words(code, W)
+    h = word_output_entropy(W, words)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
-    tables = np.ascontiguousarray(W.log2[np.array(code.codewords)].transpose(1, 2, 0))
+    tables = np.ascontiguousarray(W.log2[words].transpose(1, 2, 0))
     radix = W.output_size
 
     worst_miss = worst_false = scored = 0
-    for j, word in enumerate(code.codewords):
+    for j, word in enumerate(words):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
         # outputs: n x trials letters; key: mixed-radix word id
         y = np.empty((n, trials), dtype=np.min_scalar_type(radix - 1))

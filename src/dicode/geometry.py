@@ -37,6 +37,8 @@ class PointCloud:
         pts = np.array(self.points, dtype=float, ndmin=2)
         if self.metric not in METRICS:
             raise ValidationError(f"unknown metric {self.metric!r}")
+        if not np.isfinite(pts).all():
+            raise ValidationError("cloud points must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 

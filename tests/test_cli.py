@@ -208,6 +208,17 @@ MALFORMED = {
                            "--E-axis", "1e-6:1e-3:5:lin", "--n-axis", "1e7", "--t", "0.5"],
     "code-file-missing": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/none.json"],
     "code-file-not-a-code": ["evaluate", "--channel", "{bern}", "--code", "{bern}"],
+    "code-letter-not-input": ["evaluate", "--channel", "{ident}", "--code", "{code}"],
+    "code-letter-not-input-mc": ["evaluate", "--channel", "{ident}", "--code", "{code}",
+                                 "--method", "mc", "--trials", "10"],
+    "code-letter-half": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/half.json"],
+    "code-letter-negative": ["evaluate", "--channel", "{bern}", "--code",
+                             "{tmp}/negative.json"],
+    "code-words-ragged": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/ragged.json"],
+    "code-words-none": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/empty.json"],
+    "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
+    "code-n-mismatch-mc": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json",
+                           "--method", "mc", "--trials", "10"],
     "grid-lacks-n": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
                      "--E-axis", "1e-4", "--t", "0.5"],
     "grid-lacks-d": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4",
@@ -274,12 +285,27 @@ MALFORMED = {
 }
 
 
+def write_malformed_codes(payload, tmp_path):
+    """Code files that differ from a valid one in one field, by name."""
+    words = payload["codewords"]
+    bad = {"half": [[0.5] + words[0][1:]] + words[1:],
+           "negative": [[-1] + words[0][1:]] + words[1:],
+           "ragged": [words[0][:-1]] + words[1:],
+           "empty": []}
+    for name, codewords in bad.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(payload | {"codewords": codewords}))
+    long_n = payload | {"params": payload["params"] | {"n": 2 * len(words[0])}}
+    (tmp_path / "long-n.json").write_text(json.dumps(long_n))
+
+
 @pytest.mark.parametrize("argv", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys):
-    code = tmp_path / "code.json"
+    code, ident = tmp_path / "code.json", tmp_path / "ident.json"
     code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
                                                [(0, 1, 2), (3, 4, 5)], delta=1.0)))
-    argv = [a.format(bern=bern_file, code=code, tmp=tmp_path) for a in argv]
+    ident.write_text(json.dumps(IDENT))
+    write_malformed_codes(json.loads(code.read_text()), tmp_path)
+    argv = [a.format(bern=bern_file, code=code, ident=ident, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -107,9 +108,9 @@ def brute_best_code_size(q, n, min_excl):
 def test_distance_code_small_cases():
     code = distance_code(2, 3, 1 / 3)
     assert len(code) == 4
-    assert set(code) == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
-    assert distance_code(3, 1, 0.5) == [(0,), (1,), (2,)]
-    assert distance_code(1, 5, 0.5) == [(0, 0, 0, 0, 0)]
+    assert set(map(tuple, code.tolist())) == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    assert distance_code(3, 1, 0.5).tolist() == [[0], [1], [2]]
+    assert distance_code(1, 5, 0.5).tolist() == [[0, 0, 0, 0, 0]]
 
 
 def test_distance_code_is_maximal_and_optimal_for_tiny():
@@ -141,7 +142,7 @@ def reference_lexicode(q, n, t):
     kept = []
     while len(words):
         w = words[0]
-        kept.append(tuple(int(v) for v in w))
+        kept.append(w.tolist())
         words = words[(words != w).sum(axis=1) > t * n]
     return kept
 
@@ -161,7 +162,7 @@ def lexicode_cases(draw):
 @given(lexicode_cases())
 def test_distance_code_is_the_lexicode(case):
     q, n, t = case
-    assert distance_code(q, n, t) == reference_lexicode(q, n, t)
+    assert distance_code(q, n, t).tolist() == reference_lexicode(q, n, t)
 
 
 def test_greedy_size_guard_fails_fast():
@@ -177,7 +178,12 @@ def test_greedy_size_guard_fails_fast():
 
 def test_linear_mode_reed_solomon():
     code = distance_code(5, 4, 0.5, mode="linear")
-    words = np.array(code)
+    # Reed-Solomon over F_5: word m maps to its values sum_i m_i x^i at
+    # x = 0..3, the messages in lexicographic order
+    assert code.tolist() == [[sum(m * pow(x, i, 5) for i, m in enumerate(msg)) % 5
+                              for x in range(4)]
+                             for msg in itertools.product(range(5), repeat=2)]
+    words = code
     dmat = (words[:, None, :] != words[None, :, :]).sum(axis=2)
     np.fill_diagonal(dmat, 99)
     assert dmat.min() > 2  # floor(t n) + 1 = 3
@@ -189,7 +195,7 @@ def test_linear_mode_reed_solomon():
 def test_entropy_binning_pigeonhole():
     W = bernoulli_family(2.0, 6)
     # letters 0 (H=0), 2 -> x=1/2 (H=1): mixed-entropy words over n=6
-    words = [w for w in itertools.product((0, 2), repeat=6)]
+    words = np.array(list(itertools.product((0, 2), repeat=6)))
     kept, bin_range, ents = entropy_binning(words, W)
     assert len(kept) >= len(words) / math.ceil(6 * math.log2(2))
     lo, hi = bin_range
@@ -199,15 +205,37 @@ def test_entropy_binning_pigeonhole():
 
 def test_entropy_binning_equal_entropies_keep_all():
     W = identity_channel(2)
-    words = list(itertools.product((0, 1), repeat=4))
+    words = np.array(list(itertools.product((0, 1), repeat=4)))
     kept, bin_range, _ = entropy_binning(words, W)
     assert len(kept) == len(words)
     assert bin_range == (0.0, 1.0)
 
     B = bernoulli_family(2.0, 3)
     perms = set(itertools.permutations((0, 2, 3, 4)))
-    kept_p, _, _ = entropy_binning(sorted(perms), B)
+    kept_p, _, _ = entropy_binning(np.array(sorted(perms)), B)
     assert len(kept_p) == len(perms)
+
+
+def reference_binning(words, W):
+    """The fullest unit entropy bin, lowest s on ties, by a loop over words."""
+    n_bins = max(1, math.ceil(len(words[0]) * math.log2(W.output_size)))
+    bins = {}
+    for i, w in enumerate(words):
+        bins.setdefault(min(n_bins, math.floor(sequential_entropy(W, w)) + 1), []).append(i)
+    best_s = min(bins, key=lambda s: (-len(bins[s]), s))
+    return bins[best_s], (float(best_s - 1), float(best_s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.integers(1, 8))
+def test_entropy_binning_matches_the_loop_reference(seed, size, n):
+    W = bernoulli_family(2.0, 6)
+    words = np.random.default_rng(seed).integers(0, W.n_inputs, (size, n))
+    kept, bin_range, ents = entropy_binning(words, W)
+    index, want_range = reference_binning(words.tolist(), W)
+    assert bin_range == want_range
+    assert np.array_equal(kept, words[index])
+    assert ents.tolist() == [sequential_entropy(W, w) for w in words[index].tolist()]
 
 
 def test_construct_identity_end_to_end():
@@ -265,7 +293,64 @@ def test_code_json_round_trip():
     W = bernoulli_family(2.0, 4)
     code = construct(W, 6, 1e-5, 0.5)
     again = code_from_json(code_to_json(code))
-    assert again == code
+    assert code_to_json(again) == code_to_json(code)
+    assert np.array_equal(again.codewords, code.codewords)
+    assert np.array_equal(again.entropies, code.entropies)
+
+
+def test_codewords_are_one_read_only_int64_array():
+    W = bernoulli_family(2.0, 4)
+    codes = [construct(W, 6, 1e-5, 0.5),
+             construct(identity_channel(5), 5, 1e-5, 0.4, code_mode="linear"),
+             assemble_code(W, [(0, 1, 2), (2, 1, 0)], delta=0.5)]
+    codes.append(code_from_json(code_to_json(codes[0])))
+    for code in codes:
+        words, ents = code.codewords, code.entropies
+        assert words.dtype == np.int64 and words.shape == (code.size, code.blocklength)
+        assert ents.shape == (code.size,)
+        for array in (words, ents):
+            with pytest.raises(ValueError):
+                array[0] = 1
+    assert distance_code(3, 4, 0.5).dtype == distance_code(1, 4, 0.5).dtype == np.int64
+
+
+def sequential_entropy(W, word):
+    """Letter entropies added one position at a time, from 0.0."""
+    h = 0.0
+    for x in word:
+        h += W.entropies[x]
+    return h
+
+
+def test_word_output_entropy_of_an_array_is_the_sequential_sum():
+    W = bernoulli_family(2.0, 6)
+    deterministic = [x for x, h in enumerate(W.entropies) if h == 0.0]
+    assert deterministic
+    rng = np.random.default_rng(5)
+    words = rng.integers(0, W.n_inputs, (300, 40))
+    words[:3] = rng.choice(deterministic, (3, 40))
+    got = word_output_entropy(W, words)
+    assert got.shape == (300,)
+    assert [h.hex() for h in got.tolist()] == [
+        sequential_entropy(W, w).hex() for w in words.tolist()]
+    assert [h.hex() for h in got[:3].tolist()] == [(0.0).hex()] * 3  # never -0.0
+    assert word_output_entropy(W, tuple(words[7].tolist())) == got[7]
+
+
+@pytest.mark.parametrize("words,n", [
+    ([(0, 0.5, 1), (1, 0, 1)], 3),     # a letter that is not an integer
+    ([(0, -1, 1), (1, 0, 1)], 3),      # a negative letter
+    ([(0, 1), (1, 0, 1)], 3),          # ragged words
+    ([], 3),                           # no words
+    ([(0, 1, 1), (1, 0, 1)], 6),       # words shorter than params.n
+])
+def test_code_from_json_refuses_malformed_words(words, n):
+    W = bernoulli_family(2.0, 4)
+    payload = json.loads(code_to_json(assemble_code(W, [(0, 1, 1), (1, 0, 1)], delta=0.5)))
+    payload["codewords"], payload["entropies"] = words, [0.0] * len(words)
+    payload["params"]["n"] = n
+    with pytest.raises(ValidationError):
+        code_from_json(json.dumps(payload))
 
 
 def test_assemble_code_delta_round_trip():

@@ -747,7 +747,7 @@ def test_report_work_counters():
     W = bernoulli_family(2.0, 4)
     code = assemble_code(W, [(0, 2, 1, 3), (1, 3, 2, 0), (2, 0, 3, 1), (0, 1, 2, 3)],
                          delta=0.8)
-    words, q = code.codewords, W.n_inputs
+    words, q = code.codewords.tolist(), W.n_inputs
     types = {tuple(type_row(q, a, b)) for a in words for b in words}
     rep = exact_error_report(code, W)
     assert (rep.dp_types, rep.pairs_exact) == (len(types), 12)
@@ -812,3 +812,20 @@ def test_mc_size_guard_edge(monkeypatch):
     assert monte_carlo_errors(code, W, trials=100, seed=1).trials == 100
     with pytest.raises(SizeGuardError):
         monte_carlo_errors(code, W, trials=101, seed=1)
+
+
+@pytest.mark.parametrize("words", [
+    [(2, 0, 0, 1), (0, 1, 1, 0), (1, 1, 0, 0)],  # its counts spill into the next row
+    [(0, 1, 1, 0), (1, 1, 0, 0), (2, 0, 0, 1)],  # its counts overrun the last row
+])
+def test_letters_must_be_inputs_of_the_channel(words):
+    """A q=3 code against a 2-input channel is refused by every evaluation,
+    not certified from counts shifted into other classes."""
+    code = assemble_code(make_channel(list("abc"), [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),
+                         words, delta=1.0)
+    W = make_channel(["a", "b"], [[0.9, 0.1], [0.2, 0.8]])
+    for evaluate in (lambda: exact_error_report(code, W, pair_budget=0),
+                     lambda: exact_error_report(code, W),
+                     lambda: monte_carlo_errors(code, W, trials=10, seed=1)):
+        with pytest.raises(ValidationError, match="not a channel input"):
+            evaluate()

@@ -308,8 +308,9 @@ def test_greedy_covering_ball_of_257_points():
 
 
 def test_greedy_covering_degenerate_ball():
-    cloud = PointCloud(np.array([[0.0], [1.0], [np.nan], [2.0]]))
-    dist = cloud.distance_matrix()
+    # a cloud refuses a NaN point, so its distance matrix is built here
+    x = np.array([0.0, 1.0, np.nan, 2.0])
+    dist = np.abs(x[:, None] - x)
     with pytest.raises(ValidationError, match="degenerate ball"):
         rescanning_greedy_covering(dist, 1.0)
     with pytest.raises(ValidationError, match="degenerate ball"):
@@ -372,3 +373,12 @@ def test_distance_matrix_size_guard_edge(monkeypatch):
     assert PointCloud(np.zeros((100, 1))).distance_matrix().shape == (100, 100)
     with pytest.raises(SizeGuardError):
         PointCloud(np.zeros((101, 1))).distance_matrix()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_refused(bad):
+    """A NaN point wins argmax in the greedy packing and never falls below
+    2 * delta, so the packing would pick centres forever; it is refused when
+    the cloud is built."""
+    with pytest.raises(ValidationError, match="finite"):
+        PointCloud([[bad], [0.0], [1.0]])
