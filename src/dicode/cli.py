@@ -197,6 +197,8 @@ def cmd_evaluate(args) -> int:
     W = load_channel(args.channel)
     try:
         code = code_from_json(Path(args.code).read_text())
+    except ValidationError as exc:
+        raise ValidationError(f"code file {args.code}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
     seed = _seed_from_env(args.seed) if args.method == "mc" else None

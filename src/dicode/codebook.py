@@ -14,12 +14,19 @@ Parameter couplings (c = 1/(36 K(|Y|)) from infodist):
 valid while c t beta^2 <= 1; the guarantee degrades gracefully and is flagged
 outside that regime.  The construction is fully deterministic.
 
-The greedy distance code scans packed words: each word of [q]^n is one
-unsigned integer (4 bytes, or 8 when bit_length(q-1) * n > 32) holding n
-fields of bit_length(q-1) bits, first symbol most significant, so integer
-order is lexicographic order.  A Hamming distance is a XOR, a fold of each
-field onto its lowest bit and a popcount.  GREEDY_SCAN_LIMIT bounds the q^n
-candidate words, and with them the scan's memory, before any is built.
+The greedy distance code is the lexicode over packed words: each word of
+[q]^n is one unsigned integer holding n fields of bit_length(q-1) bits,
+first symbol most significant, so integer order is lexicographic order.
+For q = 2^b the XOR of two packed words is their symbol-wise nim-sum and a
+Hamming distance is the count of nonzero fields of the XOR.  Such a lexicode
+is closed under that XOR (Conway and Sloane, "Lexicographic codes:
+error-correcting codes from game theory", IEEE Trans. IT 32, 1986), so it is
+built from its basis with one bit table over [q]^n, about 2 bytes per
+candidate word at its peak.  Every other q is scanned: each pick compares the
+surviving candidates (4 bytes each, or 8 when bit_length(q-1) * n > 32)
+with it by a XOR, a fold of each field onto its lowest bit and a popcount,
+4 to 8 bytes per candidate word.  GREEDY_SCAN_LIMIT bounds the q^n candidate
+words, and with them the memory of both paths, before any is built.
 """
 
 from __future__ import annotations
@@ -105,15 +112,19 @@ class DICode:
 
 def _word_array(words) -> np.ndarray:
     """Words as an (N, n) int64 array; no words, words of unequal length or
-    letters that are not non-negative integers raise ValidationError."""
+    letters that are not non-negative integers (a bool is none) raise
+    ValidationError."""
     try:
-        words = np.array(words)
+        array = np.array(words)
     except ValueError:  # words of unequal length
-        words = np.array(())
-    if words.dtype.kind not in "iu" or words.ndim != 2 or not words.size \
-            or words.astype(np.int64).min() < 0:
+        array = np.array(())
+    if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size \
+            or array.astype(np.int64).min() < 0 or (
+                # a JSON true among integer letters would read as letter 1
+                not isinstance(words, np.ndarray)
+                and any(isinstance(x, bool) for word in words for x in word)):
         raise ValidationError("codewords must be words of one length over letters 0, 1, ...")
-    return words.astype(np.int64)
+    return array.astype(np.int64)
 
 
 def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
@@ -158,14 +169,14 @@ def build_letter_alphabet(W: ChannelModel, beta: float, mode: str = "greedy"):
 def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
     """Maximal code over [q]^n with pairwise Hamming distance > t*n (int64).
 
-    greedy: lexicographic scan keeping every word compatible with all kept
-    words (the lexicode).  Maximality gives the counting guarantee
-    |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).  Candidates are packed words, 4 or 8
-    bytes each (see the module docstring); each pick compares the surviving
-    candidates with it in blocks of SCAN_BLOCK words and compacts them in
-    place, so memory is the q^n-word array plus small buffers.  More than
-    GREEDY_SCAN_LIMIT (2^24) candidates raise SizeGuardError before any
-    array is allocated.
+    greedy: the lexicode, each word of [q]^n in lexicographic order kept iff
+    it is compatible with all kept words.  Maximality gives the counting
+    guarantee |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).  For q = 2^b the code is
+    the XOR span of a basis found from a bit table of compatible words (see
+    the module docstring); for any other q each pick compares the surviving
+    packed candidates with it in blocks of SCAN_BLOCK words and compacts them
+    in place.  More than GREEDY_SCAN_LIMIT (2^24) candidates raise
+    SizeGuardError before any array is allocated.
     linear: Reed-Solomon over the largest prime p <= q (needs n <= p), an
     explicit maximum-distance-separable code with d = floor(t n) + 1; after
     a greedy refusal it applies only when q >= 11 and 7 <= n <= p.
@@ -188,7 +199,14 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
         raise SizeGuardError(
             f"greedy scan over {total} words refused; mode='linear' needs "
             f"n <= {_largest_prime_leq(q)}, the largest prime <= q")
+    if q & (q - 1) == 0:
+        return _xor_lexicode(q, n, min_excl)
+    return _scan_lexicode(q, n, min_excl)
 
+
+def _scan_lexicode(q: int, n: int, min_excl: float) -> np.ndarray:
+    """The lexicode by a scan: each pick is the first surviving candidate,
+    and the candidates within distance min_excl of it go."""
     bits = (q - 1).bit_length()
     # q^n <= 2^24 keeps bits * n <= 30; uint64 keeps a raised limit correct
     dtype = np.uint32 if bits * n <= 32 else np.uint64
@@ -225,14 +243,56 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
     return _unpack_words(np.array(kept, dtype), n, bits)
 
 
+#: masks of the bit positions p < 64 whose bit s is clear, for s = 0..5
+_SWAP_MASKS = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> s & 1))
+                    for s in range(6))
+
+
+def _xor_lexicode(q: int, n: int, min_excl: float) -> np.ndarray:
+    """The lexicode for q = 2^b, from its basis.  The code is the span of
+    g_0, g_1, ... under XOR of packed words, g_j the smallest word compatible
+    with the span of the earlier ones.  A bit table marks the words
+    compatible with the span; adding g keeps x iff it kept x and x ^ g."""
+    bits = q.bit_length() - 1
+    # the packed words are 0 .. q^n - 1, so word x is bit x & 63 of the
+    # table's uint64 word x >> 6; integer weights exceed t*n iff they exceed
+    # its floor, which keeps the comparison in uint8
+    table = np.packbits(_weights(q, n) > math.floor(min_excl), bitorder="little")
+    table = np.pad(table, (0, -table.size % 8)).view("<u8")
+    index = np.arange(table.size)
+    words = np.zeros(1, np.int64)
+    while (nonzero := np.flatnonzero(table)).size:
+        low_word = int(table[nonzero[0]])
+        g = 64 * int(nonzero[0]) + (low_word & -low_word).bit_length() - 1
+        words = np.concatenate((words, words ^ g))
+        moved = table[index ^ (g >> 6)]
+        for s in range(6):
+            if g >> s & 1:  # swap the bits p and p ^ 2^s in every word
+                shift, mask = 1 << s, _SWAP_MASKS[s]
+                moved = ((moved >> shift) & mask) | ((moved & mask) << shift)
+        table &= moved
+    # each g_j tops the span before it, so the words are in increasing order
+    return _unpack_words(words, n, bits)
+
+
 def _packed_words(q: int, n: int, bits: int, dtype) -> np.ndarray:
     """All of [q]^n, each word one integer of n `bits`-bit fields with the
-    first symbol in the most significant field, in lexicographic order."""
-    words = np.zeros(1, dtype)
-    digits = np.arange(q, dtype=dtype)
-    for _ in range(n):
-        words = ((words << bits)[:, None] | digits).ravel()
-    return words
+    first symbol in the most significant field, in lexicographic order: the
+    outer OR of the tables of the first n - n//2 symbols and the last n//2."""
+    if n == 1:
+        return np.arange(q, dtype=dtype)
+    lo = n // 2
+    hi = _packed_words(q, n - lo, bits, dtype) << dtype(bits * lo)
+    return np.bitwise_or.outer(hi, _packed_words(q, lo, bits, dtype)).ravel()
+
+
+def _weights(q: int, n: int) -> np.ndarray:
+    """Nonzero symbols of each word of [q]^n (uint8), in the order of
+    _packed_words, by the outer sum of the two halves' tables."""
+    if n == 1:
+        return (np.arange(q) > 0).astype(np.uint8)
+    lo = n // 2
+    return np.add.outer(_weights(q, n - lo), _weights(q, lo)).ravel()
 
 
 def _unpack_words(words: np.ndarray, n: int, bits: int) -> np.ndarray:

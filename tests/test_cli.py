@@ -214,6 +214,7 @@ MALFORMED = {
     "code-letter-half": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/half.json"],
     "code-letter-negative": ["evaluate", "--channel", "{bern}", "--code",
                              "{tmp}/negative.json"],
+    "code-letter-bool": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/bool.json"],
     "code-words-ragged": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/ragged.json"],
     "code-words-none": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/empty.json"],
     "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
@@ -290,6 +291,7 @@ def write_malformed_codes(payload, tmp_path):
     words = payload["codewords"]
     bad = {"half": [[0.5] + words[0][1:]] + words[1:],
            "negative": [[-1] + words[0][1:]] + words[1:],
+           "bool": [[True] + words[0][1:]] + words[1:],
            "ragged": [words[0][:-1]] + words[1:],
            "empty": []}
     for name, codewords in bad.items():
@@ -309,6 +311,7 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")
+    assert "ValidationError(" not in err[0]  # the message as text, not a repr
     assert not (tmp_path / "o").exists()
 
 

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dicode.bounds import thm1_lower
 from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.codebook import (
+    _scan_lexicode,
     assemble_code,
     build_letter_alphabet,
     code_from_json,
@@ -149,7 +150,7 @@ def reference_lexicode(q, n, t):
 
 @st.composite
 def lexicode_cases(draw):
-    q = draw(st.integers(2, 6))
+    q = draw(st.sampled_from((2, 3, 4, 5, 6, 8, 16)))
     n_max = max(n for n in range(1, 13) if q**n <= 4096)
     n = draw(st.integers(1, n_max))
     # t = k/n puts words at distance exactly t*n, which must be rejected
@@ -160,9 +161,35 @@ def lexicode_cases(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(lexicode_cases())
+@example((8, 4, 0.5))
+@example((16, 3, 1 / 3))
 def test_distance_code_is_the_lexicode(case):
     q, n, t = case
     assert distance_code(q, n, t).tolist() == reference_lexicode(q, n, t)
+
+
+@pytest.mark.parametrize("q,n,t", [(4, 10, 0.5), (2, 20, 0.5), (8, 6, 0.5), (4, 8, 3 / 8),
+                                   (16, 4, 0.25)])
+def test_xor_path_is_the_scan_and_a_span(q, n, t):
+    """For q = 2^b the code comes from its XOR basis; it equals the scan's,
+    has 2^k words and is closed under symbol-wise XOR of its rows."""
+    code = distance_code(q, n, t)
+    assert np.array_equal(code, _scan_lexicode(q, n, t * n))
+    assert len(code) & (len(code) - 1) == 0
+    packed = code @ (q ** np.arange(n)[::-1])  # symbol-wise XOR is XOR of these
+    assert np.array_equal(np.unique(packed[:, None] ^ packed), packed)
+
+
+def test_xor_path_memory_per_candidate_word():
+    # below the 4 bytes of the scan's uint32 candidate array alone
+    tracemalloc.start()
+    try:
+        code = distance_code(4, 11, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(code) == 1024
+    assert peak < 4 * 4**11
 
 
 def test_greedy_size_guard_fails_fast():
