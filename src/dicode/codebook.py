@@ -14,19 +14,20 @@ Parameter couplings (c = 1/(36 K(|Y|)) from infodist):
 valid while c t beta^2 <= 1; the guarantee degrades gracefully and is flagged
 outside that regime.  The construction is fully deterministic.
 
-The greedy distance code is the lexicode over packed words: each word of
-[q]^n is one unsigned integer holding n fields of bit_length(q-1) bits,
-first symbol most significant, so integer order is lexicographic order.
-For q = 2^b the XOR of two packed words is their symbol-wise nim-sum and a
-Hamming distance is the count of nonzero fields of the XOR.  Such a lexicode
-is closed under that XOR (Conway and Sloane, "Lexicographic codes:
-error-correcting codes from game theory", IEEE Trans. IT 32, 1986), so it is
-built from its basis with one bit table over [q]^n, about 2 bytes per
-candidate word at its peak.  Every other q is scanned: each pick compares the
-surviving candidates (4 bytes each, or 8 when bit_length(q-1) * n > 32)
-with it by a XOR, a fold of each field onto its lowest bit and a popcount,
-4 to 8 bytes per candidate word.  GREEDY_SCAN_LIMIT bounds the q^n candidate
-words, and with them the memory of both paths, before any is built.
+The greedy distance code is the lexicode.  Both of its paths hold [q]^n as
+one table indexed by word rank, first symbol most significant, so rank order
+is lexicographic order; the Hamming distances of a table's words to a given
+word are the outer sum of the two halves' tables.  For q = 2^b the bits of
+a rank are the word's symbols, so the XOR of two ranks is their symbol-wise
+nim-sum.  Such a lexicode is closed under that XOR (Conway and Sloane,
+"Lexicographic codes: error-correcting codes from game theory", IEEE Trans.
+IT 32, 1986), so it is built from its basis with one bit table, about 2
+bytes per candidate word at its peak.  Every other q is scanned over a bool
+table of the words still alive: each pick is the first of them, and the
+words within distance t*n of it are cleared from its first-half block on,
+about 3 bytes per candidate word.  GREEDY_SCAN_LIMIT bounds the q^n
+candidate words, and with them the memory of both paths, before any is
+built.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ from .infodist import typicality_constants
 
 #: refuse greedy scans beyond this many candidate words
 GREEDY_SCAN_LIMIT = 1 << 24
-#: candidate words compared with each greedy pick at a time
-SCAN_BLOCK = 1 << 16
 #: refuse materializing linear codes beyond this many codewords
 LINEAR_SIZE_LIMIT = 1 << 20
 
@@ -80,7 +79,8 @@ class CodeParams:
 @dataclass(frozen=True, eq=False)
 class DICode:
     """A constructed code: letters, codewords, and typical-set decoder data.
-    Both arrays are read-only; words not of params.n letters are refused."""
+    Both arrays are read-only; words not of params.n letters, and entropies
+    that are not finite non-negative numbers (a bool is none), are refused."""
 
     letter_alphabet: tuple[int, ...]       # channel input indices
     codewords: np.ndarray                  # (N, n) int64 channel input indices
@@ -97,6 +97,11 @@ class DICode:
         words, ents = _word_array(self.codewords), np.array(self.entropies, dtype=float)
         if words.shape[1] != self.params.n or ents.shape != words.shape[:1]:
             raise ValidationError(f"need words of n = {self.params.n} letters, one entropy each")
+        if not (np.isfinite(ents).all() and ents.min() >= 0) or (
+                # a JSON true among the entropies would read as 1.0 bits
+                not isinstance(self.entropies, np.ndarray)
+                and any(isinstance(h, bool) for h in self.entropies)):
+            raise ValidationError("entropies must be finite non-negative numbers of bits")
         for name, value in (("codewords", words), ("entropies", ents)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -171,12 +176,12 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
 
     greedy: the lexicode, each word of [q]^n in lexicographic order kept iff
     it is compatible with all kept words.  Maximality gives the counting
-    guarantee |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).  For q = 2^b the code is
-    the XOR span of a basis found from a bit table of compatible words (see
-    the module docstring); for any other q each pick compares the surviving
-    packed candidates with it in blocks of SCAN_BLOCK words and compacts them
-    in place.  More than GREEDY_SCAN_LIMIT (2^24) candidates raise
-    SizeGuardError before any array is allocated.
+    guarantee |C| >= q^(n(1-t)) 2^(-n H(t,1-t)).  Both paths pick word ranks
+    (see the module docstring): for q = 2^b the code is the XOR span of a
+    basis found from a bit table of compatible words; for any other q each
+    pick is the first word left alive in a bool table.  More than
+    GREEDY_SCAN_LIMIT (2^24) candidates raise SizeGuardError before any
+    array is allocated.
     linear: Reed-Solomon over the largest prime p <= q (needs n <= p), an
     explicit maximum-distance-separable code with d = floor(t n) + 1; after
     a greedy refusal it applies only when q >= 11 and 7 <= n <= p.
@@ -199,48 +204,25 @@ def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
         raise SizeGuardError(
             f"greedy scan over {total} words refused; mode='linear' needs "
             f"n <= {_largest_prime_leq(q)}, the largest prime <= q")
-    if q & (q - 1) == 0:
-        return _xor_lexicode(q, n, min_excl)
-    return _scan_lexicode(q, n, min_excl)
+    lexicode = _xor_lexicode if q & (q - 1) == 0 else _scan_lexicode
+    return np.stack(np.unravel_index(lexicode(q, n, min_excl), (q,) * n), axis=1)
 
 
 def _scan_lexicode(q: int, n: int, min_excl: float) -> np.ndarray:
-    """The lexicode by a scan: each pick is the first surviving candidate,
-    and the candidates within distance min_excl of it go."""
-    bits = (q - 1).bit_length()
-    # q^n <= 2^24 keeps bits * n <= 30; uint64 keeps a raised limit correct
-    dtype = np.uint32 if bits * n <= 32 else np.uint64
-    cand = _packed_words(q, n, bits, dtype)
-    # one bit at the bottom of each field; a field's bits are ORed onto it by
-    # x |= x >> s with shifts that never reach into the next field
-    low = dtype(sum(1 << (bits * i) for i in range(n)))
-    folds = []
-    span = 1
-    while span < bits:
-        folds.append(min(span, bits - span))
-        span += folds[-1]
-    x_buf = np.empty(SCAN_BLOCK, dtype)
-    tmp_buf = np.empty(SCAN_BLOCK, dtype)
-    kept = []
-    size = cand.size
-    while size:
-        pick = cand[0]
-        kept.append(pick)
-        # compact the survivors in place, block by block, to the array front
-        out = 0
-        for start in range(0, size, SCAN_BLOCK):
-            block = cand[start:min(size, start + SCAN_BLOCK)]
-            x = np.bitwise_xor(block, pick, out=x_buf[:block.size])
-            tmp = tmp_buf[:block.size]
-            for s in folds:
-                np.right_shift(x, s, out=tmp)
-                x |= tmp
-            x &= low
-            survivors = block[np.bitwise_count(x) > min_excl]
-            cand[out:out + survivors.size] = survivors
-            out += survivors.size
-        size = out
-    return _unpack_words(np.array(kept, dtype), n, bits)
+    """Ranks of the lexicode by a scan: each pick is the first word still
+    alive, and the words within distance min_excl of it die.  The words of
+    first-half blocks before the pick's are dead already, so the update
+    starts at the pick's block."""
+    block, cut, limit = q ** (n // 2), n - n // 2, math.floor(min_excl)
+    alive = np.ones(q**n, bool)
+    picks, i = [], 0
+    while alive[i]:
+        picks.append(i)
+        word, top = np.unravel_index(i, (q,) * n), i // block
+        d = np.add.outer(_distances(q, word[:cut])[top:], _distances(q, word[cut:]))
+        alive[top * block:] &= d.ravel() > limit
+        i += int(alive[i:].argmax())
+    return np.array(picks, np.int64)
 
 
 #: masks of the bit positions p < 64 whose bit s is clear, for s = 0..5
@@ -249,15 +231,13 @@ _SWAP_MASKS = tuple(np.uint64(sum(1 << p for p in range(64) if not p >> s & 1))
 
 
 def _xor_lexicode(q: int, n: int, min_excl: float) -> np.ndarray:
-    """The lexicode for q = 2^b, from its basis.  The code is the span of
-    g_0, g_1, ... under XOR of packed words, g_j the smallest word compatible
-    with the span of the earlier ones.  A bit table marks the words
-    compatible with the span; adding g keeps x iff it kept x and x ^ g."""
-    bits = q.bit_length() - 1
-    # the packed words are 0 .. q^n - 1, so word x is bit x & 63 of the
-    # table's uint64 word x >> 6; integer weights exceed t*n iff they exceed
-    # its floor, which keeps the comparison in uint8
-    table = np.packbits(_weights(q, n) > math.floor(min_excl), bitorder="little")
+    """Ranks of the lexicode for q = 2^b, from its basis.  The code is the
+    span of g_0, g_1, ... under XOR of ranks, g_j the smallest word
+    compatible with the span of the earlier ones.  A bit table marks the
+    words compatible with the span; adding g keeps x iff it kept x and x ^ g."""
+    # word x is bit x & 63 of the table's uint64 word x >> 6; integer weights
+    # exceed t*n iff they exceed its floor, which keeps the comparison in uint8
+    table = np.packbits(_distances(q, (0,) * n) > math.floor(min_excl), bitorder="little")
     table = np.pad(table, (0, -table.size % 8)).view("<u8")
     index = np.arange(table.size)
     words = np.zeros(1, np.int64)
@@ -272,33 +252,18 @@ def _xor_lexicode(q: int, n: int, min_excl: float) -> np.ndarray:
                 moved = ((moved >> shift) & mask) | ((moved & mask) << shift)
         table &= moved
     # each g_j tops the span before it, so the words are in increasing order
-    return _unpack_words(words, n, bits)
+    return words
 
 
-def _packed_words(q: int, n: int, bits: int, dtype) -> np.ndarray:
-    """All of [q]^n, each word one integer of n `bits`-bit fields with the
-    first symbol in the most significant field, in lexicographic order: the
-    outer OR of the tables of the first n - n//2 symbols and the last n//2."""
-    if n == 1:
-        return np.arange(q, dtype=dtype)
-    lo = n // 2
-    hi = _packed_words(q, n - lo, bits, dtype) << dtype(bits * lo)
-    return np.bitwise_or.outer(hi, _packed_words(q, lo, bits, dtype)).ravel()
-
-
-def _weights(q: int, n: int) -> np.ndarray:
-    """Nonzero symbols of each word of [q]^n (uint8), in the order of
-    _packed_words, by the outer sum of the two halves' tables."""
-    if n == 1:
-        return (np.arange(q) > 0).astype(np.uint8)
-    lo = n // 2
-    return np.add.outer(_weights(q, n - lo), _weights(q, lo)).ravel()
-
-
-def _unpack_words(words: np.ndarray, n: int, bits: int) -> np.ndarray:
-    shifts = np.array([bits * (n - 1 - i) for i in range(n)], dtype=words.dtype)
-    digits = (words[:, None] >> shifts) & words.dtype.type((1 << bits) - 1)
-    return digits.astype(np.int64)
+def _distances(q: int, word: tuple) -> np.ndarray:
+    """Hamming distance to `word` of each word of [q]^len(word) (uint8), in
+    rank order, by the outer sum of the two halves' tables."""
+    if not word:  # the empty second half of a one-symbol word
+        return np.zeros(1, np.uint8)
+    if len(word) == 1:
+        return (np.arange(q) != word[0]).astype(np.uint8)
+    lo = len(word) // 2
+    return np.add.outer(_distances(q, word[:-lo]), _distances(q, word[-lo:])).ravel()
 
 
 def _largest_prime_leq(q: int) -> int:

@@ -305,9 +305,12 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     than pair_budget pairs precede it, so every pair of an evaluated type
     counts in `dp.pairs_exact`, which can exceed the budget.  The hi endpoint
     keeps the largest ceiling, clamped to 1, of the skipped types, so it
-    remains a true upper bound.  pair_mode is "exhaustive" when every type
-    is evaluated, "pair-bound" when none is, else "screened".  `dp` lends
-    its lattice cache and counters (a fresh one by default).
+    remains a true upper bound.  The ceiling assumes the source letters are
+    drawn from W, so under a `law` with another matrix the types are still
+    ranked by it but every skipped type's ceiling is 1.  pair_mode is
+    "exhaustive" when every type is evaluated, "pair-bound" when none is,
+    else "screened".  `dp` lends its lattice cache and counters (a fresh one
+    by default).
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
     raises ValidationError.
@@ -325,6 +328,8 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         bound = false_accept_bound(W, rows, code.delta)
         order = np.argsort(-bound, kind="stable")
         evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
+        if law is not None and not np.array_equal(law.matrix, W.matrix):
+            bound = np.ones_like(bound)  # the ceilings hold for sources drawn from W
         ceiling = min(1.0, float(np.max(bound[~evaluate], initial=0.0)))
     p_lo, p_hi = dp.count_probs(rows[evaluate], code.delta)
     dp.pairs_exact += int(pairs[evaluate].sum())

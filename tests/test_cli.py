@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -215,6 +216,12 @@ MALFORMED = {
     "code-letter-negative": ["evaluate", "--channel", "{bern}", "--code",
                              "{tmp}/negative.json"],
     "code-letter-bool": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/bool.json"],
+    "code-entropy-bool": ["evaluate", "--channel", "{bern}", "--code",
+                          "{tmp}/entropy-bool.json"],
+    "code-entropy-negative": ["evaluate", "--channel", "{bern}", "--code",
+                              "{tmp}/entropy-negative.json"],
+    "code-entropy-nan": ["evaluate", "--channel", "{bern}", "--code",
+                         "{tmp}/entropy-nan.json"],
     "code-words-ragged": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/ragged.json"],
     "code-words-none": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/empty.json"],
     "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
@@ -296,6 +303,10 @@ def write_malformed_codes(payload, tmp_path):
            "empty": []}
     for name, codewords in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload | {"codewords": codewords}))
+    rest = payload["entropies"][1:]
+    for name, first in (("bool", True), ("negative", -1.0), ("nan", math.nan)):
+        entropies = payload | {"entropies": [first] + rest}
+        (tmp_path / f"entropy-{name}.json").write_text(json.dumps(entropies))
     long_n = payload | {"params": payload["params"] | {"n": 2 * len(words[0])}}
     (tmp_path / "long-n.json").write_text(json.dumps(long_n))
 

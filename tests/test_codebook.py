@@ -163,6 +163,9 @@ def lexicode_cases(draw):
 @given(lexicode_cases())
 @example((8, 4, 0.5))
 @example((16, 3, 1 / 3))
+@example((7, 3, 1 / 3))
+@example((12, 2, 1 / 2))
+@example((5, 1, 1 / 2))  # the scan's second half is empty
 def test_distance_code_is_the_lexicode(case):
     q, n, t = case
     assert distance_code(q, n, t).tolist() == reference_lexicode(q, n, t)
@@ -174,14 +177,14 @@ def test_xor_path_is_the_scan_and_a_span(q, n, t):
     """For q = 2^b the code comes from its XOR basis; it equals the scan's,
     has 2^k words and is closed under symbol-wise XOR of its rows."""
     code = distance_code(q, n, t)
-    assert np.array_equal(code, _scan_lexicode(q, n, t * n))
+    ranks = code @ (q ** np.arange(n)[::-1])  # symbol-wise XOR is XOR of these
+    assert np.array_equal(ranks, _scan_lexicode(q, n, t * n))
     assert len(code) & (len(code) - 1) == 0
-    packed = code @ (q ** np.arange(n)[::-1])  # symbol-wise XOR is XOR of these
-    assert np.array_equal(np.unique(packed[:, None] ^ packed), packed)
+    assert np.array_equal(np.unique(ranks[:, None] ^ ranks), ranks)
 
 
 def test_xor_path_memory_per_candidate_word():
-    # below the 4 bytes of the scan's uint32 candidate array alone
+    # a uint8 weight and a bool per candidate word, then a bit table
     tracemalloc.start()
     try:
         code = distance_code(4, 11, 0.5)
@@ -190,6 +193,18 @@ def test_xor_path_memory_per_candidate_word():
         tracemalloc.stop()
     assert len(code) == 1024
     assert peak < 4 * 4**11
+
+
+@pytest.mark.parametrize("q,n", [(3, 13), (5, 9)])
+def test_scan_path_memory_per_candidate_word(q, n):
+    # one bool per word alive plus one pick's uint8 distances and bool mask
+    tracemalloc.start()
+    try:
+        distance_code(q, n, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * q**n
 
 
 def test_greedy_size_guard_fails_fast():

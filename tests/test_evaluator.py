@@ -183,6 +183,18 @@ def test_pair_bound_only_mode():
     assert rep.lambda2[1] >= full.lambda2[1] - 1e-12
 
 
+def test_pair_bound_under_another_law_encloses_the_value():
+    # false_accept_bound assumes sources drawn from W; with the rows swapped
+    # each source word emits the other word's outputs and is accepted
+    W = make_channel(["a", "b"], [[0.98, 0.02], [0.02, 0.98]])
+    V = make_channel(["a", "b"], [[0.02, 0.98], [0.98, 0.02]])
+    code = assemble_code(W, [(0,) * 2000, (1,) * 2000], delta=10.0)
+    (lo, _), mode, _ = measure_lambda2(code, W, law=V)
+    assert mode == "exhaustive" and lo > 0.99
+    (_, hi), mode, ceiling = measure_lambda2(code, W, 0, law=V)
+    assert mode == "pair-bound" and hi >= lo and ceiling == 1.0
+
+
 def test_monte_carlo_reproducible_and_consistent():
     W = bernoulli_family(2.0, 4)
     code = assemble_code(W, [(0, 2, 1, 3), (1, 3, 2, 0), (2, 0, 3, 1)], delta=0.8)
