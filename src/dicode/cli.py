@@ -309,7 +309,9 @@ def cmd_geometry(args) -> int:
     _manifest(args)
     if (args.task in ("covering", "packing") and W.family
             and W.family.get("family") == "bernoulli"):
-        scale = float(W.family["a"]) ** -float(W.family["k_max"])
+        # the truncated tail lies within the distance from the x=0 row (first)
+        # to the x=a^-k_max row (last), in either embedding
+        scale = float(cloud.distances[0, -1])
         for r in radii:
             if r < scale:
                 print(f"warning: radius {r:g} is below the truncation scale "

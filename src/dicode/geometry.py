@@ -170,10 +170,14 @@ def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
     """Greedy set cover: repeatedly take the ball covering most uncovered
     points; ties by lowest center index.
 
-    gains[c], the uncovered points in ball c, is updated as points become
-    covered, so a whole cover costs O(m^2), not O(m^2) per pick.  The
-    distance matrix is bitwise symmetric, so row p of `balls` marks the balls
-    that contain p, and the gains are column sums of ball rows.
+    The distance matrix is bitwise symmetric, so row p of `balls` marks the
+    balls that contain p, and gains[c], the uncovered points in ball c, is a
+    column sum of the uncovered points' rows.  After a pick the gains are
+    recounted from whichever side is smaller: the rows still uncovered, or
+    the rows just covered, subtracted.  Once no ball holds two uncovered
+    points, the rest of the greedy sequence covers each uncovered point by
+    the lowest-index ball holding it, all in one step.  So a cover costs one
+    threshold pass over the matrix and about m^2 bytes at its peak.
     """
     balls = (dist <= delta).view(np.uint8)
     gains = _column_counts(balls)
@@ -182,13 +186,20 @@ def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
     chosen: list[int] = []
     while left:
         c = int(np.argmax(gains))
+        if gains[c] < 2:
+            rest = balls[uncovered]
+            if not rest.any(axis=1).all():
+                raise ValidationError("point cannot be covered (degenerate ball)")
+            chosen += np.argmax(rest, axis=1).tolist()
+            break
         new = np.flatnonzero(balls[c] & uncovered)
-        if not new.size:
-            raise ValidationError("point cannot be covered (degenerate ball)")
         chosen.append(c)
         uncovered[new] = False
         left -= new.size
-        gains -= _column_counts(balls[new])
+        if new.size > left:
+            gains = _column_counts(balls[uncovered])
+        else:
+            gains -= _column_counts(balls[new])
     return sorted(chosen)
 
 

@@ -174,9 +174,13 @@ def test_geometry_dimension_command(bern_file, tmp_path, capsys):
     assert text.startswith("radius,log2_count,slope")
 
 
-def test_truncation_scale_warning(bern_file, tmp_path, capsys):
+# the tail of the k_max = 6 ladder lies within 2^-6 of x = 0 in total
+# variation, and within about 2^-3 under the sqrt embedding
+@pytest.mark.parametrize("embedding, radius", [("raw", "0.001"), ("sqrt", "0.05")],
+                         ids=["raw", "sqrt"])
+def test_truncation_scale_warning(bern_file, tmp_path, capsys, embedding, radius):
     rc = main(["geometry", "--channel", str(bern_file), "--task", "covering",
-               "--embedding", "raw", "--radii", "0.001",
+               "--embedding", embedding, "--radii", radius,
                "--out", str(tmp_path / "g")])
     assert rc == 0
     assert "truncation scale" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dicode import geometry
+from dicode.bounds import covering_radius
 from dicode.channel import bernoulli_family
 from dicode.cli import main
 from dicode.errors import SizeGuardError, ValidationError
@@ -307,14 +308,49 @@ def test_greedy_covering_ball_of_257_points():
     assert _greedy_covering(dist, 1.0) == rescanning_greedy_covering(dist, 1.0) == [200]
 
 
+def test_greedy_covering_finishes_single_point_balls():
+    # after ball 2 covers 0, 0.5 and 0.9, no ball holds two uncovered points;
+    # point 4 is then covered by the lower-index ball 3, not by its own
+    cloud = line_cloud([5, 0, 0.5, 0.9, 1.3])
+    dist = cloud.distance_matrix()
+    assert _greedy_covering(dist, 0.5) == rescanning_greedy_covering(dist, 0.5) == [0, 2, 3]
+
+
+def test_greedy_covering_recounts_ladder_clusters():
+    # the first ball holds nearly all of the ladder's 302 points, so the gains
+    # are recounted from the few rows left uncovered
+    dist = bernoulli_family(2.0, 300).sqrt_cloud.distances
+    for E in (1e-9, 1e-6, 1e-3):
+        r = covering_radius(E)
+        assert _greedy_covering(dist, r) == rescanning_greedy_covering(dist, r)
+
+
+def test_greedy_covering_memory():
+    # one threshold pass of m^2 bytes; recounting from the smaller side never
+    # gathers the first ball's ~990 rows, which took a second m^2
+    dist = bernoulli_family(2.0, 1000).sqrt_cloud.distances
+    m = dist.shape[0]
+    for E in (1e-9, 1e-3):
+        tracemalloc.start()
+        try:
+            _greedy_covering(dist, covering_radius(E))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m * m
+
+
 def test_greedy_covering_degenerate_ball():
-    # a cloud refuses a NaN point, so its distance matrix is built here
-    x = np.array([0.0, 1.0, np.nan, 2.0])
-    dist = np.abs(x[:, None] - x)
-    with pytest.raises(ValidationError, match="degenerate ball"):
-        rescanning_greedy_covering(dist, 1.0)
-    with pytest.raises(ValidationError, match="degenerate ball"):
-        _greedy_covering(dist, 1.0)
+    # a cloud refuses a NaN point, so its distance matrix is built here; in
+    # the second cloud every ball holds at most one point from the start, and
+    # the NaN row's first ball would read as ball 0 again
+    for values in ([0.0, 1.0, np.nan, 2.0], [0.0, 5.0, np.nan]):
+        x = np.array(values)
+        dist = np.abs(x[:, None] - x)
+        with pytest.raises(ValidationError, match="degenerate ball"):
+            rescanning_greedy_covering(dist, 1.0)
+        with pytest.raises(ValidationError, match="degenerate ball"):
+            _greedy_covering(dist, 1.0)
 
 
 @pytest.mark.parametrize("metric", geometry.METRICS)
