@@ -307,8 +307,7 @@ def cmd_geometry(args) -> int:
     out = Path(args.out)
     _write(out / "geometry.csv", csv_text)
     _manifest(args)
-    if (args.task in ("covering", "packing") and W.family
-            and W.family.get("family") == "bernoulli"):
+    if W.family and W.family.get("family") == "bernoulli":
         # the truncated tail lies within the distance from the x=0 row (first)
         # to the x=a^-k_max row (last), in either embedding
         scale = float(cloud.distances[0, -1])

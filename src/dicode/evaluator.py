@@ -384,6 +384,12 @@ def choice_letters(cdf, u, out):
     return (u >= cdf[:-1, None]).sum(axis=0, dtype=out.dtype, out=out)
 
 
+def _rank(key):
+    """Distinct keys renumbered 0..k-1 in order, and their count k."""
+    uniq, key = np.unique(key, return_inverse=True)
+    return key, uniq.size
+
+
 def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
                        law: ChannelModel | None = None) -> ErrorReport:
     """Empirical error estimates with 95% Wilson intervals.
@@ -392,11 +398,17 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     (j,) draws `trials` output blocks from the product law of u_j, one
     rng.random(trials) per position mapped by `choice_letters` (rng.choice's
     stream); the same blocks score the owner test of u_j (first kind) and
-    every other test (second kind).  A verdict depends only on the output
-    word, so each codeword's distinct output words are scored once and
-    weighted by their counts (summed in `mc_words_scored`); results are
-    bit-identical to scoring every trial.  MC_CELL_GUARD bounds the n x trials
-    draws.
+    every other test (second kind).  A point-mass letter (a law row with no
+    CDF edge strictly inside (0, 1)) gives one output for every draw, so its
+    position takes no draws: the PCG64 stream is advanced by `trials`
+    outputs, one per double.  A verdict depends only on the output word, so
+    each codeword's distinct output words are scored once and weighted by
+    their counts (summed in `mc_words_scored`).  Words are keyed by their
+    random positions' letters in mixed radix, ranked by np.unique wherever
+    the key span would pass 2^63 or, at the end, `trials`; the keys, all
+    below `trials`, are then counted in a table by np.bincount.  Results are
+    bit-identical to scoring every trial.  MC_CELL_GUARD bounds the
+    n x trials draws.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
     largest miss count over the N codewords, and `lambda2` that of the
@@ -414,31 +426,41 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
                              f"exceed guard {MC_CELL_GUARD}")
     cdf = (law or W).matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    edges = cdf[:, :-1]
+    point_mass = ~((edges > 0.0) & (edges < 1.0)).any(axis=1)
+    # a point mass's letter: its edges at 0, which every u in [0, 1) passes
+    point_letter = (edges == 0.0).sum(axis=1)
     theta = code.delta * math.sqrt(n)
     words = _channel_words(code, W)
     h = word_output_entropy(W, words)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
     tables = np.ascontiguousarray(W.log2[words].transpose(1, 2, 0))
     radix = W.output_size
+    trial_ids = np.arange(trials)
 
     worst_miss = worst_false = scored = 0
     for j, word in enumerate(words):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        # outputs: n x trials letters; key: mixed-radix word id
+        # outputs: n x trials letters; key: mixed-radix id of the random letters
         y = np.empty((n, trials), dtype=np.min_scalar_type(radix - 1))
         key, span = np.zeros(trials, dtype=np.int64), 1
         for i, x in enumerate(word):
+            if point_mass[x]:
+                rng.bit_generator.advance(trials)
+                y[i] = point_letter[x]
+                continue
             choice_letters(cdf[x], rng.random(trials), y[i])
             if span * radix > 1 << 63:
-                # rank the keys: distinct words keep distinct keys below `span`
-                uniq, key = np.unique(key, return_inverse=True)
-                span = uniq.size
+                key, span = _rank(key)
             key, span = key * radix + y[i], span * radix
+        if span > trials:
+            key, _ = _rank(key)
+        counts = np.bincount(key)
         # all trials of a key carry one word, so any one can stand for it
-        order = np.argsort(key)
-        key = key[order]
-        starts = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-        first, counts = order[starts], np.diff(starts, append=trials)
+        first = np.empty(counts.size, dtype=np.int64)
+        first[key] = trial_ids
+        seen = np.flatnonzero(counts)
+        first, counts = first[seen], counts[seen]
         scored += first.size
         accepted = np.zeros(code.size, dtype=np.int64)
         for start in range(0, first.size, MC_BLOCK):

@@ -175,11 +175,15 @@ def test_geometry_dimension_command(bern_file, tmp_path, capsys):
 
 
 # the tail of the k_max = 6 ladder lies within 2^-6 of x = 0 in total
-# variation, and within about 2^-3 under the sqrt embedding
-@pytest.mark.parametrize("embedding, radius", [("raw", "0.001"), ("sqrt", "0.05")],
-                         ids=["raw", "sqrt"])
-def test_truncation_scale_warning(bern_file, tmp_path, capsys, embedding, radius):
-    rc = main(["geometry", "--channel", str(bern_file), "--task", "covering",
+# variation, and within about 2^-3 under the sqrt embedding; half of the
+# dimension radii lie below 2^-6
+@pytest.mark.parametrize("task, embedding, radius", [
+    ("covering", "raw", "0.001"),
+    ("covering", "sqrt", "0.05"),
+    ("dimension", "raw", "0.5:0.0005:6:log"),
+], ids=["raw", "sqrt", "dimension"])
+def test_truncation_scale_warning(bern_file, tmp_path, capsys, task, embedding, radius):
+    rc = main(["geometry", "--channel", str(bern_file), "--task", task,
                "--embedding", embedding, "--radii", radius,
                "--out", str(tmp_path / "g")])
     assert rc == 0

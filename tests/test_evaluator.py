@@ -531,6 +531,57 @@ def test_monte_carlo_long_words_rank_keys(rows, words):
     assert rep.to_json() == per_trial_monte_carlo(code, W, trials=1500, seed=3).to_json()
 
 
+#: full-support rows, and the same rows with input 1 a point mass on output 1
+FULL3 = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]
+POINT3 = [[0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.1, 0.3, 0.6]]
+ID3_WORDS = [(0, 1, 2, 0, 1, 2), (1, 1, 2, 2, 0, 0), (2, 0, 0, 1, 1, 2), (0, 1, 2, 0, 1, 1)]
+
+
+@pytest.mark.parametrize("W, law, words, delta", [
+    # BERN6 rows 0 (x = 0) and 1 (x = 1) are point masses, rows 2 and 4 are not
+    (bernoulli_family(2.0, 6), None,
+     [(0, 1, 2, 4, 2, 4, 0, 1), (2, 2, 4, 4, 1, 0, 2, 4), (1, 4, 2, 0, 4, 2, 2, 1),
+      (0, 0, 1, 1, 2, 2, 4, 4)], 1.0),
+    (make_channel(["a", "b", "c"], FULL3), make_channel(["a", "b", "c"], POINT3),
+     ID3_WORDS, 0.6),
+    (make_channel(["a", "b", "c"], POINT3), make_channel(["a", "b", "c"], FULL3),
+     ID3_WORDS, 0.6),
+    # every position skips its draws
+    (identity_channel(3), None, ID3_WORDS, 0.6),
+], ids=["bern6-mixed", "law-point-mass", "W-point-mass", "identity"])
+def test_monte_carlo_point_mass_rows(W, law, words, delta):
+    code = assemble_code(W, words, delta=delta)
+    for trials, seed in ((1, 0), (700, 5), (3000, 11)):
+        assert (monte_carlo_errors(code, W, trials, seed, law=law).to_json()
+                == per_trial_monte_carlo(code, W, trials, seed, law=law).to_json())
+
+
+def test_monte_carlo_identity_code_draws_nothing(monkeypatch):
+    calls = []
+
+    def counted(cdf, u, out):
+        calls.append(u.size)
+        return choice_letters(cdf, u, out)
+
+    monkeypatch.setattr(evaluator, "choice_letters", counted)
+    W = identity_channel(3)
+    rep = monte_carlo_errors(assemble_code(W, ID3_WORDS, delta=0.6), W, trials=500, seed=2)
+    assert calls == []
+    assert rep.mc_words_scored == len(ID3_WORDS)
+
+
+@pytest.mark.parametrize("trials", [1023, 1024, 1025])
+def test_monte_carlo_key_span_at_trials(trials):
+    """2^10 output words: 1023 trials rank their keys before counting them,
+    1024 and 1025 count the mixed-radix keys directly."""
+    W = make_channel(["a", "b"], [[0.6, 0.4], [0.45, 0.55]])
+    words = [tuple(int(b) for b in f"{w:010b}") for w in (0b0101100111, 0b1110001010, 0)]
+    code = assemble_code(W, words, delta=1.0)
+    for seed in range(3):
+        assert (monte_carlo_errors(code, W, trials, seed).to_json()
+                == per_trial_monte_carlo(code, W, trials, seed).to_json())
+
+
 #: letter laws of 2-8 outputs with zeros first, inside and last, and a point mass
 CHOICE_ROWS = [
     [0.3, 0.7],
