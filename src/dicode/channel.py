@@ -6,9 +6,9 @@ tolerance is rejected outright.  Instances are immutable and safe to share,
 and they compare and hash by identity.  A channel owns the tables derived
 from it, each built on first use and dying with the channel: the `log2`
 matrix the exact DP and Monte Carlo decoders read, the letter `entropies`,
-the letter `fidelities`, the `purged` form, and the `sqrt_cloud` /
-`raw_cloud` point clouds whose distance matrices the packing and covering
-counts share.  Every table array is read-only.
+the letter `fidelities` that only `bounds.ex2_dmc` reads, the `purged` form,
+and the `sqrt_cloud` / `raw_cloud` point clouds whose distance matrices the
+packing and covering counts share.  Every table array is read-only.
 """
 
 from __future__ import annotations
@@ -175,10 +175,11 @@ def load_channel(path) -> ChannelModel:
     if "family" in spec:
         if spec["family"] != "bernoulli":
             raise ValidationError(f"unknown channel family {spec['family']!r}")
-        try:
-            return bernoulli_family(float(spec["a"]), int(spec["k_max"]))
-        except KeyError as exc:
-            raise ValidationError(f"bernoulli family spec missing {exc}") from exc
+        a, k_max = spec.get("a"), spec.get("k_max")
+        if type(a) not in (int, float) or type(k_max) is not int:  # None or a bool too
+            raise ValidationError(f"bernoulli family spec needs a number a and an integer "
+                                  f"k_max, got a={a!r}, k_max={k_max!r}")
+        return bernoulli_family(float(a), k_max)
 
     try:
         labels = spec["inputs"]

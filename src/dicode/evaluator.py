@@ -28,7 +28,6 @@ import numpy as np
 from .channel import ChannelModel
 from .codebook import DICode, word_output_entropy
 from .errors import SizeGuardError, ValidationError
-from .infodist import false_accept_bound
 
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
 EDGE_FUZZ = 1e-9
@@ -39,6 +38,8 @@ STATE_GUARD = 1 << 27
 ATOM_CHUNK = 1 << 16
 #: codeword pairs whose joint types are counted at once
 PAIR_CHUNK = 1 << 11
+#: tilts s of the Chernoff screening ceiling: 0 and +-2^k, k = -8..5
+TILTS = np.concatenate(([0.0], 2.0 ** np.arange(-8, 6), -(2.0 ** np.arange(-8, 6))))
 
 DEFAULT_PAIR_BUDGET = 10**6
 #: two-sided 95% normal quantile of the Wilson intervals
@@ -205,6 +206,38 @@ class JointTypeDP:
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
+def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
+    """Chernoff ceilings, in log2, on the typical-set acceptance probability
+    of joint types given as count rows, from the tables `count_probs` reads.
+
+    Class c = (a, b) has l_c(s) = log2 sum_v r_c(v) 2^(s v) over owner letter
+    b's group values v and law row r_c, which leaves out the outputs W(.|b)
+    never emits (no accepted word holds one).  By Markov on 2^(s S), a band
+    mass is at most 2^(L(s) - s edge), L = sum_c n_c l_c, edge -H - theta
+    (s > 0) or -H + theta (s < 0) with the band of `hi`.  The least over
+    TILTS plus a rounding margin, at most 0; -inf if a class has no live mass.
+    """
+    q = dp.W.n_inputs
+    ell = np.empty((len(TILTS), q * q))
+    for values, (letters, laws) in dp._groups.items():
+        with np.errstate(divide="ignore"):
+            x = np.log2(laws) + TILTS[:, None, None] * np.array(values)  # [s, row, value]
+            top = np.maximum(np.max(x, axis=2, keepdims=True), -1e300)  # dead: -inf, not nan
+            lse = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
+        # law rows are owner-major: class a*q + b at row (position of b)*q + a
+        ell[:, (np.arange(q) * q + np.array(letters)[:, None]).ravel()] = lse
+    dead = np.isneginf(ell).any(axis=0)
+    ell[:, dead] = 0.0  # no 0 * -inf in the products below
+    h, counts = np.tile(dp.W.entropies, q), np.asarray(rows, dtype=float).reshape(-1, q * q)
+    theta = delta * np.sqrt(counts.sum(axis=1)) + EDGE_FUZZ
+    # -s edge = s H + |s| theta; the margin takes |s| (H + theta) >= |s edge|, linear in n_c
+    eps = (q * q + dp.W.output_size + 2) * 2.0**-52
+    per_class = ell + np.outer(TILTS, h) + eps * (np.abs(ell) + np.outer(np.abs(TILTS), h) + 1)
+    bound = counts @ per_class.T + np.outer(theta, (1.0 + eps) * np.abs(TILTS))
+    bound = np.minimum(np.min(bound, axis=1) + eps, 0.0)
+    return np.where(counts @ dead > 0, -np.inf, bound)
+
+
 def _distinct(rows, pairs):
     """Distinct rows of a 2-D integer array, compared as bytes, and the sum
     of `pairs` over the copies of each."""
@@ -265,6 +298,8 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
                              law: ChannelModel | None = None) -> float:
     """Independent enumeration over all |Y|^n outputs (small n only)."""
+    if len(source_word) != len(owner_word):
+        raise ValidationError("source and owner words must have equal length")
     law_matrix, n = (law or W).matrix, len(owner_word)
     if W.output_size**n > 1 << 22:
         raise SizeGuardError("enumeration too large")
@@ -299,18 +334,16 @@ def measure_lambda2(code: DICode, W: ChannelModel,
 
     The pairs are grouped by joint type, and each type evaluated gets the
     exact DP once.  When N(N-1) exceeds the pair budget, every type first
-    gets the analytic ceiling `false_accept_bound`, and the types are ranked
-    by it, highest first (ties in row order).  Types are evaluated in that
-    order until they cover pair_budget pairs: a type is evaluated when fewer
-    than pair_budget pairs precede it, so every pair of an evaluated type
-    counts in `dp.pairs_exact`, which can exceed the budget.  The hi endpoint
-    keeps the largest ceiling, clamped to 1, of the skipped types, so it
-    remains a true upper bound.  The ceiling assumes the source letters are
-    drawn from W, so under a `law` with another matrix the types are still
-    ranked by it but every skipped type's ceiling is 1.  pair_mode is
-    "exhaustive" when every type is evaluated, "pair-bound" when none is,
-    else "screened".  `dp` lends its lattice cache and counters (a fresh one
-    by default).
+    gets its Chernoff ceiling `false_accept_bound`, read from the DP's law
+    rows (so also under a separate `law`), and the types are ranked by it,
+    highest first (ties in row order).  Types are evaluated in that order
+    until they cover pair_budget pairs: a type is evaluated when fewer than
+    pair_budget pairs precede it, so every pair of an evaluated type counts
+    in `dp.pairs_exact`, which can exceed the budget.  The hi endpoint keeps
+    the largest skipped ceiling, a true upper bound: 0 only if no live output
+    word reaches the type, else at least the smallest positive double.
+    pair_mode is "exhaustive" when every type is evaluated, "pair-bound" when
+    none is, else "screened".  `dp` lends its lattice cache and counters.
 
     Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
     raises ValidationError.
@@ -325,12 +358,11 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     rows, pairs = _type_rows(code, W, src, own)
     evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
     if len(src) > pair_budget:
-        bound = false_accept_bound(W, rows, code.delta)
+        bound = false_accept_bound(dp, rows, code.delta)
         order = np.argsort(-bound, kind="stable")
         evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
-        if law is not None and not np.array_equal(law.matrix, W.matrix):
-            bound = np.ones_like(bound)  # the ceilings hold for sources drawn from W
-        ceiling = min(1.0, float(np.max(bound[~evaluate], initial=0.0)))
+        top = float(np.max(bound[~evaluate], initial=-np.inf))
+        ceiling = 0.0 if top == -np.inf else max(2.0**top, math.ulp(0.0))
     p_lo, p_hi = dp.count_probs(rows[evaluate], code.delta)
     dp.pairs_exact += int(pairs[evaluate].sum())
     lo, hi = float(np.max(p_lo, initial=0.0)), max(float(np.max(p_hi, initial=0.0)), ceiling)

@@ -1,10 +1,10 @@
-"""Distances, divergences, entropies, and typicality error bounds.
+"""Distances, divergences, entropies, and the typicality constants.
 
 Conventions fixed here and used everywhere downstream:
   * divergences and entropies are returned in bits,
-  * 0 * log 0 = 0 and log 0 = -inf,
-  * bound evaluators return the raw formula value even when it exceeds 1
-    (a vacuous bound); clamping is the caller's choice.
+  * 0 * log 0 = 0 and log 0 = -inf.
+The screening ceiling on a joint type's false-accept probability is a
+Chernoff bound read from the exact DP's tables (`evaluator.false_accept_bound`).
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import math
 import numpy as np
 
 from .errors import SizeGuardError, ValidationError
-
-LOG2 = math.log(2.0)
 
 #: refuse exact hypothesis-testing computations above this many outcomes
 HT_OUTCOME_GUARD = 10**7
@@ -123,38 +121,6 @@ def typicality_constants(y_size: int) -> tuple[float, float]:
         raise ValidationError("alphabet needs at least two outputs")
     K = math.log2(max(y_size, 3)) ** 2
     return K, 1.0 / (36.0 * K)
-
-
-def typical_miss_bound(delta: float, y_size: int) -> float:
-    """Upper bound 2 exp(-delta^2 c) on the mass a word leaves outside its own
-    entropy-typical set of width delta * sqrt(n).  Raw value (may exceed 1)."""
-    _, c = typicality_constants(y_size)
-    return 2.0 * math.exp(-(delta**2) * c)
-
-
-def false_accept_bound(W, rows, delta: float) -> np.ndarray:
-    """Analytic ceilings on a source word's mass inside an owner's typical
-    set, one per joint-type count row (positions per class a*q + b, source
-    letter a, owner letter b).
-
-    tail + eps + eps 2^exponent, with eps the letterwise fidelity product,
-    log2 eps = sum_{a != b} N_ab log2 F(a, b) over F = W.fidelities, and
-    exponent = 2 delta sqrt(n) + sum N_ab (H_b - H_a) bits.  Both terms are
-    formed from log2 eps, so a product below the float range does not hide a
-    growth term above it.  Raw values; vacuous results above 1 are returned
-    as-is.
-    """
-    q = W.n_inputs
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1, q * q)
-    log_fid = np.array([[math.log2(f) if f else -math.inf for f in row]
-                        for row in W.fidelities.tolist()])
-    np.fill_diagonal(log_fid, 0.0)
-    ent = np.array(W.entropies)
-    log_eps = (np.where(rows > 0, log_fid.ravel(), 0.0) * rows).sum(axis=1)
-    exponent = 2.0 * delta * np.sqrt(rows.sum(axis=1)) + rows @ (ent - ent[:, None]).ravel()
-    tail = typical_miss_bound(delta, W.output_size)
-    with np.errstate(over="ignore"):
-        return tail + np.exp2(log_eps) + np.exp2(log_eps + exponent)
 
 
 def product_distribution(W, word) -> np.ndarray:

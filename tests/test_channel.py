@@ -74,6 +74,20 @@ def test_nan_bernoulli_base_rejected(k_max, tmp_path):
         load_channel(path)
 
 
+# JSON numbers only: int(True) and int(6.7) used to load as k_max 1 and 6
+NON_NUMBER_FIELDS = {"k-max-bool": {"k_max": True}, "k-max-real": {"k_max": 6.7},
+                     "k-max-string": {"k_max": "6"}, "a-bool": {"a": True},
+                     "a-string": {"a": "2.0"}, "a-null": {"a": None}}
+
+
+@pytest.mark.parametrize("field", NON_NUMBER_FIELDS.values(), ids=NON_NUMBER_FIELDS.keys())
+def test_bernoulli_spec_needs_json_numbers(field, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"family": "bernoulli", "a": 2.0, "k_max": 6} | field))
+    with pytest.raises(ValidationError, match="a number a and an integer k_max"):
+        load_channel(path)
+
+
 def test_soft_residual_renormalized():
     W = make_channel(["a"], [[0.5, 0.5 + 1e-9]])
     assert abs(W.matrix[0].sum() - 1.0) < 1e-12

@@ -298,7 +298,15 @@ MALFORMED = {
                             "--E-axis", "1e-3", "--n-axis", "10", "--y-size", "3"],
     "embedding-cube": ["geometry", "--channel", "{bern}", "--task", "packing",
                        "--radii", "0.5", "--embedding", "cube"],
+    "bern-k-max-bool": ["channel", "check", "--channel", "{tmp}/bern-k-max-bool.json"],
+    "bern-k-max-real": ["channel", "check", "--channel", "{tmp}/bern-k-max-real.json"],
+    "bern-k-max-string": ["channel", "check", "--channel", "{tmp}/bern-k-max-string.json"],
+    "bern-a-string": ["channel", "check", "--channel", "{tmp}/bern-a-string.json"],
 }
+#: Bernoulli specs that differ from BERN in one field that is no JSON number
+#: of the right kind
+MALFORMED_BERN = {"k-max-bool": {"k_max": True}, "k-max-real": {"k_max": 6.7},
+                  "k-max-string": {"k_max": "6"}, "a-string": {"a": "2.0"}}
 
 
 def write_malformed_codes(payload, tmp_path):
@@ -326,6 +334,8 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
                                                [(0, 1, 2), (3, 4, 5)], delta=1.0)))
     ident.write_text(json.dumps(IDENT))
     write_malformed_codes(json.loads(code.read_text()), tmp_path)
+    for name, field in MALFORMED_BERN.items():
+        (tmp_path / f"bern-{name}.json").write_text(json.dumps(BERN | field))
     argv = [a.format(bern=bern_file, code=code, ident=ident, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()

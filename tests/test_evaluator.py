@@ -24,7 +24,6 @@ from dicode.evaluator import (
     typical_set_prob,
     wilson_interval,
 )
-from dicode.infodist import false_accept_bound
 
 
 def type_row(q, source, owner):
@@ -184,8 +183,8 @@ def test_pair_bound_only_mode():
 
 
 def test_pair_bound_under_another_law_encloses_the_value():
-    # false_accept_bound assumes sources drawn from W; with the rows swapped
-    # each source word emits the other word's outputs and is accepted
+    # with the rows swapped each source word emits the other word's outputs
+    # and is accepted, so the ceiling must read the law's rows, not W's
     W = make_channel(["a", "b"], [[0.98, 0.02], [0.02, 0.98]])
     V = make_channel(["a", "b"], [[0.02, 0.98], [0.98, 0.02]])
     code = assemble_code(W, [(0,) * 2000, (1,) * 2000], delta=10.0)
@@ -261,10 +260,20 @@ def test_error_report_json_round_trip():
     rep = exact_error_report(code, W)
     text = rep.to_json()
     assert '"method": "exact-dp"' in text
-    # a screened hi of 1 gives the exponent 0.0, not -0.0
+    # a screened hi of 1 gives the exponent 0.0, not -0.0; a band that holds
+    # every output word leaves the ceiling at 1
+    W = make_channel(["0", "1"], [[0.9, 0.1], [0.1, 0.9]])
+    code = assemble_code(W, [(0, 0, 1), (1, 1, 0)], delta=10.0)
     screened = exact_error_report(code, W, pair_budget=0)
     assert screened.lambda2[1] == 1.0
     assert "-0.0" not in screened.to_json()
+
+
+def test_oracles_refuse_words_of_unequal_length():
+    W = identity_channel(2)
+    for oracle in (typical_set_prob, brute_force_typical_prob):
+        with pytest.raises(ValidationError, match="equal length"):
+            oracle(W, (0, 1, 0, 1), (1, 0), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +417,51 @@ def test_lambda2_screened_mode_is_upper_bound(case):
         assert 0.0 <= ceiling <= 1.0
         assert dp.pairs_exact >= min(budget, pairs)
         assert (mode == "exhaustive") == (dp.pairs_exact == pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(word_pair_cases(zeros=True))
+def test_chernoff_ceiling_bounds_dp_and_enumeration(case):
+    """With and without a separate law, the ceiling is at least the DP's hi
+    and the enumerated acceptance probability."""
+    W, law, source, owner, delta = case
+    dp, row = JointTypeDP(W, law=law), [type_row(W.n_inputs, source, owner)]
+    ceiling = 2.0 ** evaluator.false_accept_bound(dp, row, delta)[0]
+    assert ceiling >= dp.count_probs(row, delta)[1][0]
+    assert ceiling >= min(1.0, brute_force_typical_prob(W, source, owner, delta, law=law))
+
+
+def test_chernoff_ceilings_of_every_bern6_cross_type():
+    """All 5,118 cross types of the 88-word BERN6 n=10 code: no ceiling falls
+    below the DP's hi, and at budget 500 the largest skipped ceiling lies
+    below the exhaustive lambda2, so the screened interval is exact."""
+    W = bernoulli_family(2.0, 6)
+    code = construct(W, 10, 4.5e-7, 0.5)
+    words = code.codewords
+    rows = np.unique([type_row(W.n_inputs, words[j], words[k]) for j in range(code.size)
+                      for k in range(code.size) if j != k], axis=0)
+    assert len(rows) == 5118
+    dp = JointTypeDP(W)
+    assert np.all(2.0 ** evaluator.false_accept_bound(dp, rows, code.delta)
+                  >= dp.count_probs(rows, code.delta)[1])
+    screened = exact_error_report(code, W, pair_budget=500)
+    assert screened.pair_mode == "screened" and screened.analytic_ceiling < 0.36
+    assert screened.lambda2 == (0.35589599609375,) * 2 == exact_error_report(code, W).lambda2
+
+
+def test_chernoff_ceiling_of_dead_and_underflowing_types():
+    # identity letters: a cross class (a, b), a != b, has no live mass
+    W = identity_channel(2)
+    row = [type_row(2, (0, 1, 1), (0, 1, 0))]
+    assert evaluator.false_accept_bound(JointTypeDP(W), row, 0.5)[0] == -np.inf
+    code = assemble_code(W, [(0, 1, 1), (0, 1, 0)], delta=0.5)
+    assert measure_lambda2(code, W, 0) == ((0.0, 0.0), "pair-bound", 0.0)
+    # BSC(0.01), all zeros against all ones at n = 300: about 2^-1900
+    W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
+    code = assemble_code(W, [(0,) * 300, (1,) * 300], delta=1.0)
+    row = [type_row(2, code.codewords[0], code.codewords[1])]
+    assert -np.inf < evaluator.false_accept_bound(JointTypeDP(W), row, code.delta)[0] < -1075
+    assert measure_lambda2(code, W, 0) == ((0.0, 5e-324), "pair-bound", 5e-324)
 
 
 def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
@@ -824,7 +878,7 @@ def test_report_work_counters():
     screened = exact_error_report(code, W, pair_budget=5)
     cross = Counter(tuple(type_row(q, a, b)) for a in words for b in words if a != b)
     rows = sorted(cross)
-    bound = false_accept_bound(W, rows, code.delta)
+    bound = evaluator.false_accept_bound(JointTypeDP(W), rows, code.delta)
     covered = np.cumsum([cross[rows[t]] for t in np.argsort(-bound, kind="stable")])
     evaluated = int(np.searchsorted(covered, 5)) + 1
     own_types = len({tuple(type_row(q, w, w)) for w in words})

@@ -3,19 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from dicode.channel import bernoulli_family, make_channel
-from dicode.codebook import construct
+from dicode.channel import make_channel
 from dicode.errors import SizeGuardError
 from dicode.infodist import (
     entropy,
-    false_accept_bound,
     fidelity,
     hypothesis_testing_divergence,
     product_distribution,
     renyi_divergence,
     sqrt_embed,
     total_variation,
-    typical_miss_bound,
     typicality_constants,
 )
 
@@ -149,63 +146,6 @@ def test_typicality_constants_and_miss_bound():
     K8, c8 = typicality_constants(8)
     assert K8 == 9.0
     assert c8 == pytest.approx(1 / 324)
-    # delta = 0 gives the vacuous raw value 2
-    assert typical_miss_bound(0.0, 2) == 2.0
-
-
-def type_row(q, source, owner):
-    """Joint-type count row of a word pair: positions per class a*q + b."""
-    return np.bincount(np.array(source) * q + np.array(owner), minlength=q * q)
-
-
-def test_false_accept_bound_cases():
-    W = make_channel(["p", "m"], [[0.9, 0.1], [0.1, 0.9]])
-    word_a = (0, 0, 0, 0)
-    word_b = (1, 1, 1, 1)
-    # identical words: fidelity product 1, bound is vacuous (> 1); then
-    # hand-evaluated: eps = 0.6^4, equal entropies, 2^(2 delta sqrt(n)) = 16
-    _, c = typicality_constants(2)
-    want = 2 * math.exp(-c) + 0.6**4 * (1 + 2.0 ** (2 * 1.0 * 2.0))
-    same, other = false_accept_bound(W, [type_row(2, word_a, word_a),
-                                         type_row(2, word_b, word_a)], 1.0)
-    assert same > 1.0
-    assert other == pytest.approx(want)
-    # letterwise disjoint supports: bound reduces to the tail term
-    D = make_channel(["a", "b"], [[1, 0], [0, 1]])
-    assert false_accept_bound(D, [type_row(2, (1, 1), (0, 0))], 0.7) == pytest.approx(
-        typical_miss_bound(0.7, 2))
-    # BSC(0.01), n = 10,000: eps = 0.199^470 is below the float range, but
-    # eps 2^exponent = 2^(-1095 + 1930) is not, so the ceiling is vacuous
-    B = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
-    (bound,) = false_accept_bound(B, [[9530, 0, 470, 0]], 9.65)
-    assert typical_miss_bound(9.65, 2) < 1.0 <= bound
-
-
-def uncached_false_accept_bound(W, owner_word, source_word, delta):
-    """The ceiling's formula on one word pair, position by position."""
-    n = len(owner_word)
-    eps = 1.0
-    for xo, xs in zip(owner_word, source_word):
-        if xo != xs:
-            eps *= fidelity(W.matrix[xo], W.matrix[xs])
-    h_owner = sum(entropy(W.matrix[x]) for x in owner_word)
-    h_source = sum(entropy(W.matrix[x]) for x in source_word)
-    tail = typical_miss_bound(delta, W.output_size)
-    if eps == 0.0:
-        return tail
-    return tail + eps * (1.0 + 2.0 ** (2.0 * delta * math.sqrt(n) + h_owner - h_source))
-
-
-def test_false_accept_bound_rows_match_per_pair_formula():
-    """All 7,744 ordered pairs of the 88-word BERN6 n=10 code, as count rows
-    in one call, against the formula evaluated on each pair's words."""
-    W = bernoulli_family(2.0, 6)
-    code = construct(W, 10, 4.5e-7, 0.5)
-    assert code.size == 88
-    q, words = W.n_inputs, code.codewords
-    got = false_accept_bound(W, [type_row(q, s, o) for o in words for s in words], code.delta)
-    want = [uncached_false_accept_bound(W, o, s, code.delta) for o in words for s in words]
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_product_distribution():
