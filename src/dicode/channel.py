@@ -163,6 +163,7 @@ def load_channel(path) -> ChannelModel:
     Two forms are accepted:
       {"inputs": [labels], "matrix": [[...]], "cost": [...]}   explicit
       {"family": "bernoulli", "a": <real>, "k_max": <int>}     parametric
+    Matrix rows have equal length; matrix and cost entries are JSON numbers.
     """
     path = Path(path)
     try:
@@ -186,7 +187,19 @@ def load_channel(path) -> ChannelModel:
         matrix = spec["matrix"]
     except KeyError as exc:
         raise ValidationError(f"channel spec missing key {exc}") from exc
+    if not isinstance(labels, list):
+        raise ValidationError(f"channel spec inputs must be a list of labels, got {labels!r}")
+    rows = matrix if isinstance(matrix, list) else [matrix]
+    if not all(map(_numbers, rows)) or len(set(map(len, rows))) > 1:
+        raise ValidationError("channel spec matrix must be equal-length rows of JSON numbers")
+    if spec.get("cost") is not None and not _numbers(spec["cost"]):
+        raise ValidationError("channel spec cost must be a list of JSON numbers")
     return make_channel(labels, matrix, cost=spec.get("cost"))
+
+
+def _numbers(values) -> bool:
+    """A JSON list of numbers: no bool, string or null among them."""
+    return isinstance(values, list) and all(type(v) in (int, float) for v in values)
 
 
 def truncate_channel(W: ChannelModel, delta: float, n: int) -> ChannelModel:

@@ -13,8 +13,9 @@ owner letters whose reached outputs share one set of log2 W(y|b) values
 fixed by the owner's letter composition, its mass is the product of the
 groups'.  Mass on an output W(.|b) never emits (log = -inf) lies outside the
 typical set and drops out.  lo and hi sum the atoms inside the band shrunk
-and widened by EDGE_FUZZ, ATOM_CHUNK lattice entries at a time, after the
-STATE_GUARD check.  Each distinct joint type is evaluated once.
+and widened by EDGE_FUZZ after the STATE_GUARD check, in blocks of ATOM_CHUNK
+lattice entries (atoms x types), broadcast one group at a time.  Each distinct
+joint type is evaluated once.
 """
 
 from __future__ import annotations
@@ -126,6 +127,21 @@ def _masses(law, pred, prefix, splits):
     return mass[n % 2]
 
 
+def _atoms(parts, start, stop):
+    """Values and masses [type, atom] of atoms start..stop-1, in C order, of
+    the lattices `parts` ((values, masses) per group): the last group's row
+    broadcast over the others' atoms the range meets, at most a row past each end."""
+    *lead, (v, m) = parts
+    if not lead:
+        return v[start:stop], m[:, start:stop]
+    s = len(v)
+    first = start // s
+    lead_v, lead_m = _atoms(lead, first, -(-stop // s))
+    cut = slice(start - first * s, stop - first * s)
+    return ((lead_v[:, None] + v).ravel()[cut],
+            (lead_m[:, :, None] * m[:, None, :s]).reshape(len(m), -1)[:, cut])
+
+
 class JointTypeDP:
     """Certified acceptance probabilities of joint types under one (W, law).
 
@@ -184,23 +200,21 @@ class JointTypeDP:
         for own, size, types in zip(owners, atoms, types_of):
             parts = [(self._lattice(values, int(own[letters].sum())), letters, law)
                      for values, (letters, law) in self._groups.items() if own[letters].any()]
-            shape = [len(lattice[0]) for lattice, _, _ in parts]
             theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
             width = min(size, ATOM_CHUNK)
             for first in range(0, len(types), ATOM_CHUNK // width):
                 t = types[first:first + ATOM_CHUNK // width]
                 # positions per class (a, b) of the group, owner-major like its law rows
-                masses = [_masses(law, pred, prefix,
-                                  counts[t][:, :, letters].transpose(0, 2, 1).reshape(len(t), -1))
-                          for (_, pred, prefix), letters, law in parts]
+                groups = [(values, _masses(law, pred, prefix, counts[t][:, :, letters]
+                                           .transpose(0, 2, 1).reshape(len(t), -1)))
+                          for (values, pred, prefix), letters, law in parts]
                 for start in range(0, size, width):
-                    idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
-                    dev = np.abs(sum(lat[0][i] for (lat, _, _), i in zip(parts, idx)) + h_owner)
+                    value, mass = _atoms(groups, start, min(start + width, size))
+                    dev = np.abs(value + h_owner)
                     touch = np.flatnonzero(dev <= theta + EDGE_FUZZ)
                     inside = dev[touch] <= theta - EDGE_FUZZ
                     # C-ordered rows, so each type's sums are its own
-                    mass = math.prod(np.take(m, i[touch], axis=1)
-                                     for m, i in zip(masses, idx))
+                    mass = np.take(mass, touch, axis=1)
                     hi[t] += mass.sum(axis=1)
                     lo[t] += np.compress(inside, mass, axis=1).sum(axis=1)
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)

@@ -88,6 +88,33 @@ def test_bernoulli_spec_needs_json_numbers(field, tmp_path):
         load_channel(path)
 
 
+# a ragged matrix raised numpy's ValueError (exit 1); "ab" loaded as labels a
+# and b, and bool or numeric-string entries converted to 0/1 and floats
+BAD_EXPLICIT_FIELDS = {
+    "matrix-ragged": ({"matrix": [[0.5, 0.5], [1.0]]}, "matrix"),
+    "matrix-ragged-deep": ({"matrix": [[0.5, 0.5], [0.5, [0.5]]]}, "matrix"),
+    "matrix-not-rows": ({"matrix": [0.5, 0.5]}, "matrix"),
+    "matrix-bool": ({"matrix": [[True, False], [False, True]]}, "matrix"),
+    "matrix-string": ({"matrix": [["0.9", "0.1"], ["0.2", "0.8"]]}, "matrix"),
+    "matrix-null": ({"matrix": [[None, 1.0], [0.5, 0.5]]}, "matrix"),
+    "inputs-string": ({"inputs": "ab"}, "inputs"),
+    "inputs-object": ({"inputs": {"a": 0, "b": 1}}, "inputs"),
+    "cost-bool": ({"cost": [True, False]}, "cost"),
+    "cost-string": ({"cost": ["1", "0"]}, "cost"),
+    "cost-number": ({"cost": 1.0}, "cost"),
+}
+
+
+@pytest.mark.parametrize("field,key", BAD_EXPLICIT_FIELDS.values(),
+                         ids=BAD_EXPLICIT_FIELDS.keys())
+def test_explicit_spec_needs_lists_of_json_numbers(field, key, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"inputs": ["a", "b"], "matrix": [[0.5, 0.5], [0.2, 0.8]]}
+                               | field))
+    with pytest.raises(ValidationError, match=f"channel spec {key} must be"):
+        load_channel(path)
+
+
 def test_soft_residual_renormalized():
     W = make_channel(["a"], [[0.5, 0.5 + 1e-9]])
     assert abs(W.matrix[0].sum() - 1.0) < 1e-12

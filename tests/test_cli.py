@@ -302,11 +302,15 @@ MALFORMED = {
     "bern-k-max-real": ["channel", "check", "--channel", "{tmp}/bern-k-max-real.json"],
     "bern-k-max-string": ["channel", "check", "--channel", "{tmp}/bern-k-max-string.json"],
     "bern-a-string": ["channel", "check", "--channel", "{tmp}/bern-a-string.json"],
+    "explicit-ragged": ["channel", "check", "--channel", "{tmp}/explicit-ragged.json"],
+    "explicit-bool": ["channel", "check", "--channel", "{tmp}/explicit-bool.json"],
 }
 #: Bernoulli specs that differ from BERN in one field that is no JSON number
 #: of the right kind
 MALFORMED_BERN = {"k-max-bool": {"k_max": True}, "k-max-real": {"k_max": 6.7},
                   "k-max-string": {"k_max": "6"}, "a-string": {"a": "2.0"}}
+#: explicit specs whose matrix is ragged or holds bools
+MALFORMED_EXPLICIT = {"ragged": [[0.5, 0.5], [1.0]], "bool": [[True, False], [False, True]]}
 
 
 def write_malformed_codes(payload, tmp_path):
@@ -336,6 +340,8 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     write_malformed_codes(json.loads(code.read_text()), tmp_path)
     for name, field in MALFORMED_BERN.items():
         (tmp_path / f"bern-{name}.json").write_text(json.dumps(BERN | field))
+    for name, matrix in MALFORMED_EXPLICIT.items():
+        (tmp_path / f"explicit-{name}.json").write_text(json.dumps(IDENT | {"matrix": matrix}))
     argv = [a.format(bern=bern_file, code=code, ident=ident, tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err.splitlines()

@@ -398,6 +398,89 @@ def test_batch_equals_single_type_evaluation(case):
     assert_batch_equals_single_pairs(*case)
 
 
+def gathered_atoms(groups, start, stop):
+    """Oracle of `evaluator._atoms`: each atom's per-group lattice indices
+    from np.unravel_index, its value summed and its mass multiplied over the
+    groups' gathered entries."""
+    idx = np.unravel_index(np.arange(start, stop), [len(v) for v, _ in groups])
+    return (sum(v[i] for (v, _), i in zip(groups, idx)),
+            math.prod(np.take(m, i, axis=1) for (_, m), i in zip(groups, idx)))
+
+
+#: lattice sizes of 1 to 5 groups, size-1 groups first, inside and last
+ATOM_SHAPES = [(7,), (1,), (3, 4), (1, 5), (5, 1), (2, 3, 4), (3, 1, 2), (1, 1, 3),
+               (2, 2, 2, 3), (2, 1, 3, 2), (3, 2, 1, 2, 2), (1, 2, 1, 3, 1)]
+
+
+@pytest.mark.parametrize("shape", ATOM_SHAPES, ids=map(str, ATOM_SHAPES))
+def test_atoms_equal_unravel_gather(shape):
+    """Every range [start, stop) of the atoms, so ranges start and stop inside
+    a row at every level, is built bit for bit like the gather.  Each group's
+    masses end in a NaN column, where `_masses` keeps its zero column: no atom
+    may read it."""
+    rng = np.random.default_rng(len(shape) * 100 + math.prod(shape))
+    groups = [(rng.normal(size=s), np.hstack((rng.random((3, s)), np.full((3, 1), np.nan))))
+              for s in shape]
+    size = math.prod(shape)
+    for start in range(size):
+        for stop in range(start + 1, size + 1):
+            values, masses = evaluator._atoms(groups, start, stop)
+            want_values, want_masses = gathered_atoms(groups, start, stop)
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(masses, want_masses)
+            assert masses.shape == (3, stop - start)
+
+
+def gathered_count_probs(dp, counts, delta):
+    """Reference for `JointTypeDP.count_probs`: np.unravel_index over each
+    block, then one gather per group, with the same owner-composition
+    grouping, type chunks and blocks."""
+    q, lo, hi = dp.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, q, q)
+    owners = counts.sum(axis=1)
+    for own in np.unique(owners, axis=0):
+        types = np.flatnonzero((owners == own).all(axis=1))
+        parts = [(dp._lattice(values, int(own[letters].sum())), letters, law)
+                 for values, (letters, law) in dp._groups.items() if own[letters].any()]
+        shape = [len(lattice[0]) for lattice, _, _ in parts]
+        size = math.prod(shape)
+        theta, h_owner = delta * math.sqrt(own.sum()), float(own @ dp.W.entropies)
+        width = min(size, evaluator.ATOM_CHUNK)
+        for first in range(0, len(types), evaluator.ATOM_CHUNK // width):
+            t = types[first:first + evaluator.ATOM_CHUNK // width]
+            masses = [evaluator._masses(law, pred, prefix, counts[t][:, :, letters]
+                                        .transpose(0, 2, 1).reshape(len(t), -1))
+                      for (_, pred, prefix), letters, law in parts]
+            for start in range(0, size, width):
+                idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
+                dev = np.abs(sum(lat[0][i] for (lat, _, _), i in zip(parts, idx)) + h_owner)
+                touch = np.flatnonzero(dev <= theta + evaluator.EDGE_FUZZ)
+                inside = dev[touch] <= theta - evaluator.EDGE_FUZZ
+                mass = math.prod(np.take(m, i[touch], axis=1) for m, i in zip(masses, idx))
+                hi[t] += mass.sum(axis=1)
+                lo[t] += np.compress(inside, mass, axis=1).sum(axis=1)
+    return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(max_n=8), st.sampled_from([5, 64]))
+@example(SHARED_OWNER_CASE, 5)
+def test_count_probs_equals_gathered_atom_sums(case, chunk):
+    """Bit for bit, every type row of a random channel (2-4 inputs, 2-4
+    outputs) gets the interval of the unravel/gather atom sum; at ATOM_CHUNK 5
+    and 64 blocks end inside rows and a call's types span several chunks."""
+    W, law, words, delta = case
+    q = W.n_inputs
+    rows = np.unique([type_row(q, a, b) for a in words for b in words], axis=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "ATOM_CHUNK", chunk)
+        dp = JointTypeDP(W, law=law)
+        got = dp.count_probs(rows, delta)
+        want = gathered_count_probs(dp, rows, delta)
+    assert [v.hex() for v in np.concatenate(got).tolist()] == [
+        v.hex() for v in np.concatenate(want).tolist()]
+
+
 @settings(max_examples=30, deadline=None)
 @given(code_cases())
 def test_lambda2_screened_mode_is_upper_bound(case):
@@ -703,8 +786,8 @@ def test_dp_guard_counts_merged_cells():
     assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
     assert dp.states_max == 16_215
     assert typical_set_prob(W, GUARD_WORD, (0,) * 44, delta=1.0) == (lo, hi)
-    lo, hi = own_type_probs(dp, GUARD_WORD, 1.0)
-    assert 0.0 < lo <= hi < 1.0 and hi - lo <= 1e-6
+    # the bits of the unravel/gather atom sum, blocks of ATOM_CHUNK across rows
+    assert own_type_probs(dp, GUARD_WORD, 1.0) == (float.fromhex("0x1.795b1adb035c8p-1"),) * 2
     assert dp.states_max == 2300**2
 
 
