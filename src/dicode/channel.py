@@ -163,7 +163,8 @@ def load_channel(path) -> ChannelModel:
     Two forms are accepted:
       {"inputs": [labels], "matrix": [[...]], "cost": [...]}   explicit
       {"family": "bernoulli", "a": <real>, "k_max": <int>}     parametric
-    Matrix rows have equal length; matrix and cost entries are JSON numbers.
+    Inputs are distinct strings; matrix rows have equal length; matrix and
+    cost entries are JSON numbers.
     """
     path = Path(path)
     try:
@@ -187,8 +188,9 @@ def load_channel(path) -> ChannelModel:
         matrix = spec["matrix"]
     except KeyError as exc:
         raise ValidationError(f"channel spec missing key {exc}") from exc
-    if not isinstance(labels, list):
-        raise ValidationError(f"channel spec inputs must be a list of labels, got {labels!r}")
+    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels) \
+            or len(set(labels)) < len(labels):
+        raise ValidationError(f"channel spec inputs must be distinct strings, got {labels!r}")
     rows = matrix if isinstance(matrix, list) else [matrix]
     if not all(map(_numbers, rows)) or len(set(map(len, rows))) > 1:
         raise ValidationError("channel spec matrix must be equal-length rows of JSON numbers")

@@ -79,8 +79,9 @@ class CodeParams:
 @dataclass(frozen=True, eq=False)
 class DICode:
     """A constructed code: letters, codewords, and typical-set decoder data.
-    Both arrays are read-only; words not of params.n letters, and entropies
-    that are not finite non-negative numbers (a bool is none), are refused."""
+    Both arrays are read-only; words not of params.n letters, and a delta or
+    entropies that are not finite non-negative numbers (a bool is none), are
+    refused."""
 
     letter_alphabet: tuple[int, ...]       # channel input indices
     codewords: np.ndarray                  # (N, n) int64 channel input indices
@@ -102,6 +103,10 @@ class DICode:
                 not isinstance(self.entropies, np.ndarray)
                 and any(isinstance(h, bool) for h in self.entropies)):
             raise ValidationError("entropies must be finite non-negative numbers of bits")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)) \
+                or not 0 <= self.delta < math.inf:
+            raise ValidationError(f"delta must be a finite number >= 0, got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta))
         for name, value in (("codewords", words), ("entropies", ents)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -392,7 +397,7 @@ def code_from_json(text: str) -> DICode:
     return DICode(
         letter_alphabet=tuple(payload["letter_alphabet"]),
         codewords=payload["codewords"],
-        delta=float(payload["delta"]),
+        delta=payload["delta"],
         entropies=payload["entropies"],
         params=CodeParams(**p),
         **fields,

@@ -7,19 +7,20 @@ letter b and output y, so under the product law of a source word its law
 depends only on the pair's joint type (Csiszar-Korner): the count of
 positions holding each (source letter a, owner letter b).
 
-The exact evaluator sums over output-count lattices, one per group of
-owner letters whose reached outputs share one set of log2 W(y|b) values
-(see JointTypeDP).  An atom picks one count vector per group: its value is
-fixed by the owner's letter composition, its mass is the product of the
-groups'.  Mass on an output W(.|b) never emits (log = -inf) lies outside the
-typical set and drops out.  lo and hi sum the atoms inside the band shrunk
-and widened by EDGE_FUZZ after the STATE_GUARD check, in blocks of ATOM_CHUNK
-lattice entries (atoms x types), broadcast one group at a time.  Each distinct
-joint type is evaluated once.
+The exact evaluator sums over output-count lattices, one per group: the
+classes a*q + b whose owner letters b reach outputs of one set of log2 W(y|b)
+values (see JointTypeDP).  An atom picks one count vector per group; its
+value is fixed by the owner's composition, its mass is the groups' product.
+Mass on an output W(.|b) never emits lies outside the typical set.  lo and hi
+sum the atoms inside the band shrunk and widened by EDGE_FUZZ after the
+STATE_GUARD check, ATOM_CHUNK lattice entries (atoms x types) at a time,
+broadcast one group at a time.  Each distinct joint type is evaluated once.
+Every entry, single pairs included, refuses a letter that is not an input.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -157,21 +158,16 @@ class JointTypeDP:
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
-        self.W, self.law = W, law
-        #: values -> (owner letters, law rows of their classes, owner-major)
+        self.W, self.law, q = W, law, W.n_inputs
+        #: values -> (class ids, owner-major, and the law rows of those classes)
         self._groups: dict[tuple, tuple] = {}
         for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
             values = tuple(sorted(set(logw[row != 0.0].tolist())))
             rows = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
-            letters, laws = self._groups.get(values, ([], rows[:0]))
-            self._groups[values] = letters + [b], np.concatenate((laws, rows))
-        self._lattices: dict[tuple, tuple] = {}
+            classes, laws = self._groups.get(values, ([], rows[:0]))
+            self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((laws, rows))
+        self._lattice = functools.cache(_lattice)  # (n, values) -> lattice
         self.types = self.states_max = self.pairs_exact = 0
-
-    def _lattice(self, values: tuple, n: int):
-        if (values, n) not in self._lattices:
-            self._lattices[values, n] = _lattice(n, values)
-        return self._lattices[values, n]
 
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
@@ -180,16 +176,16 @@ class JointTypeDP:
         q, lo, hi = self.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
         if not len(counts):
             return lo, hi
-        counts = np.asarray(counts, dtype=np.int64).reshape(-1, q, q)  # [type, a, b]
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1, q * q)  # [type, class]
         # group the types by owner composition, the n_b
-        order = np.lexsort(counts.sum(axis=1).T)
-        owners = counts[order].sum(axis=1)
-        changes = (owners[1:] != owners[:-1]).any(axis=1)
+        owners = counts.reshape(-1, q, q).sum(axis=1)
+        order = np.lexsort(owners.T)
+        changes = (owners[order[1:]] != owners[order[:-1]]).any(axis=1)
         starts = np.flatnonzero(np.concatenate(([True], changes)))
-        owners, types_of = owners[starts], np.split(order, starts[1:])
-        sizes = [[(math.comb(int(own[letters].sum()) + len(values) - 1, len(values) - 1),
-                   len(values)) for values, (letters, _) in self._groups.items()]
-                 for own in owners]
+        firsts, types_of = order[starts], np.split(order, starts[1:])
+        sizes = [[(math.comb(int(row[classes].sum()) + len(values) - 1, len(values) - 1),
+                   len(values)) for values, (classes, _) in self._groups.items()]
+                 for row in counts[firsts]]
         atoms = [math.prod(size for size, _ in row) for row in sizes]
         entries = max(size * k for row in sizes for size, k in row)
         if max(atoms) > STATE_GUARD or entries > STATE_GUARD:
@@ -197,17 +193,15 @@ class JointTypeDP:
                                  f"lattice entries of one group exceeds guard {STATE_GUARD}")
         self.states_max = max(self.states_max, max(atoms))
         self.types += len(counts)
-        for own, size, types in zip(owners, atoms, types_of):
-            parts = [(self._lattice(values, int(own[letters].sum())), letters, law)
-                     for values, (letters, law) in self._groups.items() if own[letters].any()]
+        for own, row, size, types in zip(owners[firsts], counts[firsts], atoms, types_of):
+            parts = [(self._lattice(int(row[classes].sum()), values), classes, law)
+                     for values, (classes, law) in self._groups.items() if row[classes].any()]
             theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
             width = min(size, ATOM_CHUNK)
             for first in range(0, len(types), ATOM_CHUNK // width):
                 t = types[first:first + ATOM_CHUNK // width]
-                # positions per class (a, b) of the group, owner-major like its law rows
-                groups = [(values, _masses(law, pred, prefix, counts[t][:, :, letters]
-                                           .transpose(0, 2, 1).reshape(len(t), -1)))
-                          for (values, pred, prefix), letters, law in parts]
+                groups = [(values, _masses(law, pred, prefix, counts[t][:, classes]))
+                          for (values, pred, prefix), classes, law in parts]
                 for start in range(0, size, width):
                     value, mass = _atoms(groups, start, min(start + width, size))
                     dev = np.abs(value + h_owner)
@@ -233,13 +227,11 @@ def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
     """
     q = dp.W.n_inputs
     ell = np.empty((len(TILTS), q * q))
-    for values, (letters, laws) in dp._groups.items():
+    for values, (classes, laws) in dp._groups.items():
         with np.errstate(divide="ignore"):
             x = np.log2(laws) + TILTS[:, None, None] * np.array(values)  # [s, row, value]
             top = np.maximum(np.max(x, axis=2, keepdims=True), -1e300)  # dead: -inf, not nan
-            lse = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
-        # law rows are owner-major: class a*q + b at row (position of b)*q + a
-        ell[:, (np.arange(q) * q + np.array(letters)[:, None]).ravel()] = lse
+            ell[:, classes] = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
     dead = np.isneginf(ell).any(axis=0)
     ell[:, dead] = 0.0  # no 0 * -inf in the products below
     h, counts = np.tile(dp.W.entropies, q), np.asarray(rows, dtype=float).reshape(-1, q * q)
@@ -262,19 +254,21 @@ def _distinct(rows, pairs):
             np.bincount(inverse, pairs, len(uniq)).astype(np.int64))
 
 
-def _channel_words(code: DICode, W: ChannelModel) -> np.ndarray:
-    """The code's words, refused unless every letter is an input of W."""
-    if code.codewords.max() >= W.n_inputs:
-        raise ValidationError(f"code letter {code.codewords.max()} is not a channel input")
-    return code.codewords
+def _channel_words(words, W: ChannelModel) -> np.ndarray:
+    """Words as an int64 array, refused unless every letter is an input of W."""
+    words = np.asarray(words, dtype=np.int64)
+    outside = words[(words < 0) | (words >= W.n_inputs)]
+    if outside.size:
+        raise ValidationError(f"letter {outside[0]} is not a channel input")
+    return words
 
 
-def _type_rows(code: DICode, W: ChannelModel, src, own):
-    """Distinct joint types of the word pairs (codeword src[p], codeword
-    own[p]) as count rows, and the number of pairs of each, counted
-    PAIR_CHUNK pairs at a time."""
-    words, q = _channel_words(code, W), W.n_inputs
-    dtype = np.min_scalar_type(code.blocklength)
+def _type_rows(words, W: ChannelModel, src, own):
+    """Distinct joint types of the word pairs (word src[p], word own[p]) as
+    count rows, and the number of pairs of each, counted PAIR_CHUNK pairs at
+    a time."""
+    words, q = _channel_words(words, W), W.n_inputs
+    dtype = np.min_scalar_type(words.shape[1])
     chunks = [(np.zeros((0, q * q), dtype=dtype), np.zeros(0))]
     for s in range(0, len(src), PAIR_CHUNK):
         cls = words[src[s:s + PAIR_CHUNK]] * q + words[own[s:s + PAIR_CHUNK]]
@@ -303,9 +297,8 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     """
     if len(source_word) != len(owner_word):
         raise ValidationError("source and owner words must have equal length")
-    q = W.n_inputs
-    cls = np.array(source_word, dtype=np.int64) * q + np.array(owner_word, dtype=np.int64)
-    lo, hi = JointTypeDP(W, law).count_probs(np.bincount(cls, minlength=q * q)[None], delta)
+    rows, _ = _type_rows([source_word, owner_word], W, [0], [1])
+    lo, hi = JointTypeDP(W, law).count_probs(rows, delta)
     return float(lo[0]), float(hi[0])
 
 
@@ -314,6 +307,7 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
     """Independent enumeration over all |Y|^n outputs (small n only)."""
     if len(source_word) != len(owner_word):
         raise ValidationError("source and owner words must have equal length")
+    source_word, owner_word = _channel_words([source_word, owner_word], W)
     law_matrix, n = (law or W).matrix, len(owner_word)
     if W.output_size**n > 1 << 22:
         raise SizeGuardError("enumeration too large")
@@ -336,7 +330,7 @@ def measure_lambda1(code: DICode, W: ChannelModel,
     """
     dp = _dp_for(dp, W, law)
     own = np.arange(code.size)
-    p_lo, p_hi = dp.count_probs(_type_rows(code, W, own, own)[0], code.delta)
+    p_lo, p_hi = dp.count_probs(_type_rows(code.codewords, W, own, own)[0], code.delta)
     return float(np.max(1.0 - p_hi, initial=0.0)), float(np.max(1.0 - p_lo, initial=0.0))
 
 
@@ -365,11 +359,9 @@ def measure_lambda2(code: DICode, W: ChannelModel,
     if pair_budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
     dp = _dp_for(dp, W, law)
-    if code.size < 2:
-        return (0.0, 0.0), "exhaustive", 0.0
     # source u_j measured against owner u_k's decision set, j-major
     src, own = np.nonzero(~np.eye(code.size, dtype=bool))
-    rows, pairs = _type_rows(code, W, src, own)
+    rows, pairs = _type_rows(code.codewords, W, src, own)
     evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
     if len(src) > pair_budget:
         bound = false_accept_bound(dp, rows, code.delta)
@@ -477,7 +469,7 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     # a point mass's letter: its edges at 0, which every u in [0, 1) passes
     point_letter = (edges == 0.0).sum(axis=1)
     theta = code.delta * math.sqrt(n)
-    words = _channel_words(code, W)
+    words = _channel_words(code.codewords, W)
     h = word_output_entropy(W, words)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
     tables = np.ascontiguousarray(W.log2[words].transpose(1, 2, 0))

@@ -89,7 +89,8 @@ def test_bernoulli_spec_needs_json_numbers(field, tmp_path):
 
 
 # a ragged matrix raised numpy's ValueError (exit 1); "ab" loaded as labels a
-# and b, and bool or numeric-string entries converted to 0/1 and floats
+# and b, and bool or numeric-string entries converted to 0/1 and floats;
+# repeated, null, list or number labels loaded as their str()
 BAD_EXPLICIT_FIELDS = {
     "matrix-ragged": ({"matrix": [[0.5, 0.5], [1.0]]}, "matrix"),
     "matrix-ragged-deep": ({"matrix": [[0.5, 0.5], [0.5, [0.5]]]}, "matrix"),
@@ -99,6 +100,9 @@ BAD_EXPLICIT_FIELDS = {
     "matrix-null": ({"matrix": [[None, 1.0], [0.5, 0.5]]}, "matrix"),
     "inputs-string": ({"inputs": "ab"}, "inputs"),
     "inputs-object": ({"inputs": {"a": 0, "b": 1}}, "inputs"),
+    "inputs-repeated": ({"inputs": ["a", "a"]}, "inputs"),
+    "inputs-null-list": ({"inputs": [None, [1]]}, "inputs"),
+    "inputs-numbers": ({"inputs": [1, 2]}, "inputs"),
     "cost-bool": ({"cost": [True, False]}, "cost"),
     "cost-string": ({"cost": ["1", "0"]}, "cost"),
     "cost-number": ({"cost": 1.0}, "cost"),

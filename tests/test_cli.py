@@ -230,6 +230,11 @@ MALFORMED = {
                               "{tmp}/entropy-negative.json"],
     "code-entropy-nan": ["evaluate", "--channel", "{bern}", "--code",
                          "{tmp}/entropy-nan.json"],
+    "code-delta-negative": ["evaluate", "--channel", "{bern}", "--code",
+                            "{tmp}/delta-negative.json"],
+    "code-delta-nan": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/delta-nan.json"],
+    "code-delta-bool": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/delta-bool.json"],
+    "code-delta-inf": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/delta-inf.json"],
     "code-words-ragged": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/ragged.json"],
     "code-words-none": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/empty.json"],
     "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
@@ -327,6 +332,9 @@ def write_malformed_codes(payload, tmp_path):
     for name, first in (("bool", True), ("negative", -1.0), ("nan", math.nan)):
         entropies = payload | {"entropies": [first] + rest}
         (tmp_path / f"entropy-{name}.json").write_text(json.dumps(entropies))
+    # -1 and NaN used to certify lambda1 = [1, 1], true to read as delta 1
+    for name, delta in (("bool", True), ("negative", -1), ("nan", math.nan), ("inf", math.inf)):
+        (tmp_path / f"delta-{name}.json").write_text(json.dumps(payload | {"delta": delta}))
     long_n = payload | {"params": payload["params"] | {"n": 2 * len(words[0])}}
     (tmp_path / "long-n.json").write_text(json.dumps(long_n))
 

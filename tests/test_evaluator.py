@@ -434,23 +434,24 @@ def test_atoms_equal_unravel_gather(shape):
 def gathered_count_probs(dp, counts, delta):
     """Reference for `JointTypeDP.count_probs`: np.unravel_index over each
     block, then one gather per group, with the same owner-composition
-    grouping, type chunks and blocks."""
+    grouping, type chunks and blocks.  A group's positions are its classes'
+    counts, the classes read from the DP's group table."""
     q, lo, hi = dp.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1, q, q)
-    owners = counts.sum(axis=1)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1, q * q)
+    owners = counts.reshape(-1, q, q).sum(axis=1)
     for own in np.unique(owners, axis=0):
         types = np.flatnonzero((owners == own).all(axis=1))
-        parts = [(dp._lattice(values, int(own[letters].sum())), letters, law)
-                 for values, (letters, law) in dp._groups.items() if own[letters].any()]
+        row = counts[types[0]]
+        parts = [(dp._lattice(int(row[classes].sum()), values), classes, law)
+                 for values, (classes, law) in dp._groups.items() if row[classes].any()]
         shape = [len(lattice[0]) for lattice, _, _ in parts]
         size = math.prod(shape)
         theta, h_owner = delta * math.sqrt(own.sum()), float(own @ dp.W.entropies)
         width = min(size, evaluator.ATOM_CHUNK)
         for first in range(0, len(types), evaluator.ATOM_CHUNK // width):
             t = types[first:first + evaluator.ATOM_CHUNK // width]
-            masses = [evaluator._masses(law, pred, prefix, counts[t][:, :, letters]
-                                        .transpose(0, 2, 1).reshape(len(t), -1))
-                      for (_, pred, prefix), letters, law in parts]
+            masses = [evaluator._masses(law, pred, prefix, counts[t][:, classes])
+                      for (_, pred, prefix), classes, law in parts]
             for start in range(0, size, width):
                 idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
                 dev = np.abs(sum(lat[0][i] for (lat, _, _), i in zip(parts, idx)) + h_owner)
@@ -512,6 +513,50 @@ def test_chernoff_ceiling_bounds_dp_and_enumeration(case):
     ceiling = 2.0 ** evaluator.false_accept_bound(dp, row, delta)[0]
     assert ceiling >= dp.count_probs(row, delta)[1][0]
     assert ceiling >= min(1.0, brute_force_typical_prob(W, source, owner, delta, law=law))
+
+
+def owner_major_false_accept_bound(W, law, rows, delta):
+    """`false_accept_bound` as it was computed from groups of owner letters:
+    the law rows owner-major, and class a*q + b scattered from row
+    (position of b)*q + a."""
+    q, tilts = W.n_inputs, evaluator.TILTS
+    groups = {}
+    for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
+        values = tuple(sorted(set(logw[row != 0.0].tolist())))
+        laws = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
+        letters, before = groups.get(values, ([], laws[:0]))
+        groups[values] = letters + [b], np.concatenate((before, laws))
+    ell = np.empty((len(tilts), q * q))
+    for values, (letters, laws) in groups.items():
+        with np.errstate(divide="ignore"):
+            x = np.log2(laws) + tilts[:, None, None] * np.array(values)
+            top = np.maximum(np.max(x, axis=2, keepdims=True), -1e300)
+            lse = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
+        ell[:, (np.arange(q) * q + np.array(letters)[:, None]).ravel()] = lse
+    dead = np.isneginf(ell).any(axis=0)
+    ell[:, dead] = 0.0
+    h, counts = np.tile(W.entropies, q), np.asarray(rows, dtype=float).reshape(-1, q * q)
+    theta = delta * np.sqrt(counts.sum(axis=1)) + evaluator.EDGE_FUZZ
+    eps = (q * q + W.output_size + 2) * 2.0**-52
+    per_class = ell + np.outer(tilts, h) + eps * (np.abs(ell) + np.outer(np.abs(tilts), h) + 1)
+    bound = counts @ per_class.T + np.outer(theta, (1.0 + eps) * np.abs(tilts))
+    bound = np.minimum(np.min(bound, axis=1) + eps, 0.0)
+    return np.where(counts @ dead > 0, -np.inf, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(max_n=8))
+@example(SHARED_OWNER_CASE)
+def test_chernoff_ceilings_read_the_class_table(case):
+    """Bit for bit, with and without a separate law, the ceilings of every
+    type row of a random channel (2-4 inputs, 2-4 outputs) are those of the
+    owner-major scatter the class ids replace."""
+    W, law, words, delta = case
+    rows = np.unique([type_row(W.n_inputs, a, b) for a in words for b in words], axis=0)
+    for law in (law, None):
+        got = evaluator.false_accept_bound(JointTypeDP(W, law=law), rows, delta)
+        want = owner_major_false_accept_bound(W, law, rows, delta)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 def test_chernoff_ceilings_of_every_bern6_cross_type():
@@ -1020,12 +1065,21 @@ def test_mc_size_guard_edge(monkeypatch):
 ])
 def test_letters_must_be_inputs_of_the_channel(words):
     """A q=3 code against a 2-input channel is refused by every evaluation,
-    not certified from counts shifted into other classes."""
+    not certified from counts shifted into other classes; so is each single
+    pair holding letter 2 or -1, which used to read as class (1, 0) or as the
+    last row."""
     code = assemble_code(make_channel(list("abc"), [[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]),
                          words, delta=1.0)
     W = make_channel(["a", "b"], [[0.9, 0.1], [0.2, 0.8]])
-    for evaluate in (lambda: exact_error_report(code, W, pair_budget=0),
-                     lambda: exact_error_report(code, W),
-                     lambda: monte_carlo_errors(code, W, trials=10, seed=1)):
+    evaluations = [lambda: exact_error_report(code, W, pair_budget=0),
+                   lambda: exact_error_report(code, W),
+                   lambda: monte_carlo_errors(code, W, trials=10, seed=1)]
+    shifted = next(w for w in words if 2 in w)
+    for bad in (shifted, tuple(-1 if x == 2 else x for x in shifted)):
+        for pair in ((bad, words[1]), (words[1], bad)):
+            for oracle in (typical_set_prob, brute_force_typical_prob):
+                evaluations.append(lambda oracle=oracle, pair=pair: oracle(W, *pair, 1.0))
+    evaluations.append(lambda: typical_set_prob(W, (0, 0), (0, 2), 0.5))
+    for evaluate in evaluations:
         with pytest.raises(ValidationError, match="not a channel input"):
             evaluate()
