@@ -281,10 +281,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
     _, c = typicality_constants(purged.output_size)
 
     flags_lo = []
-    if E == 0:
-        t = 0.0
-    else:
-        t = math.sqrt(6.0 * E / (c * beta**4))
+    t = math.sqrt(6.0 * E / (c * beta**4))
     if t >= 1:
         lower = math.nan
         flags_lo.append("lower-undefined")

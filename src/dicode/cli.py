@@ -120,13 +120,14 @@ def _parse_axis(text: str) -> list[float]:
     try:
         if len(parts) == 1:
             values = [float(v) for v in text.split(",") if v]
+            count = len(values)
         else:
             lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ValidationError(f"bad axis spec {text!r}") from None
+    if count < 1:
+        raise ValidationError("axis needs at least one point")
     if len(parts) > 1:
-        if count < 1:
-            raise ValidationError("axis needs at least one point")
         if count > GRID_LIMIT:
             raise SizeGuardError(f"axis of {count} points exceeds guard {GRID_LIMIT}")
         if count == 1:

@@ -275,6 +275,8 @@ def _type_rows(words, W: ChannelModel, src, own):
         cls += np.arange(len(cls))[:, None] * (q * q)
         counts = np.bincount(cls.ravel(), minlength=len(cls) * q * q)
         chunks.append(_distinct(counts.astype(dtype).reshape(-1, q * q), np.ones(len(cls))))
+    if len(chunks) == 2:  # one chunk's rows are distinct already
+        return chunks[1]
     rows, pairs = zip(*chunks)
     return _distinct(np.concatenate(rows), np.concatenate(pairs))
 

@@ -142,14 +142,13 @@ def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
         nonlocal best
         if len(picked) + cand.bit_count() <= len(best):
             return
-        if cand == 0:
-            if len(picked) > len(best):
-                best = picked.copy()
+        if cand == 0:  # the bound above has just passed, so picked beats best
+            best = picked.copy()
             return
         v = (cand & -cand).bit_length() - 1
-        # branch: take v, then skip v
+        # branch: take v (conflict[v] holds v itself), then skip v
         picked.append(v)
-        grow(cand & ~conflict[v] & ~(1 << v), picked)
+        grow(cand & ~conflict[v], picked)
         picked.pop()
         grow(cand & ~(1 << v), picked)
 
@@ -204,38 +203,31 @@ def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
 
 
 def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
-    """Minimum set cover by branch and bound, bounded by the greedy solution."""
-    m = dist.shape[0]
+    """Minimum set cover by branch and bound, bounded by the greedy solution.
+
+    Each node branches over the balls holding one uncovered point.  No ball
+    is ever ruled out of a set cover, so the point with the fewest balls is
+    found once: the pivot is the first uncovered point in the fixed order of
+    (number of balls holding it, index).
+    """
     inside = dist <= delta
     ball = _row_masks(inside)
-    full = (1 << m) - 1
+    full = (1 << dist.shape[0]) - 1
     best = _greedy_covering(dist, delta)
     best_len = len(best)
-
-    # centers that could ever cover each point, for branching
     coverers = [np.flatnonzero(col).tolist() for col in inside.T]
+    order = sorted(range(len(coverers)), key=lambda p: (len(coverers[p]), p))
 
     def search(covered: int, chosen: list[int]):
         nonlocal best, best_len
         if covered == full:
-            if len(chosen) < best_len:
+            if len(chosen) < best_len:  # a sibling may have lowered best_len
                 best, best_len = chosen.copy(), len(chosen)
             return
         if len(chosen) + 1 >= best_len:
             return
-        # branch on the uncovered point with fewest available centers
-        pivot, options = -1, None
-        for p in range(m):
-            if covered >> p & 1:
-                continue
-            opts = [c for c in coverers[p] if ball[c] & ~covered]
-            if options is None or len(opts) < len(options):
-                pivot, options = p, opts
-            if len(opts) <= 1:
-                break
-        if not options:
-            return
-        for c in options:
+        pivot = next(p for p in order if not covered >> p & 1)
+        for c in coverers[pivot]:
             chosen.append(c)
             search(covered | ball[c], chosen)
             chosen.pop()
@@ -282,15 +274,14 @@ def min_covering(cloud: PointCloud, delta: float, mode: str = "greedy") -> Count
     return _count("covering", cloud, delta, mode)
 
 
-def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
+def estimate_dimension(cloud: PointCloud, radii: Sequence[float]) -> DimensionEstimate:
     """Least-squares slope of log2(covering count) against -log2(radius).
 
-    `cloud` is either a PointCloud or a callable radius -> PointCloud.  The
-    grid must hold at least 4 strictly decreasing radii spanning two octaves.
-    slope_lower / slope_upper are the min / max two-point slopes between
-    consecutive grid radii: finite-scale stand-ins for the lim inf / lim sup
-    growth exponents.  Exact covering counts are used when every cloud on the
-    grid is within the exact-size guard, greedy counts otherwise.
+    The grid must hold at least 4 strictly decreasing radii spanning two
+    octaves.  slope_lower / slope_upper are the min / max two-point slopes
+    between consecutive grid radii: finite-scale stand-ins for the lim inf /
+    lim sup growth exponents.  The cloud is covered by the "auto" rule: exact
+    counts up to EXACT_SIZE_LIMIT points, greedy counts above.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 4:
@@ -300,13 +291,9 @@ def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
     if radii[0] / radii[-1] < 4:
         raise ValidationError("grid must span at least two octaves")
 
-    clouds = [cloud(r) if callable(cloud) else cloud for r in radii]
-    exact = all(len(c) <= EXACT_SIZE_LIMIT for c in clouds)
-    counts = [min_covering(c, r, "exact" if exact else "greedy").count
-              for c, r in zip(clouds, radii)]
-
+    covers = [min_covering(cloud, r, "auto") for r in radii]
     x = -np.log2(radii)
-    y = np.log2(counts)
+    y = np.log2([c.count for c in covers])
     if np.allclose(y, y[0]):
         slope, intercept = 0.0, float(y[0])
     else:
@@ -320,6 +307,5 @@ def estimate_dimension(cloud, radii: Sequence[float]) -> DimensionEstimate:
         slope_lower=float(min(two_point)),
         slope_upper=float(max(two_point)),
         fit_residual=float(np.max(np.abs(fit - y))),
-        exact_counts=exact,
+        exact_counts=all(c.exact for c in covers),
     )
-

@@ -94,7 +94,6 @@ def hypothesis_testing_divergence(p, q, eps: float) -> float:
     # likelihood ratio with q=0 treated as +inf (always accepted first)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(q > 0, p / np.where(q > 0, q, 1.0), np.inf)
-    ratio[p == 0] = np.where(q[p == 0] > 0, 0.0, ratio[p == 0])
     order = np.argsort(-ratio, kind="stable")
 
     need = 1.0 - eps

@@ -213,6 +213,11 @@ MALFORMED = {
                                "--E-axis", "1e-6:1e-3:abc", "--n-axis", "1e7", "--t", "0.5"],
     "axis-non-numeric-value": ["geometry", "--channel", "{bern}", "--task", "packing",
                                "--radii", "0.5,x"],
+    # a list axis of no values used to write a header-only table, exit 0
+    "axis-empty-list": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
+                        "--E-axis", ",", "--n-axis", "1e7", "--t", "0.5"],
+    "radii-empty-list": ["geometry", "--channel", "{bern}", "--task", "packing",
+                         "--radii", ""],
     "axis-unknown-scale": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
                            "--E-axis", "1e-6:1e-3:5:lin", "--n-axis", "1e7", "--t", "0.5"],
     "code-file-missing": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/none.json"],

@@ -398,6 +398,31 @@ def test_batch_equals_single_type_evaluation(case):
     assert_batch_equals_single_pairs(*case)
 
 
+@settings(max_examples=40, deadline=None)
+@given(code_cases(max_words=7))
+@example(SHARED_OWNER_CASE)
+def test_type_rows_equal_at_every_chunk_size(case):
+    # one chunk returns its own distinct rows; several chunks merge theirs
+    W, _, words, _ = case
+    q = W.n_inputs
+    src, own = np.nonzero(~np.eye(len(words), dtype=bool))
+    want = Counter(tuple(type_row(q, words[a], words[b])) for a, b in zip(src, own))
+    tables = []
+    for chunk in (1, 3, evaluator.PAIR_CHUNK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluator, "PAIR_CHUNK", chunk)
+            rows, pairs = evaluator._type_rows(words, W, src, own)
+        assert rows.shape == (len(want), q * q) and pairs.dtype == np.int64
+        assert dict(zip(map(tuple, rows.tolist()), pairs.tolist())) == want
+        tables.append((rows, pairs))
+    for rows, pairs in tables[1:]:
+        assert np.array_equal(rows, tables[0][0]) and rows.dtype == tables[0][0].dtype
+        assert np.array_equal(pairs, tables[0][1])
+    # a one-word code has no cross pairs: empty tables
+    rows, pairs = evaluator._type_rows(words[:1], W, src[:0], own[:0])
+    assert rows.shape == (0, q * q) and pairs.shape == (0,) and pairs.dtype == np.int64
+
+
 def gathered_atoms(groups, start, stop):
     """Oracle of `evaluator._atoms`: each atom's per-group lattice indices
     from np.unravel_index, its value summed and its mass multiplied over the

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from dicode import geometry
@@ -21,7 +21,10 @@ from dicode.geometry import (
     CoveringResult,
     PackingResult,
     PointCloud,
+    _exact_covering,
+    _exact_packing,
     _greedy_covering,
+    _row_masks,
     estimate_dimension,
     max_packing,
     min_covering,
@@ -129,16 +132,6 @@ def test_interval_dimension_slope():
     est = estimate_dimension(cloud, radii)
     assert est.slope == pytest.approx(1.0, abs=0.1)
     assert est.slope_lower <= est.slope <= est.slope_upper
-
-
-def test_dimension_with_cloud_generator():
-    # radius-dependent cloud: resolve the interval just below each scale
-    def gen(radius):
-        count = int(math.ceil(2.0 / radius)) + 1
-        return line_cloud(np.linspace(0, 1, count))
-
-    est = estimate_dimension(gen, [2.0**-k for k in range(2, 7)])
-    assert est.slope == pytest.approx(1.0, abs=0.15)
 
 
 def test_single_point_dimension():
@@ -418,3 +411,104 @@ def test_non_finite_points_refused(bad):
     the cloud is built."""
     with pytest.raises(ValidationError, match="finite"):
         PointCloud([[bad], [0.0], [1.0]])
+
+
+def scanning_exact_packing(dist, delta):
+    """Exact packing that masks v out of its own branch and re-checks the
+    size at every leaf (reference)."""
+    m = dist.shape[0]
+    conflict = _row_masks(dist < 2 * delta)
+    best = []
+
+    def grow(cand, picked):
+        nonlocal best
+        if len(picked) + cand.bit_count() <= len(best):
+            return
+        if cand == 0:
+            if len(picked) > len(best):
+                best = picked.copy()
+            return
+        v = (cand & -cand).bit_length() - 1
+        picked.append(v)
+        grow(cand & ~conflict[v] & ~(1 << v), picked)
+        picked.pop()
+        grow(cand & ~(1 << v), picked)
+
+    grow((1 << m) - 1, [])
+    return sorted(best)
+
+
+def scanning_exact_covering(dist, delta):
+    """Exact cover that rescans every uncovered point for the one with the
+    fewest balls that still cover something new, at every node (reference)."""
+    m = dist.shape[0]
+    inside = dist <= delta
+    ball = _row_masks(inside)
+    full = (1 << m) - 1
+    best = _greedy_covering(dist, delta)
+    best_len = len(best)
+    coverers = [np.flatnonzero(col).tolist() for col in inside.T]
+
+    def search(covered, chosen):
+        nonlocal best, best_len
+        if covered == full:
+            if len(chosen) < best_len:
+                best, best_len = chosen.copy(), len(chosen)
+            return
+        if len(chosen) + 1 >= best_len:
+            return
+        options = None
+        for p in range(m):
+            if covered >> p & 1:
+                continue
+            opts = [c for c in coverers[p] if ball[c] & ~covered]
+            if options is None or len(opts) < len(options):
+                options = opts
+            if len(opts) <= 1:
+                break
+        if not options:
+            return
+        for c in options:
+            chosen.append(c)
+            search(covered | ball[c], chosen)
+            chosen.pop()
+
+    search(0, [])
+    return sorted(best)
+
+
+@st.composite
+def exact_count_cases(draw):
+    """(points, metric, radius): up to 39 points on a coarse grid in 1-3
+    dimensions, so distances tie often, at a radius that is either a pairwise
+    distance (points on ball boundaries) or drawn from [0.02, 0.6]."""
+    m, dim = draw(st.integers(1, 39)), draw(st.integers(1, 3))
+    points = draw(hnp.arrays(np.int64, (m, dim), elements=st.integers(0, 8))) / 8
+    metric = draw(st.sampled_from(geometry.METRICS))
+    dist = PointCloud(points, metric).distances
+    i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    radius = draw(st.one_of(st.just(float(dist[i, j])), st.floats(0.02, 0.6)))
+    return points, metric, max(radius, 0.02)
+
+
+#: 64 random points in the unit square; at radius 0.25 the reference cover
+#: search takes a few tenths of a second
+PLANAR_64 = np.random.default_rng(0).random((64, 2))
+#: clouds with two minimum covers, where the greedy cover is not one of them:
+#: a pivot that broke ties between points by the highest index would find
+#: the other cover first
+TWO_OPTIMA = [(np.array([[2, 2], [6, 8], [0, 7], [1, 2], [7, 3]]) / 8, "euclidean",
+               math.sqrt(26) / 8),
+              (np.array([[4], [7], [1], [2], [5], [3], [6]]) / 8, "total-variation", 0.125)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=exact_count_cases())
+@example(case=(PLANAR_64, "euclidean", 0.25))
+@example(case=TWO_OPTIMA[0])
+@example(case=TWO_OPTIMA[1])
+def test_exact_searches_pick_the_reference_centers(case):
+    points, metric, radius = case
+    dist = PointCloud(points, metric).distances
+    assert _exact_covering(dist, radius) == scanning_exact_covering(dist, radius)
+    assert _exact_packing(dist, radius) == scanning_exact_packing(dist, radius)
