@@ -7,14 +7,12 @@ letter b and output y, so under the product law of a source word its law
 depends only on the pair's joint type (Csiszar-Korner): the count of
 positions holding each (source letter a, owner letter b).
 
-The exact evaluator sums over output-count lattices, one per group: the
-classes a*q + b whose owner letters b reach outputs of one set of log2 W(y|b)
-values (see JointTypeDP).  An atom picks one count vector per group; its
-value is fixed by the owner's composition, its mass is the groups' product.
-Mass on an output W(.|b) never emits lies outside the typical set.  lo and hi
-sum the atoms inside the band shrunk and widened by EDGE_FUZZ after the
-STATE_GUARD check, ATOM_CHUNK lattice entries (atoms x types) at a time,
-broadcast one group at a time.  Each distinct joint type is evaluated once.
+The exact evaluator (JointTypeDP) sums over output-count lattices, one per
+group of classes a*q + b whose owner letters reach one set of log2 W(y|b)
+values.  An atom picks a count vector per group: its value is fixed by the
+owner's composition, its mass is the groups' product.  A report evaluates
+its own and cross types in one pass over the owner compositions, and each
+block of atoms gets its band test once for all the composition's types.
 Every entry, single pairs included, refuses a letter that is not an input.
 """
 
@@ -128,19 +126,19 @@ def _masses(law, pred, prefix, splits):
     return mass[n % 2]
 
 
-def _atoms(parts, start, stop):
-    """Values and masses [type, atom] of atoms start..stop-1, in C order, of
-    the lattices `parts` ((values, masses) per group): the last group's row
-    broadcast over the others' atoms the range meets, at most a row past each end."""
-    *lead, (v, m) = parts
+def _atoms(parts, sizes, op, start, stop):
+    """Entries [..., atom] of atoms start..stop-1, in C order, of lattices of
+    `sizes` vectors from each group's values (op np.add) or `_masses` rows
+    (np.multiply): the last group's row combined with the others' atoms the
+    range meets, at most a row past each end; columns past `sizes` unread."""
+    *lead, a = parts
     if not lead:
-        return v[start:stop], m[:, start:stop]
-    s = len(v)
+        return a[..., start:stop]
+    s = sizes[len(lead)]
     first = start // s
-    lead_v, lead_m = _atoms(lead, first, -(-stop // s))
-    cut = slice(start - first * s, stop - first * s)
-    return ((lead_v[:, None] + v).ravel()[cut],
-            (lead_m[:, :, None] * m[:, None, :s]).reshape(len(m), -1)[:, cut])
+    b = _atoms(lead, sizes, op, first, -(-stop // s))
+    return op(b[..., :, None], a[..., None, :s]).reshape(*a.shape[:-1], -1)[
+        ..., start - first * s:stop - first * s]
 
 
 class JointTypeDP:
@@ -148,13 +146,11 @@ class JointTypeDP:
 
     A joint type is a count row over the classes (a, b), class a*q + b.
     Owner letters whose reached outputs take the same k values log2 W(y|b)
-    form a group.  The statistic sees only how many of the group's n_g
-    positions land on each value, so the group has C(n_g + k - 1, k - 1)
-    count vectors, and a class's law row is summed over the outputs of each
-    value.  Caches each group's lattice per n_g and counts the work done:
-    `types` distinct joint types evaluated, `states_max` the largest lattice
-    of one type (its atoms), `pairs_exact` ordered codeword pairs whose
-    false-accept probability came from the DP.
+    form a group, with C(n_g + k - 1, k - 1) count vectors of its n_g
+    positions; a class's law row is summed over the outputs of each value.
+    Caches each group's lattice per n_g and counts the work done: `types`
+    evaluated, `states_max` the most atoms of one type, `pairs_exact` the
+    ordered codeword pairs whose false-accept probability came from the DP.
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
@@ -171,8 +167,13 @@ class JointTypeDP:
 
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
-        probability of joint types given as distinct count rows.  A type's
-        interval depends only on its row, never on the types evaluated with it."""
+        probability of joint types given as distinct count rows: the atoms in
+        the band shrunk and widened by EDGE_FUZZ, after the STATE_GUARD check.
+        One owner composition at a time, the groups' masses are built for as
+        many of its types as fit ATOM_CHUNK entries; each block of at most
+        ATOM_CHUNK atoms gets its values and band test once for all of them
+        and its masses broadcast ATOM_CHUNK // block types at a time.  A
+        type's interval depends only on its row."""
         q, lo, hi = self.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
         if not len(counts):
             return lo, hi
@@ -196,29 +197,37 @@ class JointTypeDP:
         for own, row, size, types in zip(owners[firsts], counts[firsts], atoms, types_of):
             parts = [(self._lattice(int(row[classes].sum()), values), classes, law)
                      for values, (classes, law) in self._groups.items() if row[classes].any()]
+            values = [lattice[0] for lattice, _, _ in parts]
+            shape = [len(v) for v in values]
             theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
             width = min(size, ATOM_CHUNK)
-            for first in range(0, len(types), ATOM_CHUNK // width):
-                t = types[first:first + ATOM_CHUNK // width]
-                groups = [(values, _masses(law, pred, prefix, counts[t][:, classes]))
-                          for (values, pred, prefix), classes, law in parts]
+            # types whose masses, every group's lattice and zero column, fit ATOM_CHUNK
+            batch = max(ATOM_CHUNK // (sum(shape) + len(shape)), 1)
+            for first in range(0, len(types), batch):
+                t = types[first:first + batch]
+                masses = [_masses(law, pred, prefix, counts[t][:, classes])
+                          for (_, pred, prefix), classes, law in parts]
                 for start in range(0, size, width):
-                    value, mass = _atoms(groups, start, min(start + width, size))
-                    dev = np.abs(value + h_owner)
+                    stop = min(start + width, size)
+                    dev = np.abs(_atoms(values, shape, np.add, start, stop) + h_owner)
                     touch = np.flatnonzero(dev <= theta + EDGE_FUZZ)
+                    if not touch.size:
+                        continue
                     inside = dev[touch] <= theta - EDGE_FUZZ
-                    # C-ordered rows, so each type's sums are its own
-                    mass = np.take(mass, touch, axis=1)
-                    hi[t] += mass.sum(axis=1)
-                    lo[t] += np.compress(inside, mass, axis=1).sum(axis=1)
+                    for sub in range(0, len(t), ATOM_CHUNK // width):
+                        rows = slice(sub, sub + ATOM_CHUNK // width)
+                        # C-ordered rows, so each type's sums are its own
+                        mass = _atoms([m[rows] for m in masses], shape, np.multiply, start, stop)
+                        mass = np.take(mass, touch, axis=1)
+                        hi[t[rows]] += mass.sum(axis=1)
+                        lo[t[rows]] += np.compress(inside, mass, axis=1).sum(axis=1)
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
 def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
     """Chernoff ceilings, in log2, on the typical-set acceptance probability
-    of joint types given as count rows, from the tables `count_probs` reads.
-
-    Class c = (a, b) has l_c(s) = log2 sum_v r_c(v) 2^(s v) over owner letter
+    of joint types given as count rows, from the tables `count_probs` reads:
+    class c = (a, b) has l_c(s) = log2 sum_v r_c(v) 2^(s v) over owner letter
     b's group values v and law row r_c, which leaves out the outputs W(.|b)
     never emits (no accepted word holds one).  By Markov on 2^(s S), a band
     mass is at most 2^(L(s) - s edge), L = sum_c n_c l_c, edge -H - theta
@@ -265,8 +274,7 @@ def _channel_words(words, W: ChannelModel) -> np.ndarray:
 
 def _type_rows(words, W: ChannelModel, src, own):
     """Distinct joint types of the word pairs (word src[p], word own[p]) as
-    count rows, and the number of pairs of each, counted PAIR_CHUNK pairs at
-    a time."""
+    count rows, and the pairs of each, counted PAIR_CHUNK pairs at a time."""
     words, q = _channel_words(words, W), W.n_inputs
     dtype = np.min_scalar_type(words.shape[1])
     chunks = [(np.zeros((0, q * q), dtype=dtype), np.zeros(0))]
@@ -291,12 +299,9 @@ def _dp_for(dp: JointTypeDP | None, W: ChannelModel, law: ChannelModel | None) -
 
 def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
                      law: ChannelModel | None = None) -> tuple[float, float]:
-    """Certified enclosure of P[Y^n in typical set of owner_word].
-
-    Y^n is drawn from the product law of source_word (under `law` if given,
-    else under W); the typical set itself is always defined through W, whose
-    entropies and log-probabilities are the decoder's reference.
-    """
+    """Certified enclosure of P[Y^n in typical set of owner_word], Y^n drawn
+    from the product law of source_word under `law` (default W); the typical
+    set is always W's, whose log-probabilities are the decoder's reference."""
     if len(source_word) != len(owner_word):
         raise ValidationError("source and owner words must have equal length")
     rows, _ = _type_rows([source_word, owner_word], W, [0], [1])
@@ -323,46 +328,12 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
     return float(mass[inside].sum())
 
 
-def measure_lambda1(code: DICode, W: ChannelModel,
-                    law: ChannelModel | None = None,
-                    dp: JointTypeDP | None = None) -> tuple[float, float]:
-    """Worst-case miss probability max_j (1 - P_j[own typical set]).
-
-    `dp` lends its lattice cache and counters (a fresh one by default).
-    """
-    dp = _dp_for(dp, W, law)
-    own = np.arange(code.size)
-    p_lo, p_hi = dp.count_probs(_type_rows(code.codewords, W, own, own)[0], code.delta)
-    return float(np.max(1.0 - p_hi, initial=0.0)), float(np.max(1.0 - p_lo, initial=0.0))
-
-
-def measure_lambda2(code: DICode, W: ChannelModel,
-                    pair_budget: int = DEFAULT_PAIR_BUDGET,
-                    law: ChannelModel | None = None,
-                    dp: JointTypeDP | None = None):
-    """Worst-case false-accept probability over ordered codeword pairs.
-
-    The pairs are grouped by joint type, and each type evaluated gets the
-    exact DP once.  When N(N-1) exceeds the pair budget, every type first
-    gets its Chernoff ceiling `false_accept_bound`, read from the DP's law
-    rows (so also under a separate `law`), and the types are ranked by it,
-    highest first (ties in row order).  Types are evaluated in that order
-    until they cover pair_budget pairs: a type is evaluated when fewer than
-    pair_budget pairs precede it, so every pair of an evaluated type counts
-    in `dp.pairs_exact`, which can exceed the budget.  The hi endpoint keeps
-    the largest skipped ceiling, a true upper bound: 0 only if no live output
-    word reaches the type, else at least the smallest positive double.
-    pair_mode is "exhaustive" when every type is evaluated, "pair-bound" when
-    none is, else "screened".  `dp` lends its lattice cache and counters.
-
-    Returns ((lo, hi), pair_mode, analytic_ceiling).  A negative pair_budget
-    raises ValidationError.
-    """
+def _cross_rows(code: DICode, W: ChannelModel, dp: JointTypeDP, pair_budget: int):
+    """The cross-pair count rows to evaluate, the pairs they cover, the pair
+    mode and the skipped rows' ceiling, as `measure_lambda2` describes."""
     if pair_budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
-    dp = _dp_for(dp, W, law)
-    # source u_j measured against owner u_k's decision set, j-major
-    src, own = np.nonzero(~np.eye(code.size, dtype=bool))
+    src, own = np.nonzero(~np.eye(code.size, dtype=bool))  # u_j against u_k's set, j-major
     rows, pairs = _type_rows(code.codewords, W, src, own)
     evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
     if len(src) > pair_budget:
@@ -371,11 +342,50 @@ def measure_lambda2(code: DICode, W: ChannelModel,
         evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
         top = float(np.max(bound[~evaluate], initial=-np.inf))
         ceiling = 0.0 if top == -np.inf else max(2.0**top, math.ulp(0.0))
-    p_lo, p_hi = dp.count_probs(rows[evaluate], code.delta)
-    dp.pairs_exact += int(pairs[evaluate].sum())
-    lo, hi = float(np.max(p_lo, initial=0.0)), max(float(np.max(p_hi, initial=0.0)), ceiling)
     mode = "exhaustive" if evaluate.all() else "screened" if evaluate.any() else "pair-bound"
-    return (lo, hi), mode, ceiling
+    return rows[evaluate], int(pairs[evaluate].sum()), mode, ceiling
+
+
+def _lambdas(dp: JointTypeDP, delta: float, own, cross, pairs: int, ceiling: float):
+    """lambda1 of the own rows and lambda2 (at least `ceiling`) of the cross
+    rows, which cover `pairs` ordered pairs, from one `count_probs` call."""
+    lo, hi = dp.count_probs(np.concatenate((own, cross)), delta)
+    dp.pairs_exact += pairs
+    k = len(own)
+    worst = [float(np.max(p, initial=0.0)) for p in (1.0 - hi[:k], 1.0 - lo[:k], lo[k:], hi[k:])]
+    return (worst[0], worst[1]), (worst[2], max(worst[3], ceiling))
+
+
+def measure_lambda1(code: DICode, W: ChannelModel,
+                    law: ChannelModel | None = None,
+                    dp: JointTypeDP | None = None) -> tuple[float, float]:
+    """Worst-case miss probability max_j (1 - P_j[own typical set]); `dp`
+    lends its lattice cache and counters (a fresh one by default)."""
+    own = _type_rows(code.codewords, W, *np.diag_indices(code.size))[0]
+    return _lambdas(_dp_for(dp, W, law), code.delta, own, own[:0], 0, 0.0)[0]
+
+
+def measure_lambda2(code: DICode, W: ChannelModel,
+                    pair_budget: int = DEFAULT_PAIR_BUDGET,
+                    law: ChannelModel | None = None,
+                    dp: JointTypeDP | None = None):
+    """Worst-case false-accept probability over ordered codeword pairs.
+
+    Each distinct joint type evaluated gets the exact DP once.  When N(N-1)
+    exceeds the pair budget, the types are ranked by their Chernoff ceilings
+    `false_accept_bound` (read from the DP's law rows, so also under a
+    separate `law`), highest first, ties in row order, and a type is evaluated
+    when fewer than pair_budget pairs precede it; every pair of an evaluated
+    type counts in `dp.pairs_exact`.  hi keeps the largest skipped ceiling: 0
+    only if no live output word reaches the type, else at least the smallest
+    positive double.  pair_mode is "exhaustive" when every type is evaluated,
+    "pair-bound" when none is, else "screened".  `dp` lends its lattice cache
+    and counters.  Returns ((lo, hi), pair_mode, analytic_ceiling); a negative
+    pair_budget raises ValidationError.
+    """
+    dp = _dp_for(dp, W, law)
+    rows, pairs, mode, ceiling = _cross_rows(code, W, dp, pair_budget)
+    return _lambdas(dp, code.delta, rows[:0], rows, pairs, ceiling)[1], mode, ceiling
 
 
 def _exponent(value: float, n: int) -> float:
@@ -386,22 +396,19 @@ def _exponent(value: float, n: int) -> float:
 def exact_error_report(code: DICode, W: ChannelModel,
                        pair_budget: int = DEFAULT_PAIR_BUDGET,
                        law: ChannelModel | None = None) -> ErrorReport:
-    """Certified error intervals and measured exponents via the exact DP."""
+    """Certified error intervals and measured exponents via the exact DP: the
+    types `measure_lambda1` and `measure_lambda2` evaluate, in one
+    `count_probs` call, which builds each owner composition's lattices once."""
     dp = JointTypeDP(W, law=law)
-    l1 = measure_lambda1(code, W, law=law, dp=dp)
-    l2, pair_mode, ceiling = measure_lambda2(code, W, pair_budget, law=law, dp=dp)
-    n = code.blocklength
+    own = _type_rows(code.codewords, W, *np.diag_indices(code.size))[0]
+    cross, pairs, pair_mode, ceiling = _cross_rows(code, W, dp, pair_budget)
+    l1, l2 = _lambdas(dp, code.delta, own, cross, pairs, ceiling)
     return ErrorReport(
-        lambda1=l1, lambda2=l2,
-        e1_measured=_exponent(l1[1], n),
-        e2_measured=_exponent(l2[1], n),
+        lambda1=l1, lambda2=l2, e1_measured=_exponent(l1[1], code.blocklength),
+        e2_measured=_exponent(l2[1], code.blocklength), pair_mode=pair_mode,
         method="pair-bound" if pair_mode == "pair-bound" else "exact-dp",
-        pair_mode=pair_mode,
         analytic_ceiling=ceiling if pair_mode != "exhaustive" else None,
-        dp_types=dp.types,
-        dp_states_max=dp.states_max,
-        pairs_exact=dp.pairs_exact,
-    )
+        dp_types=dp.types, dp_states_max=dp.states_max, pairs_exact=dp.pairs_exact)
 
 
 def wilson_interval(successes: int, trials: int):
@@ -437,26 +444,21 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     Per codeword j a generator spawned from the master seed with spawn key
     (j,) draws `trials` output blocks from the product law of u_j, one
     rng.random(trials) per position mapped by `choice_letters` (rng.choice's
-    stream); the same blocks score the owner test of u_j (first kind) and
-    every other test (second kind).  A point-mass letter (a law row with no
-    CDF edge strictly inside (0, 1)) gives one output for every draw, so its
-    position takes no draws: the PCG64 stream is advanced by `trials`
-    outputs, one per double.  A verdict depends only on the output word, so
-    each codeword's distinct output words are scored once and weighted by
-    their counts (summed in `mc_words_scored`).  Words are keyed by their
-    random positions' letters in mixed radix, ranked by np.unique wherever
-    the key span would pass 2^63 or, at the end, `trials`; the keys, all
-    below `trials`, are then counted in a table by np.bincount.  Results are
-    bit-identical to scoring every trial.  MC_CELL_GUARD bounds the
-    n x trials draws.
+    stream); they score the owner test of u_j (first kind) and every other
+    test (second kind).  A point-mass letter (no CDF edge strictly inside
+    (0, 1)) takes no draws: the PCG64 stream is advanced by `trials` doubles.
+    Each codeword's distinct output words (`mc_words_scored`, summed) are
+    scored once and weighted by their counts, keyed by their random letters
+    in mixed radix, ranked by np.unique wherever the key span would pass
+    2^63 or, at the end, `trials`, and counted by np.bincount.  Results are
+    bit-identical to scoring every trial.  MC_CELL_GUARD bounds n x trials.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
-    largest miss count over the N codewords, and `lambda2` that of the
-    largest false-accept count over the N(N-1) ordered pairs, which share
-    samples.  Each is a per-codeword or per-pair interval: 95% coverage holds
-    for one codeword or pair fixed in advance.  Neither is a family-wise
-    interval for the worst-case lambda1 or lambda2; the maximum of many
-    noisy counts is biased upward.
+    largest miss count over the N codewords, `lambda2` that of the largest
+    false-accept count over the N(N-1) ordered pairs, which share samples.
+    95% coverage holds for one codeword or pair fixed in advance; neither is
+    a family-wise interval for the worst case, and the maximum of many noisy
+    counts is biased upward.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -517,8 +519,6 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     l1 = wilson_interval(worst_miss, trials)
     l2 = (0.0, 0.0) if code.size < 2 else wilson_interval(worst_false, trials)
     return ErrorReport(
-        lambda1=l1, lambda2=l2,
-        e1_measured=_exponent(l1[1], n),
+        lambda1=l1, lambda2=l2, e1_measured=_exponent(l1[1], n),
         e2_measured=_exponent(l2[1], n),
-        method="monte-carlo", trials=trials, seed=seed, mc_words_scored=scored,
-    )
+        method="monte-carlo", trials=trials, seed=seed, mc_words_scored=scored)

@@ -208,10 +208,13 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     Each node branches over the balls holding one uncovered point.  No ball
     is ever ruled out of a set cover, so the point with the fewest balls is
     found once: the pivot is the first uncovered point in the fixed order of
-    (number of balls holding it, index).
+    (number of balls holding it, index).  Uncovered points no two of which
+    share a ball each need a ball of their own, so a node is pruned when the
+    chosen balls plus such points, picked greedily, cannot beat the best.
     """
     inside = dist <= delta
     ball = _row_masks(inside)
+    apart = _row_masks(~(inside.T @ inside))  # no ball holds both points
     full = (1 << dist.shape[0]) - 1
     best = _greedy_covering(dist, delta)
     best_len = len(best)
@@ -224,7 +227,11 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
             if len(chosen) < best_len:  # a sibling may have lowered best_len
                 best, best_len = chosen.copy(), len(chosen)
             return
-        if len(chosen) + 1 >= best_len:
+        need, rest = len(chosen), full & ~covered
+        while rest and need < best_len:
+            need += 1
+            rest &= apart[(rest & -rest).bit_length() - 1]
+        if need >= best_len:
             return
         pivot = next(p for p in order if not covered >> p & 1)
         for c in coverers[pivot]:

@@ -440,16 +440,17 @@ ATOM_SHAPES = [(7,), (1,), (3, 4), (1, 5), (5, 1), (2, 3, 4), (3, 1, 2), (1, 1, 
 @pytest.mark.parametrize("shape", ATOM_SHAPES, ids=map(str, ATOM_SHAPES))
 def test_atoms_equal_unravel_gather(shape):
     """Every range [start, stop) of the atoms, so ranges start and stop inside
-    a row at every level, is built bit for bit like the gather.  Each group's
-    masses end in a NaN column, where `_masses` keeps its zero column: no atom
-    may read it."""
+    a row at every level, is built bit for bit like the gather, the values
+    and the masses apart.  Each group's masses end in a NaN column, where
+    `_masses` keeps its zero column: no atom may read it."""
     rng = np.random.default_rng(len(shape) * 100 + math.prod(shape))
     groups = [(rng.normal(size=s), np.hstack((rng.random((3, s)), np.full((3, 1), np.nan))))
               for s in shape]
     size = math.prod(shape)
     for start in range(size):
         for stop in range(start + 1, size + 1):
-            values, masses = evaluator._atoms(groups, start, stop)
+            values = evaluator._atoms([v for v, _ in groups], shape, np.add, start, stop)
+            masses = evaluator._atoms([m for _, m in groups], shape, np.multiply, start, stop)
             want_values, want_masses = gathered_atoms(groups, start, stop)
             assert np.array_equal(values, want_values)
             assert np.array_equal(masses, want_masses)
@@ -505,6 +506,61 @@ def test_count_probs_equals_gathered_atom_sums(case, chunk):
         want = gathered_count_probs(dp, rows, delta)
     assert [v.hex() for v in np.concatenate(got).tolist()] == [
         v.hex() for v in np.concatenate(want).tolist()]
+
+
+def hexes(intervals):
+    return [v.hex() for v in np.concatenate(intervals).tolist()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(max_n=8), st.sampled_from([5, 16, 64]))
+@example(SHARED_OWNER_CASE, 5)
+def test_count_probs_of_concatenated_rows_equals_separate_calls(case, chunk):
+    """The own and cross rows a report evaluates together get, bit for bit,
+    the intervals of two separate calls, at ATOM_CHUNK values small enough
+    to split mass chunks, type sub-chunks and atom blocks."""
+    W, law, words, delta = case
+    q = W.n_inputs
+    own = np.unique([type_row(q, a, a) for a in words], axis=0)
+    cross = np.array([type_row(q, a, b) for a in words for b in words if a != b],
+                     dtype=np.int64).reshape(-1, q * q)
+    cross = np.unique(cross, axis=0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "ATOM_CHUNK", chunk)
+        joint = JointTypeDP(W, law=law).count_probs(np.concatenate((own, cross)), delta)
+        dp = JointTypeDP(W, law=law)
+        apart = [dp.count_probs(rows, delta) for rows in (own, cross)]
+    assert hexes(joint) == hexes([np.concatenate(p) for p in zip(*apart)])
+
+
+def report_from_measurements(code, W, pair_budget, law):
+    """The report built from separate `measure_lambda1` and `measure_lambda2`
+    calls that share one DP's counters."""
+    dp = JointTypeDP(W, law=law)
+    l1 = measure_lambda1(code, W, law=law, dp=dp)
+    l2, mode, ceiling = measure_lambda2(code, W, pair_budget, law=law, dp=dp)
+    n = code.blocklength
+    return evaluator.ErrorReport(
+        lambda1=l1, lambda2=l2, e1_measured=evaluator._exponent(l1[1], n),
+        e2_measured=evaluator._exponent(l2[1], n),
+        method="pair-bound" if mode == "pair-bound" else "exact-dp", pair_mode=mode,
+        analytic_ceiling=ceiling if mode != "exhaustive" else None, dp_types=dp.types,
+        dp_states_max=dp.states_max, pairs_exact=dp.pairs_exact)
+
+
+@settings(max_examples=40, deadline=None)
+@given(code_cases(), st.data())
+def test_report_equals_separate_measurements(case, data):
+    """One `count_probs` call per report changes no field, the work counters
+    included, at pair budgets 0, 1, a drawn small one and the default."""
+    W, law, words, delta = case
+    code = assemble_code(W, words, delta=delta)
+    pairs = code.size * (code.size - 1)
+    budget = data.draw(st.sampled_from([0, 1, evaluator.DEFAULT_PAIR_BUDGET])
+                       | st.integers(2, max(pairs, 2)))
+    report, separate = (exact_error_report(code, W, budget, law=law),
+                        report_from_measurements(code, W, budget, law))
+    assert report == separate and report.to_json() == separate.to_json()
 
 
 @settings(max_examples=30, deadline=None)
@@ -659,6 +715,44 @@ def test_batch_memory_stays_within_batch_bound(monkeypatch):
         tracemalloc.stop()
     assert peak < 64 * evaluator.ATOM_CHUNK
     assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+
+
+def test_mass_chunks_stay_within_atom_chunk(monkeypatch):
+    """49 types share owner word (0,)*6 + (1,)*6 and differ in their source
+    splits; each owner letter has C(9, 3) = 84 count vectors, so a type has
+    7,056 atoms and 170 mass entries (its lattices and their zero columns).
+    At ATOM_CHUNK 4096 the composition's 8,330 mass entries are built at most
+    4096 at a time (24 types), each type's atoms in 2 blocks, one type per
+    mass broadcast.  The intervals are those of separate calls and of the
+    unravel/gather atom sum, bit for bit."""
+    W = make_channel(["a", "b"], GUARD_ROWS)
+    owner = (0,) * 6 + (1,) * 6
+    rows = np.array([type_row(2, (1,) * j + (0,) * (6 - j) + (0,) * k + (1,) * (6 - k), owner)
+                     for j in range(7) for k in range(7)])
+    dp = JointTypeDP(W)
+    dp.count_probs(rows, 1.0)  # builds the owner letters' lattices
+    assert dp.states_max == 84**2
+    batches, build = [], evaluator._masses
+
+    def masses(law, pred, prefix, splits):
+        batches.append(len(splits) * (int(prefix[-1]) + 1))
+        return build(law, pred, prefix, splits)
+
+    monkeypatch.setattr(evaluator, "_masses", masses)
+    monkeypatch.setattr(evaluator, "ATOM_CHUNK", 1 << 12)
+    tracemalloc.start()
+    try:
+        split = dp.count_probs(rows, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * evaluator.ATOM_CHUNK
+    # two groups per batch: each batch's entries, summed, within ATOM_CHUNK
+    per_batch = [a + b for a, b in zip(batches[::2], batches[1::2])]
+    assert len(per_batch) == 3 and max(per_batch) <= evaluator.ATOM_CHUNK < sum(per_batch)
+    assert hexes(split) == hexes([np.concatenate(p) for p in zip(
+        dp.count_probs(rows[:20], 1.0), dp.count_probs(rows[20:], 1.0))])
+    assert hexes(split) == hexes(gathered_count_probs(dp, rows, 1.0))
 
 
 def per_trial_monte_carlo(code, W, trials, seed, law=None):

@@ -512,3 +512,20 @@ def test_exact_searches_pick_the_reference_centers(case):
     dist = PointCloud(points, metric).distances
     assert _exact_covering(dist, radius) == scanning_exact_covering(dist, radius)
     assert _exact_packing(dist, radius) == scanning_exact_packing(dist, radius)
+
+
+#: PLANAR_64's minimum covers as the search found them before it pruned by
+#: points that share no ball (about 10 s and 20 s then)
+PLANAR_64_COVERS = {
+    0.1: [1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 16, 17, 18, 19, 20, 23, 24, 27, 28, 29, 31,
+          33, 35, 37, 39, 40, 49, 55, 61, 62, 63],
+    0.15: [0, 1, 2, 3, 4, 5, 8, 9, 13, 17, 23, 24, 27, 28, 33, 55, 63],
+}
+
+
+@pytest.mark.parametrize("radius", sorted(PLANAR_64_COVERS))
+def test_exact_covering_of_a_random_planar_cloud(radius):
+    """Uncovered points no two of which share a ball each need their own, so
+    the search prunes far more at these radii and still finds these centres."""
+    dist = PointCloud(PLANAR_64).distances
+    assert _exact_covering(dist, radius) == PLANAR_64_COVERS[radius]
