@@ -148,9 +148,8 @@ class JointTypeDP:
     Owner letters whose reached outputs take the same k values log2 W(y|b)
     form a group, with C(n_g + k - 1, k - 1) count vectors of its n_g
     positions; a class's law row is summed over the outputs of each value.
-    Caches each group's lattice per n_g and counts the work done: `types`
-    evaluated, `states_max` the most atoms of one type, `pairs_exact` the
-    ordered codeword pairs whose false-accept probability came from the DP.
+    Caches each group's lattice per n_g; `states_max` is the most atoms of
+    one type evaluated.
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
@@ -163,7 +162,7 @@ class JointTypeDP:
             classes, laws = self._groups.get(values, ([], rows[:0]))
             self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((laws, rows))
         self._lattice = functools.cache(_lattice)  # (n, values) -> lattice
-        self.types = self.states_max = self.pairs_exact = 0
+        self.states_max = 0
 
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
@@ -193,7 +192,6 @@ class JointTypeDP:
             raise SizeGuardError(f"joint type of {max(atoms)} output-count atoms or {entries} "
                                  f"lattice entries of one group exceeds guard {STATE_GUARD}")
         self.states_max = max(self.states_max, max(atoms))
-        self.types += len(counts)
         for own, row, size, types in zip(owners[firsts], counts[firsts], atoms, types_of):
             parts = [(self._lattice(int(row[classes].sum()), values), classes, law)
                      for values, (classes, law) in self._groups.items() if row[classes].any()]
@@ -289,14 +287,6 @@ def _type_rows(words, W: ChannelModel, src, own):
     return _distinct(np.concatenate(rows), np.concatenate(pairs))
 
 
-def _dp_for(dp: JointTypeDP | None, W: ChannelModel, law: ChannelModel | None) -> JointTypeDP:
-    if dp is None:
-        return JointTypeDP(W, law=law)
-    if dp.W is not W or dp.law is not law:
-        raise ValidationError("JointTypeDP was built for another channel or law")
-    return dp
-
-
 def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
                      law: ChannelModel | None = None) -> tuple[float, float]:
     """Certified enclosure of P[Y^n in typical set of owner_word], Y^n drawn
@@ -328,66 +318,6 @@ def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: fl
     return float(mass[inside].sum())
 
 
-def _cross_rows(code: DICode, W: ChannelModel, dp: JointTypeDP, pair_budget: int):
-    """The cross-pair count rows to evaluate, the pairs they cover, the pair
-    mode and the skipped rows' ceiling, as `measure_lambda2` describes."""
-    if pair_budget < 0:
-        raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
-    src, own = np.nonzero(~np.eye(code.size, dtype=bool))  # u_j against u_k's set, j-major
-    rows, pairs = _type_rows(code.codewords, W, src, own)
-    evaluate, ceiling = np.ones(len(rows), dtype=bool), 0.0
-    if len(src) > pair_budget:
-        bound = false_accept_bound(dp, rows, code.delta)
-        order = np.argsort(-bound, kind="stable")
-        evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
-        top = float(np.max(bound[~evaluate], initial=-np.inf))
-        ceiling = 0.0 if top == -np.inf else max(2.0**top, math.ulp(0.0))
-    mode = "exhaustive" if evaluate.all() else "screened" if evaluate.any() else "pair-bound"
-    return rows[evaluate], int(pairs[evaluate].sum()), mode, ceiling
-
-
-def _lambdas(dp: JointTypeDP, delta: float, own, cross, pairs: int, ceiling: float):
-    """lambda1 of the own rows and lambda2 (at least `ceiling`) of the cross
-    rows, which cover `pairs` ordered pairs, from one `count_probs` call."""
-    lo, hi = dp.count_probs(np.concatenate((own, cross)), delta)
-    dp.pairs_exact += pairs
-    k = len(own)
-    worst = [float(np.max(p, initial=0.0)) for p in (1.0 - hi[:k], 1.0 - lo[:k], lo[k:], hi[k:])]
-    return (worst[0], worst[1]), (worst[2], max(worst[3], ceiling))
-
-
-def measure_lambda1(code: DICode, W: ChannelModel,
-                    law: ChannelModel | None = None,
-                    dp: JointTypeDP | None = None) -> tuple[float, float]:
-    """Worst-case miss probability max_j (1 - P_j[own typical set]); `dp`
-    lends its lattice cache and counters (a fresh one by default)."""
-    own = _type_rows(code.codewords, W, *np.diag_indices(code.size))[0]
-    return _lambdas(_dp_for(dp, W, law), code.delta, own, own[:0], 0, 0.0)[0]
-
-
-def measure_lambda2(code: DICode, W: ChannelModel,
-                    pair_budget: int = DEFAULT_PAIR_BUDGET,
-                    law: ChannelModel | None = None,
-                    dp: JointTypeDP | None = None):
-    """Worst-case false-accept probability over ordered codeword pairs.
-
-    Each distinct joint type evaluated gets the exact DP once.  When N(N-1)
-    exceeds the pair budget, the types are ranked by their Chernoff ceilings
-    `false_accept_bound` (read from the DP's law rows, so also under a
-    separate `law`), highest first, ties in row order, and a type is evaluated
-    when fewer than pair_budget pairs precede it; every pair of an evaluated
-    type counts in `dp.pairs_exact`.  hi keeps the largest skipped ceiling: 0
-    only if no live output word reaches the type, else at least the smallest
-    positive double.  pair_mode is "exhaustive" when every type is evaluated,
-    "pair-bound" when none is, else "screened".  `dp` lends its lattice cache
-    and counters.  Returns ((lo, hi), pair_mode, analytic_ceiling); a negative
-    pair_budget raises ValidationError.
-    """
-    dp = _dp_for(dp, W, law)
-    rows, pairs, mode, ceiling = _cross_rows(code, W, dp, pair_budget)
-    return _lambdas(dp, code.delta, rows[:0], rows, pairs, ceiling)[1], mode, ceiling
-
-
 def _exponent(value: float, n: int) -> float:
     # 0.0 - x, not -x: a value of 1 gives 0.0, never -0.0
     return math.inf if value <= 0.0 else 0.0 - math.log2(value) / n
@@ -396,19 +326,62 @@ def _exponent(value: float, n: int) -> float:
 def exact_error_report(code: DICode, W: ChannelModel,
                        pair_budget: int = DEFAULT_PAIR_BUDGET,
                        law: ChannelModel | None = None) -> ErrorReport:
-    """Certified error intervals and measured exponents via the exact DP: the
-    types `measure_lambda1` and `measure_lambda2` evaluate, in one
-    `count_probs` call, which builds each owner composition's lattices once."""
+    """Certified error intervals and measured exponents via the exact DP.
+
+    lambda1 is the worst miss max_j (1 - P_j[own typical set]), lambda2 the
+    worst false accept over ordered codeword pairs; each distinct joint type
+    evaluated gets the DP once, own and cross types in one `count_probs`
+    call.  When N(N-1) exceeds the pair budget, the cross types are ranked
+    by their Chernoff ceilings `false_accept_bound` (read from the DP's law
+    rows, so also under a separate `law`), highest first, ties in row order,
+    and a type is evaluated when fewer than pair_budget pairs precede it;
+    `pairs_exact` counts every pair of an evaluated type.  lambda2's hi
+    keeps the largest skipped ceiling, `analytic_ceiling`: 0 only if no
+    live output word reaches the type, else at least the smallest positive
+    double.  pair_mode is "exhaustive" when every type is evaluated,
+    "pair-bound" when none is, else "screened".  A negative pair_budget
+    raises ValidationError.
+    """
     dp = JointTypeDP(W, law=law)
     own = _type_rows(code.codewords, W, *np.diag_indices(code.size))[0]
-    cross, pairs, pair_mode, ceiling = _cross_rows(code, W, dp, pair_budget)
-    l1, l2 = _lambdas(dp, code.delta, own, cross, pairs, ceiling)
+    if pair_budget < 0:
+        raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
+    src, dst = np.nonzero(~np.eye(code.size, dtype=bool))  # u_j against u_k's set, j-major
+    cross, pairs = _type_rows(code.codewords, W, src, dst)
+    evaluate, ceiling = np.ones(len(cross), dtype=bool), 0.0
+    if len(src) > pair_budget:
+        bound = false_accept_bound(dp, cross, code.delta)
+        order = np.argsort(-bound, kind="stable")
+        evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
+        top = float(np.max(bound[~evaluate], initial=-np.inf))
+        ceiling = 0.0 if top == -np.inf else max(2.0**top, math.ulp(0.0))
+    pair_mode = "exhaustive" if evaluate.all() else "screened" if evaluate.any() else "pair-bound"
+    lo, hi = dp.count_probs(np.concatenate((own, cross[evaluate])), code.delta)
+    k = len(own)
+    worst = [float(np.max(p, initial=0.0)) for p in (1.0 - hi[:k], 1.0 - lo[:k], lo[k:], hi[k:])]
+    l1, l2 = (worst[0], worst[1]), (worst[2], max(worst[3], ceiling))
     return ErrorReport(
         lambda1=l1, lambda2=l2, e1_measured=_exponent(l1[1], code.blocklength),
         e2_measured=_exponent(l2[1], code.blocklength), pair_mode=pair_mode,
         method="pair-bound" if pair_mode == "pair-bound" else "exact-dp",
         analytic_ceiling=ceiling if pair_mode != "exhaustive" else None,
-        dp_types=dp.types, dp_states_max=dp.states_max, pairs_exact=dp.pairs_exact)
+        dp_types=len(lo), dp_states_max=dp.states_max, pairs_exact=int(pairs[evaluate].sum()))
+
+
+def measure_lambda1(code: DICode, W: ChannelModel,
+                    law: ChannelModel | None = None) -> tuple[float, float]:
+    """Worst-case miss probability max_j (1 - P_j[own typical set]): the
+    `lambda1` of `exact_error_report` at pair budget 0."""
+    return exact_error_report(code, W, 0, law).lambda1
+
+
+def measure_lambda2(code: DICode, W: ChannelModel,
+                    pair_budget: int = DEFAULT_PAIR_BUDGET,
+                    law: ChannelModel | None = None):
+    """Worst-case false-accept probability over ordered codeword pairs, as
+    ((lo, hi), pair_mode, analytic_ceiling or 0) of `exact_error_report`."""
+    r = exact_error_report(code, W, pair_budget, law)
+    return r.lambda2, r.pair_mode, r.analytic_ceiling or 0.0
 
 
 def wilson_interval(successes: int, trials: int):
