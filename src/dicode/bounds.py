@@ -22,6 +22,7 @@ Curve identifiers (the `formula_id` wire tokens):
 from __future__ import annotations
 
 import csv
+import inspect
 import io
 import math
 from dataclasses import dataclass, field
@@ -64,11 +65,7 @@ class BoundCurve:
                 norm = p.value / math.log2(n)
             out.append({
                 "formula_id": self.formula_id,
-                "n": g.get("n", ""),
-                "E": g.get("E", ""),
-                "t": g.get("t", ""),
-                "eta": g.get("eta", ""),
-                "alpha": g.get("alpha", ""),
+                **{key: g.get(key, "") for key in CSV_COLUMNS[1:6]},
                 "value_bits": p.value,
                 "normalized_value": norm,
                 "validity_flags": "|".join(p.flags),
@@ -122,8 +119,7 @@ def covering_radius(E: float) -> float:
     return 0.5 * _root_gap(E)
 
 
-def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
-               mode: str = "auto") -> BoundPoint:
+def thm1_lower(W: ChannelModel, n: int, E: float, t: float) -> BoundPoint:
     """Achievable rate: (1-t) log2 Pi_beta - H(t,1-t) - log-penalty."""
     if E <= 0 or not 0 < t < 1 or n < 1:
         raise ValidationError("need E > 0, 0 < t < 1, n >= 1")
@@ -131,13 +127,13 @@ def thm1_lower(W: ChannelModel, n: int, E: float, t: float,
     flags = []
     if beta >= math.sqrt(2.0):
         flags.append("trivial-regime")
-    pack = max_packing(W.sqrt_cloud, beta, mode=mode)
+    pack = max_packing(W.sqrt_cloud, beta, mode="auto")
     return BoundPoint(thm1_rate(pack.count, t, n, W.output_size), tuple(flags),
                       "exact" if pack.exact else "lower-bound",
                       {"packing_count": pack.count, "beta": beta})
 
 
-def thm2_upper(W: ChannelModel, n: int, E: float, mode: str = "auto") -> BoundPoint:
+def thm2_upper(W: ChannelModel, n: int, E: float) -> BoundPoint:
     """Converse rate: log2 of the covering count at radius (1/2)sqrt(1-e^-E/2)."""
     if E <= 0 or n < 1:
         raise ValidationError("need E > 0 and n >= 1")
@@ -145,7 +141,7 @@ def thm2_upper(W: ChannelModel, n: int, E: float, mode: str = "auto") -> BoundPo
     if n * E / 2.0 < LN4:
         flags.append("precondition-nE-unmet")
     r = covering_radius(E)
-    cover = min_covering(W.sqrt_cloud, r, mode=mode)
+    cover = min_covering(W.sqrt_cloud, r, mode="auto")
     return BoundPoint(math.log2(cover.count), tuple(flags),
                       "exact" if cover.exact else "upper-bound",
                       {"covering_count": cover.count, "radius": r})
@@ -434,60 +430,56 @@ def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-def _y_size(g: dict, W: ChannelModel | None) -> int:
-    """|Y|: the channel's when one is given, else the grid's (default 2)."""
-    return W.output_size if W is not None else g.get("y_size", 2)
-
-
-#: formula_id -> evaluator of one grid point g (a dict) on channel W.  Entries
-#: look the formula functions up by module-global name at call time.
+#: formula_id -> (function, keys, half): the name of a module-level function,
+#: looked up per sweep; the grid key of each of its parameters, in order; and
+#: for a (lower, upper) bracket, the half reported.  Key "W" is the channel;
+#: with one, "y_size" is its |Y|.
 FORMULAS = {
-    "thm1_lower": lambda g, W: thm1_lower(W, g["n"], g["E"], g["t"]),
-    "thm2_upper": lambda g, W: thm2_upper(W, g["n"], g["E"]),
-    "cor1_lower": lambda g, W: cor1_lower(g["d"], g["eta"], g["E"], g["t"], g["n"],
-                                          _y_size(g, W)),
-    "cor2_upper": lambda g, W: cor2_upper(g["d"], g["eta"], g["E"]),
-    "improved_good_lower": lambda g, W: improved_good_lower(
-        g["d"], g["eta"], g["E"], g["t"], g["n"], _y_size(g, W)),
-    "improved_bad_upper": lambda g, W: improved_bad_upper(g["d"], g["eta"], g["E"]),
-    "ex1_bern_lower": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[0],
-    "ex1_bern_upper": lambda g, W: ex1_bernoulli(g["a"], g["E"], g["n"], g.get("t"))[1],
-    "ex2_dmc_lower": lambda g, W: ex2_dmc(W, g["E"], g["n"])[0],
-    "ex2_dmc_upper": lambda g, W: ex2_dmc(W, g["E"], g["n"])[1],
-    "thm5_stein": lambda g, W: thm5_stein(g["omega"], g["E"], g.get("alpha", 2.0),
-                                          g.get("lambda", 0.5), g.get("delta_part")),
-    "thm6_stein": lambda g, W: thm6_stein(
-        W.output_size if W is not None else g["y_size"], g["E"], g["n"],
-        g.get("alpha", 2.0), g.get("delta_trunc", 0.5), g.get("lambda", 0.5),
-        g.get("delta_part")),
-    "power_capacity": lambda g, W: power_capacity(W, g["A"]),
-    "trend_lower": lambda g, W: trend_lower_point(g["n"], g.get("d", 1.0), _y_size(g, W)),
-    "trend_upper": lambda g, W: trend_upper_point(g["n"], g.get("d", 1.0)),
+    "thm1_lower": ("thm1_lower", ("W", "n", "E", "t"), None),
+    "thm2_upper": ("thm2_upper", ("W", "n", "E"), None),
+    "cor1_lower": ("cor1_lower", ("d", "eta", "E", "t", "n", "y_size"), None),
+    "cor2_upper": ("cor2_upper", ("d", "eta", "E"), None),
+    "improved_good_lower": ("improved_good_lower",
+                            ("d", "eta", "E", "t", "n", "y_size"), None),
+    "improved_bad_upper": ("improved_bad_upper", ("d", "eta", "E"), None),
+    "ex1_bern_lower": ("ex1_bernoulli", ("a", "E", "n", "t"), 0),
+    "ex1_bern_upper": ("ex1_bernoulli", ("a", "E", "n", "t"), 1),
+    "ex2_dmc_lower": ("ex2_dmc", ("W", "E", "n"), 0),
+    "ex2_dmc_upper": ("ex2_dmc", ("W", "E", "n"), 1),
+    "thm5_stein": ("thm5_stein", ("omega", "E", "alpha", "lambda", "delta_part"), None),
+    "thm6_stein": ("thm6_stein", ("y_size", "E", "n", "alpha", "delta_trunc", "lambda",
+                                  "delta_part"), None),
+    "power_capacity": ("power_capacity", ("W", "A"), None),
+    "trend_lower": ("trend_lower_point", ("n", "d", "y_size"), None),
+    "trend_upper": ("trend_upper_point", ("n", "d"), None),
 }
-
-
-#: formulas that read the channel W
-CHANNEL_FORMULAS = frozenset({"thm1_lower", "thm2_upper", "ex2_dmc_lower",
-                              "ex2_dmc_upper", "power_capacity"})
 
 
 def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
     """Evaluate one formula over an explicit list of grid-point dicts, in order.
 
-    A channel formula without W, a grid point lacking a parameter the formula
-    reads, or a grid point with y_size alongside W (whose |Y| every formula
-    reads) raises ValidationError.
+    The formula's function is looked up by name at call time, and a grid key
+    it lacks takes that function's default.  A channel formula without W, a
+    grid point lacking a parameter with no default, or a grid point with
+    y_size alongside W raises ValidationError.
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula id {formula_id!r}")
-    if W is None and formula_id in CHANNEL_FORMULAS:
+    function, keys, half = FORMULAS[formula_id]
+    if W is None and "W" in keys:
         raise ValidationError(f"formula {formula_id!r} needs a channel")
-    point = FORMULAS[formula_id]
     grid = tuple(dict(g) for g in grid)
     if W is not None and any("y_size" in g for g in grid):
         raise ValidationError("a channel fixes |Y|: give y_size only without one")
-    try:
-        points = tuple(point(g, W) for g in grid)
-    except KeyError as exc:
-        raise ValidationError(f"formula {formula_id!r} needs grid parameter {exc}") from None
+    evaluate = globals()[function]
+    defaults = inspect.unwrap(evaluate).__defaults__ or ()
+    required = len(keys) - len(defaults)
+    fixed = {} if W is None else {"W": W, "y_size": W.output_size}
+    for key in keys[:required]:
+        if key not in fixed and any(key not in g for g in grid):
+            raise ValidationError(f"formula {formula_id!r} needs grid parameter {key!r}")
+    optional = dict(zip(keys[required:], defaults))
+    points = tuple(evaluate(*map({**optional, **g, **fixed}.__getitem__, keys)) for g in grid)
+    if half is not None:
+        points = tuple(p[half] for p in points)
     return BoundCurve(formula_id, grid, points)

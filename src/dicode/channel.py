@@ -149,6 +149,10 @@ def bernoulli_family(a: float, k_max: int) -> ChannelModel:
         raise ValidationError("ladder base must satisfy a > 1")
     if k_max < 0:
         raise ValidationError("k_max must be >= 0")
+    # a smallest point that underflows to 0.0 repeats x = 0: refused before
+    # the k_max + 2 points are built (every a > 1 underflows by k = 2^64)
+    if float(a) ** -min(k_max, 2**64) == 0.0:
+        raise ValidationError("ladder points are not distinct")
     xs = [0.0] + [float(a) ** (-k) for k in range(k_max + 1)]
     if len(set(xs)) != len(xs):
         raise ValidationError("ladder points are not distinct")
@@ -228,21 +232,22 @@ def dedupe_and_purge(W: ChannelModel) -> ChannelModel:
     """Drop inputs whose rows duplicate another row, keeping the cheapest.
 
     Rows are compared exactly (within ROW_EQUAL_TOL after normalization).
-    Within a duplicate group the input with minimal cost survives; ties go to
-    the lowest input index.  The result has one input per distinct row.
+    Each row is matched against the first kept row within the tolerance, in
+    keep order, all kept rows in one numpy step; a cheaper match replaces the
+    kept one in place, so ties go to the lowest input index.  The result has
+    one input per distinct row.
     """
     cost = W.cost_vector()
     keep: list[int] = []
-    for i in range(W.n_inputs):
-        matched = None
-        for pos, j in enumerate(keep):
-            if np.max(np.abs(W.matrix[i] - W.matrix[j])) <= ROW_EQUAL_TOL:
-                matched = pos
-                break
-        if matched is None:
+    kept = np.empty_like(W.matrix)   # kept[pos] = W.matrix[keep[pos]]
+    for i, row in enumerate(W.matrix):
+        near = np.flatnonzero(np.abs(kept[:len(keep)] - row).max(axis=1) <= ROW_EQUAL_TOL)
+        if not near.size:
+            kept[len(keep)] = row
             keep.append(i)
-        elif cost[i] < cost[keep[matched]]:
-            keep[matched] = i
+        elif cost[i] < cost[keep[near[0]]]:
+            keep[near[0]] = i
+            kept[near[0]] = row
     keep_sorted = sorted(keep)
     return make_channel([W.input_labels[i] for i in keep_sorted],
                         W.matrix[keep_sorted],

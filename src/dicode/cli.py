@@ -9,10 +9,12 @@ A command accepts exactly the options it reads; every refusal is one
 `error code=... msg=...` line on stderr.  Exit codes: 0 success, 2
 validation failure (every parser error included), 3 size-guard refusal (a
 range axis or a `bounds` grid of more than GRID_LIMIT points, refused before
-it is built).  Three refusals depend on another option's value:
+it is built).  Four refusals depend on another option's value:
 --trials/--seed with `evaluate --method exact` and --pair-budget with
 `--method mc`; --formula, --channel, --E-axis and the single-value options
-with `bounds --recipe fig2`; --mode with `geometry --task dimension`.
+with `bounds --recipe fig2`; a `bounds` value, axis or channel that no
+--formula reads (`bounds.FORMULAS` declares the grid keys each one reads);
+--mode with `geometry --task dimension`.
 bounds accepts --seed and --jobs, and geometry --seed, and they change
 nothing, because the benchmark's tabulate workload passes them there.
 
@@ -246,13 +248,20 @@ def _bounds_grid(args) -> list[dict]:
 
 
 def cmd_bounds(args) -> int:
+    # flag -> (the grid keys it sets, its value); a channel is W and sets |Y|
+    options = {"--channel": ({"W", "y_size"}, args.channel),
+               "--n-axis": ({"n"}, args.n_axis), "--E-axis": ({"E"}, args.E_axis),
+               **{flag: ({key}, getattr(args, key)) for flag, key, _, _ in BOUNDS_VALUES}}
     if args.recipe == "fig2":
         _refuse_ignored(
             "--recipe fig2 sweeps trend_lower and trend_upper over --n-axis alone",
-            {"--formula": args.formula, "--channel": args.channel, "--E-axis": args.E_axis,
-             **{flag: getattr(args, key) for flag, key, _, _ in BOUNDS_VALUES}})
+            {"--formula": args.formula,
+             **{flag: value for flag, (_, value) in options.items() if flag != "--n-axis"}})
         args.formula, args.n_axis = ["trend_lower", "trend_upper"], args.n_axis or FIG2_N_AXIS
     args.formula = args.formula or ["thm1_lower"]
+    reads = {key for f in args.formula for key in FORMULAS[f][1]}
+    _refuse_ignored(f"no formula of --formula {' '.join(args.formula)} reads these",
+                    {flag: value for flag, (keys, value) in options.items() if not keys & reads})
     W = load_channel(args.channel) if args.channel else None
     grid = _bounds_grid(args)
     # the chart's x axis is log10: n for n sweeps, E otherwise
@@ -266,20 +275,15 @@ def cmd_bounds(args) -> int:
     _write(out / "bounds.csv", csv_text)
     _manifest(args)
     if args.svg:
+        y_key, x_label, y_label = {
+            "n": ("normalized_value", "block length n", "rate / log2 n"),
+            "E": ("value_bits", "exponent target E", "rate bound (bits)")}[x_key]
         series = []
         for curve in curves:
             rows = curve.rows()
-            xs = [float(r[x_key]) for r in rows]
-            if x_key == "n":
-                ys = [r["normalized_value"] if r["normalized_value"] != "" else math.nan
-                      for r in rows]
-                labels = ("block length n", "rate / log2 n")
-            else:
-                ys = [r["value_bits"] for r in rows]
-                labels = ("exponent target E", "rate bound (bits)")
-            series.append((curve.formula_id, xs, ys))
-        _write(out / "bounds.svg",
-               line_chart(series, x_label=labels[0], y_label=labels[1]))
+            series.append((curve.formula_id, [float(r[x_key]) for r in rows],
+                           [math.nan if r[y_key] == "" else r[y_key] for r in rows]))
+        _write(out / "bounds.svg", line_chart(series, x_label=x_label, y_label=y_label))
     print(csv_text, end="")
     return EXIT_OK
 
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="tabulate rate bounds over a grid")
     common(p, channel_required=False)
     inert(p, "--seed", "--jobs")
-    p.add_argument("--formula", nargs="+",
+    p.add_argument("--formula", nargs="+", choices=FORMULAS, metavar="ID",
                    help=f"formula ids ({' '.join(FORMULAS)}); default thm1_lower")
     p.add_argument("--recipe", choices=("fig2",), default=None,
                    help="predefined capacity-trend sweep (d=1); default --n-axis "

@@ -78,8 +78,8 @@ def test_criterion_2_converse_consistency():
     grid = [10 ** (-6 + 3 * i / 19) for i in range(20)]
     for W in (BERN6, IDENT2):
         for E in grid:
-            lo = thm1_lower(W, 10**7, E, 0.5, mode="exact")
-            hi = thm2_upper(W, 10**7, E, mode="exact")
+            lo = thm1_lower(W, 10**7, E, 0.5)
+            hi = thm2_upper(W, 10**7, E)
             assert lo.count_exact == "exact" and hi.count_exact == "exact"
             assert "precondition-nE-unmet" not in hi.flags
             assert lo.value <= hi.value   # exact arithmetic, no tolerance

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import math
 import time
 import tracemalloc
@@ -8,6 +10,8 @@ import pytest
 from dicode import bounds
 from dicode.bounds import (
     FIG_RECIPE_C,
+    FORMULAS,
+    BoundPoint,
     cor1_lower,
     cor2_upper,
     covering_radius,
@@ -40,7 +44,7 @@ def test_covering_radius_reference():
 def test_thm1_identity_arithmetic():
     W = identity_channel(2)
     n, E, t = 100, 1e-5, 0.5
-    p = thm1_lower(W, n, E, t, mode="exact")
+    p = thm1_lower(W, n, E, t)
     assert p.extras["packing_count"] == 2
     want = (1 - t) * 1.0 - binary_entropy(t) - math.log2(math.ceil(n)) / n
     assert p.value == pytest.approx(want)
@@ -49,7 +53,7 @@ def test_thm1_identity_arithmetic():
 
 def test_thm1_flat_channel_trivial():
     flat = make_channel(list("ab"), [[0.5, 0.5]] * 2)
-    p = thm1_lower(flat, 50, 1e-6, 0.5, mode="exact")
+    p = thm1_lower(flat, 50, 1e-6, 0.5)
     assert p.extras["packing_count"] == 1
     assert p.value < 0
 
@@ -64,11 +68,11 @@ def test_thm1_trivial_regime_flag():
 
 def test_thm2_identity():
     W = identity_channel(2)
-    p = thm2_upper(W, 10**7, 1e-4, mode="exact")
+    p = thm2_upper(W, 10**7, 1e-4)
     assert p.extras["covering_count"] == 2
     assert p.value == 1.0
     flat = make_channel(list("ab"), [[0.5, 0.5]] * 2)
-    assert thm2_upper(flat, 10**7, 1e-4, mode="exact").value == 0.0
+    assert thm2_upper(flat, 10**7, 1e-4).value == 0.0
 
 
 def test_thm2_precondition_flag():
@@ -81,8 +85,8 @@ def test_converse_ordering_on_grid():
     for W in (identity_channel(2), bernoulli_family(2.0, 6)):
         for i in range(20):
             E = 10 ** (-6 + 3 * i / 19)
-            lo = thm1_lower(W, 10**7, E, 0.5, mode="exact")
-            hi = thm2_upper(W, 10**7, E, mode="exact")
+            lo = thm1_lower(W, 10**7, E, 0.5)
+            hi = thm2_upper(W, 10**7, E)
             assert lo.count_exact == "exact" and hi.count_exact == "exact"
             assert lo.value <= hi.value
 
@@ -90,8 +94,8 @@ def test_converse_ordering_on_grid():
 def test_bound_monotonicity_in_E():
     W = bernoulli_family(2.0, 6)
     es = [10 ** (-6 + 4 * i / 10) for i in range(11)]
-    lows = [thm1_lower(W, 10**7, E, 0.5, mode="exact").value for E in es]
-    ups = [thm2_upper(W, 10**7, E, mode="exact").value for E in es]
+    lows = [thm1_lower(W, 10**7, E, 0.5).value for E in es]
+    ups = [thm2_upper(W, 10**7, E).value for E in es]
     assert all(a >= b - 1e-12 for a, b in zip(lows, lows[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(ups, ups[1:]))
 
@@ -346,6 +350,63 @@ def test_sweep_reads_y_size_from_channel():
     for formula_id in ("cor1_lower", "thm6_stein"):
         with pytest.raises(ValidationError, match="y_size"):
             sweep(formula_id, [dict(g, y_size=4)], W4)
+
+
+def test_formula_keys_match_parameters():
+    """Each table entry names one grid key per parameter of its function."""
+    for formula_id, (function, keys, _) in FORMULAS.items():
+        parameters = inspect.signature(getattr(bounds, function)).parameters
+        assert len(keys) == len(parameters), formula_id
+
+
+#: a valid value for every grid key but the channel "W"
+GRID_VALUES = {"n": 100, "E": 1e-4, "t": 0.5, "eta": 0.1, "alpha": 2.0, "d": 1.0, "a": 2.0,
+               "A": 0.5, "omega": 0.1, "lambda": 0.5, "delta_part": 0.2, "delta_trunc": 0.5,
+               "y_size": 2}
+
+
+@pytest.mark.parametrize("formula_id", FORMULAS)
+def test_sweep_defaults_and_required_keys(formula_id):
+    """A missing key with a default takes the function's own; a missing key
+    without one is refused by name."""
+    name, keys, half = FORMULAS[formula_id]
+    function = getattr(bounds, name)
+    W = bernoulli_family(2.0, 6) if "W" in keys else None
+    parameters = inspect.signature(function).parameters.values()
+    required = [key for key, p in zip(keys, parameters) if p.default is p.empty]
+    bare = {key: GRID_VALUES[key] for key in required if key != "W"}
+    want = function(*(W if key == "W" else bare[key] for key in required))
+    want = want if half is None else want[half]
+    assert repr(sweep(formula_id, [bare], W).points[0]) == repr(want)
+    for key in bare:
+        with pytest.raises(ValidationError, match=f"needs grid parameter '{key}'"):
+            sweep(formula_id, [{k: v for k, v in bare.items() if k != key}], W)
+
+
+def test_sweep_looks_the_function_up_at_call_time(monkeypatch):
+    """A function put on the module after import is the one a sweep calls.
+    A functools.wraps wrapper, such as a tracer's, keeps the defaults of the
+    function it wraps; any other replacement brings its own."""
+    calls = []
+    original = bounds.trend_upper_point
+
+    @functools.wraps(original)
+    def traced(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bounds, "trend_upper_point", traced)
+    assert sweep("trend_upper", [{"n": 10}]).points == (original(10),)
+    assert calls == [(10, 1.0)]
+
+    def replacement(n, d=0.25):
+        calls.append((n, d))
+        return BoundPoint(float(n))
+
+    monkeypatch.setattr(bounds, "trend_upper_point", replacement)
+    curve = sweep("trend_upper", [{"n": 10}, {"n": 20, "d": 0.5}])
+    assert [p.value for p in curve.points] == [10.0, 20.0]
+    assert calls == [(10, 1.0), (10, 0.25), (20, 0.5)]
 
 
 @pytest.mark.parametrize("formula_id", ["thm1_lower", "thm2_upper"])

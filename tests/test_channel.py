@@ -1,11 +1,14 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicode.channel import (
+    ROW_EQUAL_TOL,
     bernoulli_family,
     dedupe_and_purge,
     identity_channel,
@@ -13,6 +16,7 @@ from dicode.channel import (
     make_channel,
     truncate_channel,
 )
+from dicode.cli import main
 from dicode.errors import ValidationError
 from dicode.infodist import entropy, fidelity
 
@@ -137,6 +141,22 @@ def test_bernoulli_family_values():
         bernoulli_family(1.0, 2)
 
 
+def test_underflowing_ladder_refused_before_it_is_built(tmp_path):
+    """2^-k_max is 0.0, so the last ladder point repeats x = 0: the spec is
+    refused before its 10^9 points are built."""
+    spec = tmp_path / "ladder.json"
+    spec.write_text(json.dumps({"family": "bernoulli", "a": 2, "k_max": 1000000000}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="ladder points are not distinct"):
+            load_channel(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert main(["channel", "check", "--channel", str(spec)]) == 2
+
+
 def test_truncate_hand_case():
     W = make_channel(["x"], [[0.5, 0.4999, 1e-4]])
     V = truncate_channel(W, 0.5, 10)
@@ -175,6 +195,50 @@ def test_purge_keeps_cheapest():
     assert Q.n_inputs == 1
     # identity unchanged
     assert dedupe_and_purge(identity_channel(2)).n_inputs == 2
+
+
+def purge_reference(W):
+    """The pairwise loop that dedupe_and_purge vectorizes: the kept inputs."""
+    cost = W.cost_vector()
+    keep = []
+    for i in range(W.n_inputs):
+        matched = None
+        for pos, j in enumerate(keep):
+            if np.max(np.abs(W.matrix[i] - W.matrix[j])) <= ROW_EQUAL_TOL:
+                matched = pos
+                break
+        if matched is None:
+            keep.append(i)
+        elif cost[i] < cost[keep[matched]]:
+            keep[matched] = i
+    return sorted(keep)
+
+
+@st.composite
+def planted_duplicates(draw):
+    """A channel whose rows are copies of a few base rows, each moved by 0, a
+    fraction of, about one or a few ROW_EQUAL_TOL, or far; costs tie often."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_y = draw(st.integers(2, 4))
+    bases = rng.random((draw(st.integers(1, 4)), n_y)) + 0.1
+    bases /= bases.sum(axis=1, keepdims=True)
+    rows = bases[rng.integers(0, len(bases), draw(st.integers(1, 12)))]
+    shift = rng.choice([0.0, 0.4, 1.0, 2.0, 1e6], len(rows)) * ROW_EQUAL_TOL
+    rows[:, 0] += shift
+    rows[:, 1] -= shift
+    cost = rng.integers(0, 3, len(rows)) if draw(st.booleans()) else None
+    return make_channel([str(i) for i in range(len(rows))], rows, cost=cost)
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_duplicates())
+def test_purge_matches_the_loop_reference(W):
+    keep = purge_reference(W)
+    P = dedupe_and_purge(W)
+    assert P.input_labels == tuple(W.input_labels[i] for i in keep)
+    assert (P.cost is None) == (W.cost is None)
+    if W.cost is not None:
+        assert np.array_equal(P.cost, W.cost[keep])
 
 
 TABLES = ("log2", "entropies", "fidelities", "purged", "sqrt_cloud", "raw_cloud")

@@ -12,6 +12,7 @@ import pytest
 import dicode
 from dicode.channel import bernoulli_family
 from dicode import cli
+from dicode.bounds import FORMULAS
 from dicode.cli import BOUNDS_VALUES, main
 from dicode.codebook import assemble_code, code_to_json
 
@@ -304,6 +305,7 @@ MALFORMED = {
     "E-nan": ["construct", "--channel", "{bern}", "--n", "4", "--E", "nan", "--t", "0.5"],
     "d-nan": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4", "--eta", "0.1",
               "--d", "nan"],
+    "unknown-formula": ["bounds", "--formula", "nope", "--E-axis", "1e-4"],
     "y-size-with-channel": ["bounds", "--channel", "{bern}", "--formula", "thm6_stein",
                             "--E-axis", "1e-3", "--n-axis", "10", "--y-size", "3"],
     "embedding-cube": ["geometry", "--channel", "{bern}", "--task", "packing",
@@ -431,24 +433,25 @@ def test_manifest_parameters_are_pinned(bern_file, tmp_path):
 # --svg draws a log10 x axis; it had no x value (float("") failed), or a zero
 # one (log10(0) failed), and exited 1 after bounds.csv was written
 SVG_WITHOUT_X = {
-    "no-x-axis": ["--cost-cap", "0.25"],
-    "x-zero": ["--cost-cap", "0.25", "--E-axis", "0,1"],
+    "no-x-axis": ["--formula", "power_capacity", "--cost-cap", "0.25"],
+    "x-zero": ["--formula", "thm2_upper", "--E-axis", "0,1", "--n-axis", "100"],
 }
 
 
 @pytest.mark.parametrize("extra", SVG_WITHOUT_X.values(), ids=SVG_WITHOUT_X.keys())
 def test_svg_needs_positive_x_values(extra, bern_file, tmp_path, capsys):
     out = tmp_path / "o"
-    assert main(["bounds", "--channel", str(bern_file), "--formula", "power_capacity",
-                 *extra, "--svg", "--out", str(out)]) == 2
+    assert main(["bounds", "--channel", str(bern_file), *extra, "--svg",
+                 "--out", str(out)]) == 2
     assert "error code=VALIDATION msg=--svg" in capsys.readouterr().err
     assert not out.exists()
 
 
-# one axis past the guard, and two axes whose product is
+# one axis past the guard, and two axes whose product is, each read by the formula
 HUGE_GRIDS = {
-    "axis": ["--n-axis", "1:2:100000000"],
-    "product": ["--n-axis", "10:1000:1000", "--E-axis", "1e-6:1e-3:1000:log"],
+    "axis": ["--formula", "trend_upper", "--n-axis", "1:2:100000000"],
+    "product": ["--formula", "ex1_bern_upper", "--a", "2", "--n-axis", "10:1000:1000",
+                "--E-axis", "1e-6:1e-3:1000:log"],
 }
 
 
@@ -456,8 +459,7 @@ HUGE_GRIDS = {
 def test_grid_guard_fails_before_allocating(axes, tmp_path, capsys):
     tracemalloc.start()
     try:
-        rc = main(["bounds", "--formula", "trend_upper", *axes,
-                   "--out", str(tmp_path / "o")])
+        rc = main(["bounds", *axes, "--out", str(tmp_path / "o")])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -467,15 +469,16 @@ def test_grid_guard_fails_before_allocating(axes, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axes,rc", [
-    (["--n-axis", "10:100:6"], 0),
-    (["--n-axis", "10:100:7"], 3),
-    (["--n-axis", "10:100:2", "--E-axis", "1e-3:1e-2:3"], 0),
-    (["--n-axis", "10:100:3", "--E-axis", "1e-3:1e-2:3"], 3),
+    (["--formula", "trend_upper", "--n-axis", "10:100:6"], 0),
+    (["--formula", "trend_upper", "--n-axis", "10:100:7"], 3),
+    (["--formula", "ex1_bern_upper", "--a", "2", "--n-axis", "10:100:2",
+      "--E-axis", "1e-3:1e-2:3"], 0),
+    (["--formula", "ex1_bern_upper", "--a", "2", "--n-axis", "10:100:3",
+      "--E-axis", "1e-3:1e-2:3"], 3),
 ])
 def test_grid_guard_edge(axes, rc, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "GRID_LIMIT", 6)
-    assert main(["bounds", "--formula", "trend_upper", *axes,
-                 "--out", str(tmp_path / "o")]) == rc
+    assert main(["bounds", *axes, "--out", str(tmp_path / "o")]) == rc
 
 
 @pytest.mark.parametrize("flag", [flag for flag, _, _, _ in BOUNDS_VALUES])
@@ -485,16 +488,67 @@ def test_fig2_refuses_value_options(flag, tmp_path, capsys):
     assert "error code=VALIDATION msg=--recipe fig2" in capsys.readouterr().err
 
 
-def test_bounds_manifest_records_value_options(tmp_path):
-    out = tmp_path / "b"
-    assert main(["bounds", "--formula", "thm6_stein", "--E-axis", "1e-3",
-                 "--n-axis", "1000", "--cost-cap", "2.5", "--lambda-bound", "0.25",
-                 "--delta-part", "0.125", "--delta-trunc", "0.375", "--y-size", "3",
-                 "--out", str(out)]) == 0
-    params = json.loads((out / "manifest.json").read_text())["parameters"]
-    assert {k: params[k] for k in ("A", "lambda", "delta_part", "delta_trunc", "y_size")} \
-        == {"A": 2.5, "lambda": 0.25, "delta_part": 0.125, "delta_trunc": 0.375, "y_size": 3}
-    assert params["formula"] == ["thm6_stein"]
+def test_bounds_manifest_records_value_options(bern_file, tmp_path):
+    # --cost-cap is read by power_capacity alone, which needs a channel, and a
+    # channel refuses --y-size: two runs
+    runs = {"thm6": ["--formula", "thm6_stein", "--E-axis", "1e-3", "--n-axis", "1000",
+                     "--lambda-bound", "0.25", "--delta-part", "0.125",
+                     "--delta-trunc", "0.375", "--y-size", "3"],
+            "power": ["--channel", str(bern_file), "--formula", "power_capacity",
+                      "--cost-cap", "2.5"]}
+    params = {}
+    for name, argv in runs.items():
+        assert main(["bounds", *argv, "--out", str(tmp_path / name)]) == 0
+        params[name] = json.loads((tmp_path / name / "manifest.json").read_text())["parameters"]
+    thm6, power = params["thm6"], params["power"]
+    assert {k: thm6[k] for k in ("lambda", "delta_part", "delta_trunc", "y_size")} \
+        == {"lambda": 0.25, "delta_part": 0.125, "delta_trunc": 0.375, "y_size": 3}
+    assert power["A"] == 2.5
+    assert thm6["formula"] == ["thm6_stein"]
+    assert power["formula"] == ["power_capacity"]
+
+
+#: the `bounds` flag of each grid key, "W" being the channel, and a value of
+#: each that every formula reading it accepts
+KEY_FLAGS = {"W": "--channel", "n": "--n-axis", "E": "--E-axis",
+             **{key: flag for flag, key, _, _ in BOUNDS_VALUES}}
+KEY_VALUES = {"n": "100", "E": "1e-4", "t": "0.5", "eta": "0.1", "alpha": "2", "d": "1",
+              "a": "2", "A": "0.5", "omega": "0.1", "lambda": "0.5", "delta_part": "0.2",
+              "delta_trunc": "0.5", "y_size": "2"}
+
+
+def key_args(keys, bern_file):
+    return [arg for key in keys
+            for arg in (KEY_FLAGS[key], str(bern_file) if key == "W" else KEY_VALUES[key])]
+
+
+@pytest.mark.parametrize("formula_id", FORMULAS)
+def test_bounds_accepts_each_key_its_formula_reads(formula_id, bern_file, tmp_path):
+    _, keys, _ = FORMULAS[formula_id]
+    assert main(["bounds", "--formula", formula_id, *key_args(keys, bern_file),
+                 "--out", str(tmp_path / "o")]) == 0
+    if "y_size" in keys:  # or |Y| from a channel
+        assert main(["bounds", "--formula", formula_id,
+                     *key_args([k if k != "y_size" else "W" for k in keys], bern_file),
+                     "--out", str(tmp_path / "w")]) == 0
+
+
+@pytest.mark.parametrize("formula_id", FORMULAS)
+def test_bounds_refuses_a_key_no_formula_reads(formula_id, bern_file, tmp_path, capsys,
+                                                monkeypatch):
+    """Refused with one line before a channel is loaded or --out created."""
+    _, keys, _ = FORMULAS[formula_id]
+    monkeypatch.setattr(cli, "load_channel", None)
+    reads = set(keys) | ({"W"} if "y_size" in keys else set())
+    assert KEY_FLAGS.keys() - reads
+    for key in KEY_FLAGS.keys() - reads:
+        out = tmp_path / key
+        assert main(["bounds", "--formula", formula_id, *key_args(keys, bern_file),
+                     *key_args([key], bern_file), "--out", str(out)]) == 2, key
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg="), key
+        assert err[0].endswith(f"drop {KEY_FLAGS[key]}")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("points,label", [(64, "exact"), (65, "lower-bound")])

@@ -328,7 +328,7 @@ def test_rate_floor_is_thm1_lower(W, n, E, t):
     """The construction's guarantee is Theorem 1's bound, bit for bit."""
     code = construct(W, n, E, t)
     assert len(code.letter_alphabet) >= 2
-    assert code.rate_floor == thm1_lower(W, n, E, t, mode="greedy").value
+    assert code.rate_floor == thm1_lower(W, n, E, t).value
 
 
 def test_code_json_round_trip():
