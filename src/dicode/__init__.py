@@ -27,9 +27,7 @@ from .evaluator import (
     typical_set_prob,
 )
 from .geometry import (
-    CoveringResult,
     DimensionEstimate,
-    PackingResult,
     PointCloud,
     estimate_dimension,
     max_packing,
@@ -40,9 +38,7 @@ from .infodist import (
     entropy,
     fidelity,
     hypothesis_testing_divergence,
-    renyi_divergence,
     sqrt_embed,
-    total_variation,
     typicality_constants,
 )
 
@@ -53,8 +49,7 @@ __all__ = [
     "SizeGuardError", "ValidationError",
     "ErrorReport", "exact_error_report", "measure_lambda1", "measure_lambda2",
     "monte_carlo_errors", "typical_set_prob",
-    "CoveringResult", "DimensionEstimate", "PackingResult", "PointCloud",
-    "estimate_dimension", "max_packing", "min_covering",
+    "DimensionEstimate", "PointCloud", "estimate_dimension", "max_packing", "min_covering",
     "binary_entropy", "entropy", "fidelity", "hypothesis_testing_divergence",
-    "renyi_divergence", "sqrt_embed", "total_variation", "typicality_constants",
+    "sqrt_embed", "typicality_constants",
 ]

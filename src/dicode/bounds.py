@@ -13,6 +13,7 @@ Curve identifiers (the `formula_id` wire tokens):
                                value d and slack eta
   improved_good_lower /        the same expansions with the upper (resp.
   improved_bad_upper           lower) dimension, for designated E-subsets
+                               whose membership is not certified
   ex1_bern_lower / _upper      closed forms for the geometric Bernoulli ladder
   ex2_dmc_lower / _upper       closed forms for a purged finite channel
   thm5_stein / thm6_stein      one-sided-error partition bounds
@@ -25,7 +26,7 @@ import csv
 import inspect
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,21 +180,6 @@ def cor2_upper(d_upper: float, eta: float, E: float) -> BoundPoint:
     return BoundPoint(value, ("dimension-asymptotic",),
                       extras={"e_term": exact - half_log,
                               "exact_form": (d_upper + eta) * exact})
-
-
-def improved_good_lower(d_upper: float, eta: float, E: float, t: float, n: int,
-                        y_size: int = 2) -> BoundPoint:
-    """Achievability with the upper dimension, valid on a designated
-    'good' subset of exponents; membership cannot be certified here."""
-    p = cor1_lower(d_upper, eta, E, t, n, y_size)
-    return BoundPoint(p.value, p.flags + ("subset-membership-uncertified",), p.count_exact)
-
-
-def improved_bad_upper(d_lower: float, eta: float, E: float) -> BoundPoint:
-    """Converse with the lower dimension, valid on a designated 'bad' subset."""
-    p = cor2_upper(d_lower, eta, E)
-    return BoundPoint(p.value, p.flags + ("subset-membership-uncertified",),
-                      p.count_exact, p.extras)
 
 
 def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
@@ -430,18 +416,19 @@ def trend_upper_point(n: int, d: float = 1.0) -> BoundPoint:
 # ---------------------------------------------------------------------------
 # sweep machinery
 
-#: formula_id -> (function, keys, half): the name of a module-level function,
-#: looked up per sweep; the grid key of each of its parameters, in order; and
-#: for a (lower, upper) bracket, the half reported.  Key "W" is the channel;
-#: with one, "y_size" is its |Y|.
+#: formula_id -> (function, keys, half, *flags): the name of a module-level
+#: function, looked up per sweep; the grid key of each of its parameters, in
+#: order; for a (lower, upper) bracket, the half reported; and any flags added
+#: to every point.  Key "W" is the channel; with one, "y_size" is its |Y|.
 FORMULAS = {
     "thm1_lower": ("thm1_lower", ("W", "n", "E", "t"), None),
     "thm2_upper": ("thm2_upper", ("W", "n", "E"), None),
     "cor1_lower": ("cor1_lower", ("d", "eta", "E", "t", "n", "y_size"), None),
     "cor2_upper": ("cor2_upper", ("d", "eta", "E"), None),
-    "improved_good_lower": ("improved_good_lower",
-                            ("d", "eta", "E", "t", "n", "y_size"), None),
-    "improved_bad_upper": ("improved_bad_upper", ("d", "eta", "E"), None),
+    "improved_good_lower": ("cor1_lower", ("d", "eta", "E", "t", "n", "y_size"), None,
+                            "subset-membership-uncertified"),
+    "improved_bad_upper": ("cor2_upper", ("d", "eta", "E"), None,
+                           "subset-membership-uncertified"),
     "ex1_bern_lower": ("ex1_bernoulli", ("a", "E", "n", "t"), 0),
     "ex1_bern_upper": ("ex1_bernoulli", ("a", "E", "n", "t"), 1),
     "ex2_dmc_lower": ("ex2_dmc", ("W", "E", "n"), 0),
@@ -465,7 +452,7 @@ def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula id {formula_id!r}")
-    function, keys, half = FORMULAS[formula_id]
+    function, keys, half, *flags = FORMULAS[formula_id]
     if W is None and "W" in keys:
         raise ValidationError(f"formula {formula_id!r} needs a channel")
     grid = tuple(dict(g) for g in grid)
@@ -482,4 +469,6 @@ def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
     points = tuple(evaluate(*map({**optional, **g, **fixed}.__getitem__, keys)) for g in grid)
     if half is not None:
         points = tuple(p[half] for p in points)
+    if flags:
+        points = tuple(replace(p, flags=p.flags + tuple(flags)) for p in points)
     return BoundCurve(formula_id, grid, points)

@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeGuardError, ValidationError
 from .geometry import PointCloud
 from .infodist import entropy, sqrt_embed
 
 ROW_SUM_HARD_TOL = 1e-6   # ingestion: reject beyond this
 ROW_EQUAL_TOL = 1e-12     # duplicate-row detection
+LADDER_SIZE_LIMIT = 1 << 20   # Bernoulli ladder points, refused before any is built
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,6 +145,8 @@ def bernoulli_family(a: float, k_max: int) -> ChannelModel:
     """Binary-output channel on the input ladder {0} u {a^-k : 0 <= k <= k_max}.
 
     Input x emits symbol 1 with probability x, so each row is (1-x, x).
+    More than LADDER_SIZE_LIMIT points raise SizeGuardError before any is
+    built.
     """
     if not a > 1:  # also refuses NaN, whose ladder at k_max = 0 is finite
         raise ValidationError("ladder base must satisfy a > 1")
@@ -153,6 +156,8 @@ def bernoulli_family(a: float, k_max: int) -> ChannelModel:
     # the k_max + 2 points are built (every a > 1 underflows by k = 2^64)
     if float(a) ** -min(k_max, 2**64) == 0.0:
         raise ValidationError("ladder points are not distinct")
+    if k_max + 2 > LADDER_SIZE_LIMIT:
+        raise SizeGuardError(f"ladder of {k_max + 2} points exceeds guard {LADDER_SIZE_LIMIT}")
     xs = [0.0] + [float(a) ** (-k) for k in range(k_max + 1)]
     if len(set(xs)) != len(xs):
         raise ValidationError("ladder points are not distinct")
@@ -168,7 +173,7 @@ def load_channel(path) -> ChannelModel:
       {"inputs": [labels], "matrix": [[...]], "cost": [...]}   explicit
       {"family": "bernoulli", "a": <real>, "k_max": <int>}     parametric
     Inputs are distinct strings; matrix rows have equal length; matrix and
-    cost entries are JSON numbers.
+    cost entries are JSON numbers.  A key outside its form is refused.
     """
     path = Path(path)
     try:
@@ -177,6 +182,10 @@ def load_channel(path) -> ChannelModel:
         raise ValidationError(f"cannot read channel spec {path}: {exc}") from exc
     if not isinstance(spec, dict):
         raise ValidationError("channel spec must be a JSON object")
+    allowed = {"family", "a", "k_max"} if "family" in spec else {"inputs", "matrix", "cost"}
+    if unread := sorted(spec.keys() - allowed):
+        raise ValidationError(f"channel spec keys {unread} are not read; this form takes "
+                              f"{sorted(allowed)}")
 
     if "family" in spec:
         if spec["family"] != "bernoulli":

@@ -9,12 +9,13 @@ A command accepts exactly the options it reads; every refusal is one
 `error code=... msg=...` line on stderr.  Exit codes: 0 success, 2
 validation failure (every parser error included), 3 size-guard refusal (a
 range axis or a `bounds` grid of more than GRID_LIMIT points, refused before
-it is built).  Four refusals depend on another option's value:
+it is built).  Three refusals depend on another option's value:
 --trials/--seed with `evaluate --method exact` and --pair-budget with
 `--method mc`; --formula, --channel, --E-axis and the single-value options
 with `bounds --recipe fig2`; a `bounds` value, axis or channel that no
---formula reads (`bounds.FORMULAS` declares the grid keys each one reads);
---mode with `geometry --task dimension`.
+--formula reads (`bounds.FORMULAS` declares the grid keys each one reads).
+geometry counts packings and coverings exactly up to
+geometry.EXACT_SIZE_LIMIT points and greedily above, as the bounds do.
 bounds accepts --seed and --jobs, and geometry --seed, and they change
 nothing, because the benchmark's tabulate workload passes them there.
 
@@ -289,9 +290,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_geometry(args) -> int:
-    if args.task == "dimension":
-        _refuse_ignored("geometry --task dimension would ignore it", {"--mode": args.mode})
-    args.mode = args.mode or "greedy"
     W = load_channel(args.channel)
     cloud = W.sqrt_cloud if args.embedding == "sqrt" else W.raw_cloud
     radii = _parse_axis(args.radii)
@@ -304,7 +302,7 @@ def cmd_geometry(args) -> int:
               est.exact_counts) for r, lc in zip(est.radii_grid, est.log_counts)])
     else:
         fn = max_packing if args.task == "packing" else min_covering
-        results = [fn(cloud, r, mode=args.mode) for r in radii]
+        results = [fn(cloud, r, mode="auto") for r in radii]
         csv_text = rows_to_csv(
             ("radius", "count", "exact", "centers"),
             [(r, res.count, res.exact, " ".join(map(str, res.center_indices)))
@@ -384,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     inert(p, "--seed")
     p.add_argument("--task", choices=("packing", "covering", "dimension"),
                    required=True)
-    p.add_argument("--mode", choices=("greedy", "exact"),
-                   help="packing/covering only; default greedy")
     p.add_argument("--embedding", choices=("sqrt", "raw"), default="sqrt")
     p.add_argument("--radii", required=True, help="radius axis")
     p.set_defaults(fn=cmd_geometry)

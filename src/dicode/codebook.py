@@ -168,12 +168,10 @@ def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
     )
 
 
-def build_letter_alphabet(W: ChannelModel, beta: float, mode: str = "greedy"):
-    """Packing of the square-root output cloud at radius beta.
-
-    Returns the geometry PackingResult; center_indices are channel inputs.
-    """
-    return max_packing(W.sqrt_cloud, beta, mode=mode)
+def build_letter_alphabet(W: ChannelModel, beta: float):
+    """Greedy packing of the square-root output cloud at radius beta, as a
+    geometry CountResult whose center_indices are channel inputs."""
+    return max_packing(W.sqrt_cloud, beta)
 
 
 def distance_code(q: int, n: int, t: float, mode: str = "greedy") -> np.ndarray:
@@ -358,12 +356,13 @@ def construct(W: ChannelModel, n: int, E: float, t: float,
                  thm1_rate(len(letters), t, n, W.output_size), pack.exact)
 
 
-def assemble_code(W: ChannelModel, codewords, delta: float, t: float = 0.5) -> DICode:
+def assemble_code(W: ChannelModel, codewords, delta: float) -> DICode:
     """Wrap explicit codewords and a decoder width into a DICode.
 
     Useful for evaluating hand-picked codes; no rate guarantee is attached
     (rate_floor is -inf).  The params record is back-solved so that the
-    stored tau * sqrt(n) equals the requested delta.
+    stored tau * sqrt(n) equals the requested delta; tau does not depend on
+    t, which it records as 1/2.
     """
     words = _word_array(codewords)
     n = words.shape[1]
@@ -371,7 +370,7 @@ def assemble_code(W: ChannelModel, codewords, delta: float, t: float = 0.5) -> D
     tau = delta / math.sqrt(n)
     # invert tau = (sqrt(2)-1) t beta^2 and E = c t^2 beta^4 / 6
     e_implied = c * tau * tau * (3.0 + 2.0 * math.sqrt(2.0)) / 6.0
-    params = derive_params(e_implied, t, W.output_size, n)
+    params = derive_params(e_implied, 0.5, W.output_size, n)
     ents = word_output_entropy(W, words)
     low = math.floor(ents.min())
     return _code(params, np.unique(words).tolist(), words,

@@ -153,7 +153,7 @@ class JointTypeDP:
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
-        self.W, self.law, q = W, law, W.n_inputs
+        self.W, q = W, W.n_inputs
         #: values -> (class ids, owner-major, and the law rows of those classes)
         self._groups: dict[tuple, tuple] = {}
         for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):

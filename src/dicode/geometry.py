@@ -97,9 +97,6 @@ class CountResult:
     exact: bool
 
 
-PackingResult = CoveringResult = CountResult
-
-
 @dataclass(frozen=True)
 class DimensionEstimate:
     radii_grid: tuple[float, ...]

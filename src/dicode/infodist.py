@@ -19,15 +19,6 @@ from .errors import SizeGuardError, ValidationError
 HT_OUTCOME_GUARD = 10**7
 
 
-def total_variation(p, q) -> float:
-    """Half the L1 distance between two distributions on the same alphabet."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("distributions live on different alphabets")
-    return 0.5 * float(np.abs(p - q).sum())
-
-
 def fidelity(p, q) -> float:
     """Bhattacharyya coefficient sum_y sqrt(p(y) q(y)), in [0, 1]."""
     p = np.asarray(p, dtype=float)
@@ -56,21 +47,6 @@ def binary_entropy(t: float) -> float:
     if t in (0.0, 1.0):
         return 0.0
     return -t * math.log2(t) - (1 - t) * math.log2(1 - t)
-
-
-def renyi_divergence(p, q, alpha: float) -> float:
-    """Renyi divergence of order alpha > 1 in bits; +inf off-support."""
-    if alpha <= 1:
-        raise ValidationError("order must satisfy alpha > 1")
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError("distributions live on different alphabets")
-    mask = p > 0
-    if np.any(q[mask] == 0):
-        return math.inf
-    s = float((p[mask] ** alpha * q[mask] ** (1 - alpha)).sum())
-    return math.log2(s) / (alpha - 1)
 
 
 def hypothesis_testing_divergence(p, q, eps: float) -> float:

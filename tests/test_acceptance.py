@@ -268,7 +268,7 @@ def test_criterion_8_cli_determinism(tmp_path):
                          "--t", "0.5", "--jobs", jobs, "--svg",
                          "--out", str(base / "bounds")]) == 0
         assert cli_main(["geometry", "--channel", str(chan), "--task", "covering",
-                         "--embedding", "raw", "--mode", "exact",
+                         "--embedding", "raw",
                          "--radii", "0.5,0.25,0.0625",
                          "--out", str(base / "geom")]) == 0
         runs.append({sub: outputs(base / sub)

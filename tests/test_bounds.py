@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import math
@@ -18,8 +19,6 @@ from dicode.bounds import (
     curves_to_csv,
     ex1_bernoulli,
     ex2_dmc,
-    improved_bad_upper,
-    improved_good_lower,
     power_capacity,
     sweep,
     thm1_lower,
@@ -117,14 +116,19 @@ def test_cor_bounds_values_and_monotonicity():
 
 
 def test_improved_bounds_relations():
+    def improved(formula_id, d, **grid):
+        return sweep(formula_id, [{"d": d, "eta": 0.01, "E": 1e-5, **grid}]).points[0]
+
+    flags = ("dimension-asymptotic", "subset-membership-uncertified")
     # regular set: improved curves coincide with the base ones
-    assert improved_good_lower(1.0, 0.01, 1e-5, 0.5, 100).value == \
-        cor1_lower(1.0, 0.01, 1e-5, 0.5, 100).value
-    assert improved_bad_upper(1.0, 0.01, 1e-5).value == cor2_upper(1.0, 0.01, 1e-5).value
+    good = improved("improved_good_lower", 1.0, t=0.5, n=100)
+    assert good == BoundPoint(cor1_lower(1.0, 0.01, 1e-5, 0.5, 100).value, flags)
+    bad = improved("improved_bad_upper", 1.0)
+    assert bad == BoundPoint(cor2_upper(1.0, 0.01, 1e-5).value, flags,
+                             extras=cor2_upper(1.0, 0.01, 1e-5).extras)
     # monotone in the dimension argument
-    assert improved_bad_upper(1.0, 0.01, 1e-5).value < cor2_upper(2.0, 0.01, 1e-5).value
-    assert "subset-membership-uncertified" in improved_good_lower(
-        2.0, 0.01, 1e-5, 0.5, 100).flags
+    assert bad.value < cor2_upper(2.0, 0.01, 1e-5).value
+    assert improved("improved_good_lower", 2.0, t=0.5, n=100).flags == flags
 
 
 def test_ex1_upper_values_and_lower_flag():
@@ -344,7 +348,7 @@ def test_sweep_reads_y_size_from_channel():
         cor1_lower(1.0, 0.0, 1e-5, 0.5, 100, y_size=4).value == pytest.approx(-0.4696, abs=1e-4)
     assert sweep("cor1_lower", [g]).points[0].value == pytest.approx(-0.3757, abs=1e-4)
     assert sweep("improved_good_lower", [g], W4).points[0].value == \
-        improved_good_lower(1.0, 0.0, 1e-5, 0.5, 100, y_size=4).value
+        cor1_lower(1.0, 0.0, 1e-5, 0.5, 100, y_size=4).value
     assert sweep("trend_lower", [{"n": 1000}], W4).points[0].value == \
         trend_lower_point(1000, y_size=4).value
     for formula_id in ("cor1_lower", "thm6_stein"):
@@ -354,7 +358,7 @@ def test_sweep_reads_y_size_from_channel():
 
 def test_formula_keys_match_parameters():
     """Each table entry names one grid key per parameter of its function."""
-    for formula_id, (function, keys, _) in FORMULAS.items():
+    for formula_id, (function, keys, *_) in FORMULAS.items():
         parameters = inspect.signature(getattr(bounds, function)).parameters
         assert len(keys) == len(parameters), formula_id
 
@@ -369,7 +373,7 @@ GRID_VALUES = {"n": 100, "E": 1e-4, "t": 0.5, "eta": 0.1, "alpha": 2.0, "d": 1.0
 def test_sweep_defaults_and_required_keys(formula_id):
     """A missing key with a default takes the function's own; a missing key
     without one is refused by name."""
-    name, keys, half = FORMULAS[formula_id]
+    name, keys, half, *flags = FORMULAS[formula_id]
     function = getattr(bounds, name)
     W = bernoulli_family(2.0, 6) if "W" in keys else None
     parameters = inspect.signature(function).parameters.values()
@@ -377,6 +381,7 @@ def test_sweep_defaults_and_required_keys(formula_id):
     bare = {key: GRID_VALUES[key] for key in required if key != "W"}
     want = function(*(W if key == "W" else bare[key] for key in required))
     want = want if half is None else want[half]
+    want = dataclasses.replace(want, flags=want.flags + tuple(flags))
     assert repr(sweep(formula_id, [bare], W).points[0]) == repr(want)
     for key in bare:
         with pytest.raises(ValidationError, match=f"needs grid parameter '{key}'"):

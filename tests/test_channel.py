@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dicode import channel
 from dicode.channel import (
     ROW_EQUAL_TOL,
     bernoulli_family,
@@ -17,7 +18,7 @@ from dicode.channel import (
     truncate_channel,
 )
 from dicode.cli import main
-from dicode.errors import ValidationError
+from dicode.errors import SizeGuardError, ValidationError
 from dicode.infodist import entropy, fidelity
 
 
@@ -155,6 +156,35 @@ def test_underflowing_ladder_refused_before_it_is_built(tmp_path):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert main(["channel", "check", "--channel", str(spec)]) == 2
+
+
+def test_ladder_size_guard(monkeypatch):
+    """A 10^5-point ladder is admitted; past LADDER_SIZE_LIMIT points the
+    ladder is refused before it is built."""
+    assert bernoulli_family(1.0001, 10**5).n_inputs == 10**5 + 2
+    monkeypatch.setattr(channel, "LADDER_SIZE_LIMIT", 10)
+    assert bernoulli_family(2.0, 8).n_inputs == 10
+    with pytest.raises(SizeGuardError, match="ladder of 11 points"):
+        bernoulli_family(2.0, 9)
+
+
+# keys outside the spec's form used to load and be ignored: "costs" as zero costs
+UNREAD_KEYS = {
+    "explicit-costs": {"inputs": ["a", "b"], "matrix": [[0.9, 0.1], [0.2, 0.8]],
+                       "costs": [0, 5]},
+    "explicit-a": {"inputs": ["a", "b"], "matrix": [[0.9, 0.1], [0.2, 0.8]], "a": 2.0},
+    "bernoulli-cost": {"family": "bernoulli", "a": 2.0, "k_max": 6, "cost": [0] * 8},
+    "bernoulli-matrix": {"family": "bernoulli", "a": 2.0, "k_max": 0,
+                         "matrix": [[1, 0], [0, 1]]},
+}
+
+
+@pytest.mark.parametrize("spec", UNREAD_KEYS.values(), ids=UNREAD_KEYS.keys())
+def test_spec_keys_outside_its_form_refused(spec, tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValidationError, match="channel spec keys .* are not read"):
+        load_channel(path)
 
 
 def test_truncate_hand_case():

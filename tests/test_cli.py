@@ -50,17 +50,34 @@ def test_channel_check_rejects_bad_file(tmp_path, capsys):
 
 
 def test_size_guard_exit_code(tmp_path, capsys):
+    """A ladder of 10^9 + 2 points whose smallest, e^-10, does not underflow
+    (about 240 GB if built) is refused before any point is built."""
     big = tmp_path / "big.json"
-    import numpy as np
-    m = np.full((70, 2), 0.5)
-    m[:, 1] = np.linspace(0.01, 0.99, 70)
-    m[:, 0] = 1 - m[:, 1]
-    big.write_text(json.dumps({"inputs": [str(i) for i in range(70)],
-                               "matrix": m.tolist()}))
-    rc = main(["geometry", "--channel", str(big), "--task", "packing",
-               "--mode", "exact", "--radii", "0.1", "--out", str(tmp_path / "o")])
-    assert rc == 3
-    assert "error code=SIZE_GUARD" in capsys.readouterr().err
+    big.write_text(json.dumps({"family": "bernoulli", "a": 1.00000001, "k_max": 10**9}))
+    tracemalloc.start()
+    try:
+        rc = main(["geometry", "--channel", str(big), "--task", "packing",
+                   "--radii", "0.1", "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 3 and peak < 1 << 20
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=SIZE_GUARD msg=")
+    assert not (tmp_path / "o").exists()
+
+
+def test_unread_spec_key_exit_code(tmp_path, capsys):
+    """A "costs" key loaded as zero costs, so power_capacity reported the
+    cap inactive with exit 0."""
+    spec = tmp_path / "costs.json"
+    spec.write_text(json.dumps(IDENT | {"costs": [0, 5]}))
+    out = tmp_path / "o"
+    assert main(["bounds", "--channel", str(spec), "--formula", "power_capacity",
+                 "--cost-cap", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=channel spec keys")
+    assert not out.exists()
 
 
 def test_construct_size_guard_exit_code(bern_file, tmp_path, capsys):
@@ -165,6 +182,21 @@ def test_fig2_recipe_and_svg_regression(tmp_path, capsys):
         digests.append(hashlib.sha256(path_data.encode()).hexdigest())
         assert "trend_lower" in (out / "bounds.csv").read_text()
     assert digests[0] == digests[1]
+
+
+@pytest.mark.parametrize("task", ["packing", "covering"])
+def test_geometry_counts_exactly_up_to_size_limit(task, bern_file, tmp_path):
+    """The 8-point BERN6 cloud is counted exactly, the 1,002-point ladder
+    greedily, as the bounds count them."""
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({"family": "bernoulli", "a": 2.0, "k_max": 1000}))
+    for channel, exact in ((bern_file, "True"), (ladder, "False")):
+        out = tmp_path / channel.stem
+        assert main(["geometry", "--channel", str(channel), "--task", task,
+                     "--radii", "0.05,0.001", "--out", str(out)]) == 0
+        rows = (out / "geometry.csv").read_text().splitlines()
+        assert rows[0] == "radius,count,exact,centers"
+        assert [row.split(",")[2] for row in rows[1:]] == [exact, exact]
 
 
 def test_geometry_dimension_command(bern_file, tmp_path, capsys):
@@ -293,6 +325,8 @@ MALFORMED = {
                      "--method", "mc", "--trials", "10", "--jobs", "1"],
     "dimension-with-mode": ["geometry", "--channel", "{bern}", "--task", "dimension",
                             "--mode", "exact", "--radii", "0.5:0.01:5:log"],
+    "covering-with-mode": ["geometry", "--channel", "{bern}", "--task", "covering",
+                           "--mode", "exact", "--radii", "0.5"],
     "negative-pair-budget": ["evaluate", "--channel", "{bern}", "--code", "{code}",
                              "--pair-budget=-1"],
     # argparse's own errors: a usage dump and SystemExit(2) raised through main
@@ -392,7 +426,7 @@ MANIFEST_PARAMETERS = {
     "evaluate": {"code", "method", "trials", "pair_budget"},
     "bounds": {"formula", "recipe", "n_axis", "E_axis", "t", "eta", "alpha",
                "d", "a", "A", "omega", "lambda", "delta_part", "delta_trunc", "y_size"},
-    "geometry": {"task", "mode", "embedding", "radii"},
+    "geometry": {"task", "embedding", "radii"},
 }
 
 
@@ -425,7 +459,7 @@ def test_manifest_parameters_are_pinned(bern_file, tmp_path):
     assert manifests["exact"]["parameters"]["trials"] == cli.DEFAULT_TRIALS
     assert manifests["mc"]["parameters"]["pair_budget"] == cli.DEFAULT_PAIR_BUDGET
     assert manifests["bounds"]["parameters"]["formula"] == ["thm1_lower"]
-    assert manifests["geometry"]["parameters"]["mode"] == "greedy"
+    assert manifests["geometry"]["parameters"]["embedding"] == "sqrt"
     assert {k: manifests["fig2"]["parameters"][k] for k in ("formula", "n_axis")} \
         == {"formula": ["trend_lower", "trend_upper"], "n_axis": cli.FIG2_N_AXIS}
 
@@ -524,7 +558,7 @@ def key_args(keys, bern_file):
 
 @pytest.mark.parametrize("formula_id", FORMULAS)
 def test_bounds_accepts_each_key_its_formula_reads(formula_id, bern_file, tmp_path):
-    _, keys, _ = FORMULAS[formula_id]
+    keys = FORMULAS[formula_id][1]
     assert main(["bounds", "--formula", formula_id, *key_args(keys, bern_file),
                  "--out", str(tmp_path / "o")]) == 0
     if "y_size" in keys:  # or |Y| from a channel
@@ -537,7 +571,7 @@ def test_bounds_accepts_each_key_its_formula_reads(formula_id, bern_file, tmp_pa
 def test_bounds_refuses_a_key_no_formula_reads(formula_id, bern_file, tmp_path, capsys,
                                                 monkeypatch):
     """Refused with one line before a channel is loaded or --out created."""
-    _, keys, _ = FORMULAS[formula_id]
+    keys = FORMULAS[formula_id][1]
     monkeypatch.setattr(cli, "load_channel", None)
     reads = set(keys) | ({"W"} if "y_size" in keys else set())
     assert KEY_FLAGS.keys() - reads

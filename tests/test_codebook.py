@@ -23,6 +23,7 @@ from dicode.codebook import (
     word_output_entropy,
 )
 from dicode.errors import SizeGuardError, ValidationError
+from dicode.geometry import max_packing
 from dicode.infodist import binary_entropy, fidelity, typicality_constants
 
 
@@ -81,9 +82,9 @@ def test_letter_alphabet_identity_and_flat():
 def test_letter_alphabet_matches_exact_packing():
     W = bernoulli_family(2.0, 8)
     for beta in (0.1, 0.2, 0.4):
-        greedy = build_letter_alphabet(W, beta, mode="greedy")
-        exact = build_letter_alphabet(W, beta, mode="exact")
-        assert greedy.count <= exact.count
+        greedy = build_letter_alphabet(W, beta)
+        assert greedy == max_packing(W.sqrt_cloud, beta, mode="greedy")
+        assert greedy.count <= max_packing(W.sqrt_cloud, beta, mode="exact").count
 
 
 def brute_best_code_size(q, n, min_excl):
@@ -303,7 +304,7 @@ def test_construct_flat_channel_single_word():
 def test_construct_fidelity_separation():
     # any two codewords: -ln(fidelity product) >= t n beta^2, and the same
     # for the exact total-variation separation of the product outputs
-    from dicode.infodist import product_distribution, total_variation
+    from dicode.infodist import product_distribution
 
     W = bernoulli_family(2.0, 6)
     code = construct(W, 8, 4.5e-7, 0.5)
@@ -315,7 +316,7 @@ def test_construct_fidelity_separation():
             if a != b:
                 eps *= fidelity(W.matrix[a], W.matrix[b])
         assert -math.log(max(eps, 1e-300)) >= p.t * p.n * p.beta**2 - 1e-9
-        tv = total_variation(product_distribution(W, u), product_distribution(W, v))
+        tv = 0.5 * np.abs(product_distribution(W, u) - product_distribution(W, v)).sum()
         assert -math.log(max(1 - tv, 1e-300)) >= p.t * p.n * p.beta**2 - 1e-9
 
 

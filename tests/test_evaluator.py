@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dicode.channel import bernoulli_family, identity_channel, make_channel, tru
 from dicode.cli import main
 from dicode.codebook import (
     assemble_code,
+    code_from_json,
     code_to_json,
     construct,
     derive_params,
@@ -20,6 +22,7 @@ from dicode.codebook import (
 )
 from dicode.errors import SizeGuardError, ValidationError
 from dicode.evaluator import (
+    DEFAULT_PAIR_BUDGET,
     JointTypeDP,
     brute_force_typical_prob,
     choice_letters,
@@ -641,12 +644,17 @@ def test_chernoff_ceilings_read_the_class_table(case):
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
+#: the frozen BERN6 n=10 code that the benchmark certifies
+BERN6_CODE = Path(__file__).resolve().parents[1] / "bench" / "data" / "bern6_n10_code.json"
+
+
 def test_chernoff_ceilings_of_every_bern6_cross_type():
-    """All 5,118 cross types of the 88-word BERN6 n=10 code: no ceiling falls
-    below the DP's hi, and at budget 500 the largest skipped ceiling lies
-    below the exhaustive lambda2, so the screened interval is exact."""
+    """All 5,118 cross types of the frozen 88-word BERN6 n=10 code: no
+    ceiling falls below the DP's hi, and at budget 500 the largest skipped
+    ceiling lies below the exhaustive lambda2, so the screened interval is
+    exact.  Its three reports keep the values CI pins."""
     W = bernoulli_family(2.0, 6)
-    code = construct(W, 10, 4.5e-7, 0.5)
+    code = code_from_json(BERN6_CODE.read_text())
     words = code.codewords
     rows = np.unique([type_row(W.n_inputs, words[j], words[k]) for j in range(code.size)
                       for k in range(code.size) if j != k], axis=0)
@@ -654,9 +662,16 @@ def test_chernoff_ceilings_of_every_bern6_cross_type():
     dp = JointTypeDP(W)
     assert np.all(2.0 ** evaluator.false_accept_bound(dp, rows, code.delta)
                   >= dp.count_probs(rows, code.delta)[1])
-    screened = exact_error_report(code, W, pair_budget=500)
-    assert screened.pair_mode == "screened" and screened.analytic_ceiling < 0.36
-    assert screened.lambda2 == (0.35589599609375,) * 2 == exact_error_report(code, W).lambda2
+    full, screened, bound = (exact_error_report(code, W, pair_budget=budget)
+                             for budget in (DEFAULT_PAIR_BUDGET, 500, 0))
+    assert (full.pair_mode, screened.pair_mode, bound.pair_mode, bound.method) \
+        == ("exhaustive", "screened", "pair-bound", "pair-bound")
+    assert (full.dp_types, screened.dp_types, bound.dp_types) == (5141, 357, 23)
+    assert (full.pairs_exact, screened.pairs_exact, bound.pairs_exact) == (7656, 501, 0)
+    assert full.lambda1 == screened.lambda1 == bound.lambda1 == (1.0, 1.0)
+    assert full.lambda2 == screened.lambda2 == (0.35589599609375,) * 2
+    assert screened.analytic_ceiling == 0.053948484822511876
+    assert bound.lambda2 == (0.0, bound.analytic_ceiling) == (0.0, 0.8091486003461311)
 
 
 def test_chernoff_ceiling_of_dead_and_underflowing_types():

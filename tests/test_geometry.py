@@ -18,8 +18,7 @@ from dicode.channel import bernoulli_family
 from dicode.cli import main
 from dicode.errors import SizeGuardError, ValidationError
 from dicode.geometry import (
-    CoveringResult,
-    PackingResult,
+    CountResult,
     PointCloud,
     _exact_covering,
     _exact_packing,
@@ -222,8 +221,7 @@ def test_packing_and_covering_share_one_result_type():
     cloud = line_cloud([0, 1, 2])
     pack = max_packing(cloud, 0.4, "exact")
     cover = min_covering(cloud, 1.0, "exact")
-    assert PackingResult is CoveringResult
-    assert isinstance(pack, PackingResult) and isinstance(cover, CoveringResult)
+    assert type(pack) is type(cover) is CountResult
 
 
 def rescanning_greedy_covering(dist, delta):
