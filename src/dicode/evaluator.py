@@ -34,10 +34,9 @@ EDGE_FUZZ = 1e-9
 #: refuse a joint type of more output-count atoms than this, or one with a
 #: group whose lattice, held whole, has more entries (vectors x values)
 STATE_GUARD = 1 << 27
-#: lattice entries (atoms x joint types) summed at once
+#: working entries held at once: lattice entries (atoms x joint types)
+#: summed, pairs' class ids or counts, Chernoff ceilings' floats
 ATOM_CHUNK = 1 << 16
-#: codeword pairs whose joint types are counted at once
-PAIR_CHUNK = 1 << 11
 #: tilts s of the Chernoff screening ceiling: 0 and +-2^k, k = -8..5
 TILTS = np.concatenate(([0.0], 2.0 ** np.arange(-8, 6), -(2.0 ** np.arange(-8, 6))))
 
@@ -166,19 +165,23 @@ class JointTypeDP:
 
     def count_probs(self, counts, delta: float):
         """Certified enclosures (lo, hi arrays) of the typical-set acceptance
-        probability of joint types given as distinct count rows: the atoms in
-        the band shrunk and widened by EDGE_FUZZ, after the STATE_GUARD check.
-        One owner composition at a time, the groups' masses are built for as
-        many of its types as fit ATOM_CHUNK entries; each block of at most
-        ATOM_CHUNK atoms gets its values and band test once for all of them
-        and its masses broadcast ATOM_CHUNK // block types at a time.  A
-        type's interval depends only on its row."""
+        probability of joint types given as distinct integer count rows: the
+        atoms in the band shrunk and widened by EDGE_FUZZ, after the
+        STATE_GUARD check.  The rows are read in their own dtype; besides
+        them a call holds O(1) scalars per type (its owner composition in a
+        dtype that holds n, its order, lo and hi) and O(ATOM_CHUNK) working
+        entries.  One owner composition at a time, the groups' masses are
+        built for as many of its types as fit ATOM_CHUNK entries; each block
+        of at most ATOM_CHUNK atoms gets its values and band test once for
+        all of them and its masses broadcast ATOM_CHUNK // block types at a
+        time.  A type's interval depends only on its row, not on its dtype."""
         q, lo, hi = self.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
         if not len(counts):
             return lo, hi
-        counts = np.asarray(counts, dtype=np.int64).reshape(-1, q * q)  # [type, class]
+        counts = np.asarray(counts).reshape(-1, q * q)  # [type, class]
         # group the types by owner composition, the n_b
-        owners = counts.reshape(-1, q, q).sum(axis=1)
+        owners = counts.reshape(-1, q, q).sum(
+            axis=1, dtype=np.min_scalar_type(counts.sum(axis=1).max()))
         order = np.lexsort(owners.T)
         changes = (owners[order[1:]] != owners[order[:-1]]).any(axis=1)
         starts = np.flatnonzero(np.concatenate(([True], changes)))
@@ -231,6 +234,8 @@ def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
     mass is at most 2^(L(s) - s edge), L = sum_c n_c l_c, edge -H - theta
     (s > 0) or -H + theta (s < 0) with the band of `hi`.  The least over
     TILTS plus a rounding margin, at most 0; -inf if a class has no live mass.
+    The rows are read in their own dtype, a block of them at a time as
+    floats with their sums over TILTS, at most ATOM_CHUNK entries.
     """
     q = dp.W.n_inputs
     ell = np.empty((len(TILTS), q * q))
@@ -241,24 +246,36 @@ def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
             ell[:, classes] = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
     dead = np.isneginf(ell).any(axis=0)
     ell[:, dead] = 0.0  # no 0 * -inf in the products below
-    h, counts = np.tile(dp.W.entropies, q), np.asarray(rows, dtype=float).reshape(-1, q * q)
-    theta = delta * np.sqrt(counts.sum(axis=1)) + EDGE_FUZZ
+    h, rows = np.tile(dp.W.entropies, q), np.asarray(rows).reshape(-1, q * q)
     # -s edge = s H + |s| theta; the margin takes |s| (H + theta) >= |s edge|, linear in n_c
     eps = (q * q + dp.W.output_size + 2) * 2.0**-52
     per_class = ell + np.outer(TILTS, h) + eps * (np.abs(ell) + np.outer(np.abs(TILTS), h) + 1)
-    bound = counts @ per_class.T + np.outer(theta, (1.0 + eps) * np.abs(TILTS))
-    bound = np.minimum(np.min(bound, axis=1) + eps, 0.0)
-    return np.where(counts @ dead > 0, -np.inf, bound)
+    # blocks of near-equal size and at least 64 rows, unless the table is smaller:
+    # numpy's matmul of fewer rows may take another BLAS kernel (gemv for one
+    # row, OpenBLAS's small-matrix kernel for a few dozen) that rounds
+    # differently, and each block must round as the whole table does
+    total, step = len(rows), max(ATOM_CHUNK // (q * q + len(TILTS)), 64)
+    blocks, out = max(total // step, 1), np.empty(total)
+    for i in range(blocks):
+        lo, hi = i * total // blocks, (i + 1) * total // blocks
+        counts = rows[lo:hi].astype(float)
+        theta = delta * np.sqrt(counts.sum(axis=1)) + EDGE_FUZZ
+        bound = counts @ per_class.T + np.outer(theta, (1.0 + eps) * np.abs(TILTS))
+        bound = np.minimum(np.min(bound, axis=1) + eps, 0.0)
+        out[lo:hi] = np.where(counts @ dead > 0, -np.inf, bound)
+    return out
 
 
 def _distinct(rows, pairs):
-    """Distinct rows of a 2-D integer array, compared as bytes, and the sum
-    of `pairs` over the copies of each."""
-    rows = np.ascontiguousarray(rows)
+    """Distinct rows of a non-empty C-contiguous 2-D integer array, which it
+    sorts in place by their bytes (np.unique's order on the byte view), and
+    the sum of `pairs` over the copies of each, as int64: one argsort of the
+    byte view and one reduceat."""
     view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    uniq, inverse = np.unique(view, return_inverse=True)
-    return (uniq.view(rows.dtype).reshape(-1, rows.shape[1]),
-            np.bincount(inverse, pairs, len(uniq)).astype(np.int64))
+    order = np.argsort(view)
+    rows[...] = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], view[1:] != view[:-1])))
+    return rows[starts], np.add.reduceat(pairs[order], starts, dtype=np.int64)
 
 
 def _channel_words(words, W: ChannelModel) -> np.ndarray:
@@ -270,21 +287,40 @@ def _channel_words(words, W: ChannelModel) -> np.ndarray:
     return words
 
 
-def _type_rows(words, W: ChannelModel, src, own):
-    """Distinct joint types of the word pairs (word src[p], word own[p]) as
-    count rows, and the pairs of each, counted PAIR_CHUNK pairs at a time."""
+def _pair_counts(words, q: int, src, own) -> np.ndarray:
+    """Joint-type count rows (int64) of the pairs (words[src[p]], words[own[p]])."""
+    cls = words[src] * q
+    cls += words[own]
+    cls += np.arange(len(cls))[:, None] * (q * q)
+    return np.bincount(cls.ravel(), minlength=len(cls) * q * q).reshape(-1, q * q)
+
+
+def _type_rows(words, W: ChannelModel):
+    """Distinct joint types of the N^2 ordered pairs (u_j, u_k) of N words,
+    as count rows in the narrowest dtype that holds n: the own types (j = k)
+    first, then the cross types (j != k), each in the byte order of their
+    rows (np.unique's); the pairs of each type; and the number of own types.
+    The pairs are counted j-major, as many at a time as keep their class ids
+    (pairs x n) and counts (pairs x q^2) within ATOM_CHUNK entries each.
+    The rows are a view past a leading cross flag, which sorts own types
+    first and keeps a repeated word's own and cross types apart; merging
+    the chunks' distinct rows holds about twice the table."""
     words, q = _channel_words(words, W), W.n_inputs
-    dtype = np.min_scalar_type(words.shape[1])
-    chunks = [(np.zeros((0, q * q), dtype=dtype), np.zeros(0))]
-    for s in range(0, len(src), PAIR_CHUNK):
-        cls = words[src[s:s + PAIR_CHUNK]] * q + words[own[s:s + PAIR_CHUNK]]
-        cls += np.arange(len(cls))[:, None] * (q * q)
-        counts = np.bincount(cls.ravel(), minlength=len(cls) * q * q)
-        chunks.append(_distinct(counts.astype(dtype).reshape(-1, q * q), np.ones(len(cls))))
-    if len(chunks) == 2:  # one chunk's rows are distinct already
-        return chunks[1]
-    rows, pairs = zip(*chunks)
-    return _distinct(np.concatenate(rows), np.concatenate(pairs))
+    size, n = words.shape
+    step = max(ATOM_CHUNK // max(n, q * q), 1)
+    chunks = []
+    for start in range(0, size * size, step):
+        src, own = np.divmod(np.arange(start, min(start + step, size * size)), size)
+        rows = np.empty((len(src), 1 + q * q), dtype=np.min_scalar_type(n))
+        rows[:, 0] = src != own
+        rows[:, 1:] = _pair_counts(words, q, src, own)
+        chunks.append(_distinct(rows, np.ones(len(src), dtype=np.int64)))
+    rows, pairs = chunks[0]  # one chunk's rows are distinct already
+    if len(chunks) > 1:
+        rows, pairs = map(np.concatenate, zip(*chunks))
+        chunks.clear()
+        rows, pairs = _distinct(rows, pairs)
+    return rows[:, 1:], pairs, len(rows) - int(np.count_nonzero(rows[:, 0]))
 
 
 def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
@@ -294,8 +330,8 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     set is always W's, whose log-probabilities are the decoder's reference."""
     if len(source_word) != len(owner_word):
         raise ValidationError("source and owner words must have equal length")
-    rows, _ = _type_rows([source_word, owner_word], W, [0], [1])
-    lo, hi = JointTypeDP(W, law).count_probs(rows, delta)
+    words = _channel_words([source_word, owner_word], W)
+    lo, hi = JointTypeDP(W, law).count_probs(_pair_counts(words, W.n_inputs, [0], [1]), delta)
     return float(lo[0]), float(hi[0])
 
 
@@ -342,22 +378,22 @@ def exact_error_report(code: DICode, W: ChannelModel,
     "pair-bound" when none is, else "screened".  A negative pair_budget
     raises ValidationError.
     """
-    dp = JointTypeDP(W, law=law)
-    own = _type_rows(code.codewords, W, *np.diag_indices(code.size))[0]
     if pair_budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
-    src, dst = np.nonzero(~np.eye(code.size, dtype=bool))  # u_j against u_k's set, j-major
-    cross, pairs = _type_rows(code.codewords, W, src, dst)
+    dp = JointTypeDP(W, law=law)
+    rows, pairs, k = _type_rows(code.codewords, W)  # u_j against u_k's set
+    cross, pairs = rows[k:], pairs[k:]
     evaluate, ceiling = np.ones(len(cross), dtype=bool), 0.0
-    if len(src) > pair_budget:
+    if code.size * (code.size - 1) > pair_budget:
         bound = false_accept_bound(dp, cross, code.delta)
         order = np.argsort(-bound, kind="stable")
         evaluate[order] = np.cumsum(pairs[order]) - pairs[order] < pair_budget
         top = float(np.max(bound[~evaluate], initial=-np.inf))
         ceiling = 0.0 if top == -np.inf else max(2.0**top, math.ulp(0.0))
     pair_mode = "exhaustive" if evaluate.all() else "screened" if evaluate.any() else "pair-bound"
-    lo, hi = dp.count_probs(np.concatenate((own, cross[evaluate])), code.delta)
-    k = len(own)
+    # every type evaluated: the table as it is, without a copy
+    lo, hi = dp.count_probs(rows if evaluate.all() else np.concatenate(
+        (rows[:k], cross[evaluate])), code.delta)
     worst = [float(np.max(p, initial=0.0)) for p in (1.0 - hi[:k], 1.0 - lo[:k], lo[k:], hi[k:])]
     l1, l2 = (worst[0], worst[1]), (worst[2], max(worst[3], ceiling))
     return ErrorReport(

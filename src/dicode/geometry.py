@@ -129,11 +129,29 @@ def _row_masks(rows: np.ndarray) -> list[int]:
 
 def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
     """Maximum subset with pairwise distance >= 2*delta (max independent set
-    of the conflict graph), by branch and bound over bitmasks."""
+    of the conflict graph), by branch and bound over bitmasks.
+
+    A node is pruned when its picks plus the candidates, or plus the cliques
+    of a greedy partition of the candidates into cliques of the conflict
+    graph (each clique holds at most one pick), cannot beat the best.  Both
+    bounds prune only subtrees without a strictly larger packing, so the
+    packing found is the first of the largest in take-then-skip order.
+    """
     m = dist.shape[0]
     conflict = _row_masks(dist < 2 * delta)
 
     best: list[int] = []
+
+    def cliques(cand: int) -> int:
+        count = 0
+        while cand:
+            count += 1
+            members = cand  # the candidates in conflict with every member so far
+            while members:
+                v = members & -members
+                cand ^= v
+                members &= cand & conflict[v.bit_length() - 1]
+        return count
 
     def grow(cand: int, picked: list[int]):
         nonlocal best
@@ -141,6 +159,8 @@ def _exact_packing(dist: np.ndarray, delta: float) -> list[int]:
             return
         if cand == 0:  # the bound above has just passed, so picked beats best
             best = picked.copy()
+            return
+        if len(picked) + cliques(cand) <= len(best):
             return
         v = (cand & -cand).bit_length() - 1
         # branch: take v (conflict[v] holds v itself), then skip v

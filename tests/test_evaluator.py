@@ -432,29 +432,43 @@ def test_batch_equals_single_type_evaluation(case):
     assert_batch_equals_single_pairs(*case)
 
 
+def byte_order_unique(rows):
+    """Distinct rows in np.unique's order of the rows' byte view."""
+    rows = np.ascontiguousarray(rows)
+    view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return np.unique(view).view(rows.dtype).reshape(-1, rows.shape[1])
+
+
 @settings(max_examples=40, deadline=None)
 @given(code_cases(max_words=7))
 @example(SHARED_OWNER_CASE)
 def test_type_rows_equal_at_every_chunk_size(case):
-    # one chunk returns its own distinct rows; several chunks merge theirs
+    """The own types, then the cross types, each with its pairs and in
+    np.unique's byte order, in the narrowest dtype holding n, at chunks of
+    one pair (ATOM_CHUNK 1 and 3), of several and of all; a repeated word
+    keeps its own type and its cross pairs apart."""
     W, _, words, _ = case
-    q = W.n_inputs
-    src, own = np.nonzero(~np.eye(len(words), dtype=bool))
-    want = Counter(tuple(type_row(q, words[a], words[b])) for a, b in zip(src, own))
-    tables = []
-    for chunk in (1, 3, evaluator.PAIR_CHUNK):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evaluator, "PAIR_CHUNK", chunk)
-            rows, pairs = evaluator._type_rows(words, W, src, own)
-        assert rows.shape == (len(want), q * q) and pairs.dtype == np.int64
-        assert dict(zip(map(tuple, rows.tolist()), pairs.tolist())) == want
-        tables.append((rows, pairs))
-    for rows, pairs in tables[1:]:
-        assert np.array_equal(rows, tables[0][0]) and rows.dtype == tables[0][0].dtype
-        assert np.array_equal(pairs, tables[0][1])
-    # a one-word code has no cross pairs: empty tables
-    rows, pairs = evaluator._type_rows(words[:1], W, src[:0], own[:0])
-    assert rows.shape == (0, q * q) and pairs.shape == (0,) and pairs.dtype == np.int64
+    q, dtype = W.n_inputs, np.min_scalar_type(len(words[0]))
+    for words in (words, words + words[:1]):
+        want_own = Counter(tuple(type_row(q, a, a)) for a in words)
+        want_cross = Counter(tuple(type_row(q, a, b)) for j, a in enumerate(words)
+                             for k, b in enumerate(words) if j != k)
+        tables = []
+        for chunk in (1, 3, 64, evaluator.ATOM_CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evaluator, "ATOM_CHUNK", chunk)
+                rows, pairs, k = evaluator._type_rows(words, W)
+            assert rows.shape == (len(want_own) + len(want_cross), q * q)
+            assert rows.dtype == dtype and pairs.dtype == np.int64 and k == len(want_own)
+            for part, want in ((slice(None, k), want_own), (slice(k, None), want_cross)):
+                assert dict(zip(map(tuple, rows[part].tolist()), pairs[part].tolist())) == want
+                assert np.array_equal(rows[part], byte_order_unique(rows[part]))
+            tables.append((rows, pairs))
+        for rows, pairs in tables[1:]:
+            assert np.array_equal(rows, tables[0][0]) and np.array_equal(pairs, tables[0][1])
+    # a one-word code: its own type, no cross types
+    rows, pairs, k = evaluator._type_rows(words[:1], W)
+    assert rows.shape == (1, q * q) and pairs.tolist() == [1] and k == 1
 
 
 def gathered_atoms(groups, start, stop):
@@ -672,6 +686,90 @@ def test_chernoff_ceilings_of_every_bern6_cross_type():
     assert full.lambda2 == screened.lambda2 == (0.35589599609375,) * 2
     assert screened.analytic_ceiling == 0.053948484822511876
     assert bound.lambda2 == (0.0, bound.analytic_ceiling) == (0.0, 0.8091486003461311)
+
+
+def frozen_bern6_types():
+    """BERN6, the frozen code, and its type table: own types first, then
+    the 5,118 cross types, uint8 rows past the cross flag."""
+    W = bernoulli_family(2.0, 6)
+    code = code_from_json(BERN6_CODE.read_text())
+    rows, _, k = evaluator._type_rows(code.codewords, W)
+    return W, code, rows, k
+
+
+def test_count_probs_reads_rows_in_their_own_dtype():
+    """The frozen code's 5,141 types as the uint8 view the report passes,
+    as uint16 and as int64, and uint8 rows whose owner counts pass 255: the
+    same intervals as int64 rows, bit for bit."""
+    W, code, rows, _ = frozen_bern6_types()
+    assert rows.dtype == np.uint8 and not rows.flags.c_contiguous
+    dp = JointTypeDP(W)
+    want = hexes(dp.count_probs(rows.astype(np.int64), code.delta))
+    for dtype in (np.uint8, np.uint16):
+        assert hexes(dp.count_probs(rows.astype(dtype), code.delta)) == want
+    assert hexes(dp.count_probs(rows, code.delta)) == want
+    # uint8 counts of n = 400 whose owner letter 0 holds 400 positions
+    dp = JointTypeDP(make_channel(["0", "1"], [[0.9, 0.1], [0.2, 0.8]]))
+    wide = np.array([[200, 0, 200, 0], [150, 0, 250, 0]])
+    assert hexes(dp.count_probs(wide.astype(np.uint8), 2.0)) == hexes(dp.count_probs(wide, 2.0))
+
+
+@pytest.mark.parametrize("chunk", [evaluator.ATOM_CHUNK, 1])
+@pytest.mark.parametrize("count", [1, 2, 41, 42, 64, 65, 129, 705, 1409, 5118])
+def test_chunked_chernoff_ceilings_equal_whole_table(chunk, count):
+    """Ceilings computed a block of rows at a time equal the owner-major
+    reference's one matmul over the whole table, bit for bit.  At the default
+    ATOM_CHUNK a block holds 704 BERN6 rows, at ATOM_CHUNK 1 the 64-row
+    floor: 65, 705 and 1,409 rows would leave a one-row last block, which
+    numpy multiplies by another BLAS kernel, and at most 41 rows OpenBLAS
+    may take its small-matrix kernel."""
+    W, code, rows, k = frozen_bern6_types()
+    cross = rows[k:k + count]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(evaluator, "ATOM_CHUNK", chunk)
+        got = evaluator.false_accept_bound(JointTypeDP(W), cross, code.delta)
+    want = owner_major_false_accept_bound(W, None, cross, code.delta)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+def test_report_memory_is_within_four_cross_tables():
+    """A seeded 300-word BERN6 code at n=10 has 89,700 cross types, a 5.7 MB
+    uint8 table.  In every pair mode the report holds that table, O(1)
+    scalars per type and O(ATOM_CHUNK) working entries, and merges the
+    pairs' chunks at about twice the table: its tracemalloc peak stays
+    within 4 tables (13-17 before the rows kept their dtype)."""
+    W = bernoulli_family(2.0, 6)
+    words = np.random.default_rng(0).integers(0, W.n_inputs, (300, 10))
+    code = assemble_code(W, words, delta=1.0)
+    rows, _, k = evaluator._type_rows(code.codewords, W)
+    assert (len(rows) - k, rows.dtype) == (89700, np.uint8)
+    table = rows[k:].size * rows.itemsize
+    for budget, mode in ((DEFAULT_PAIR_BUDGET, "exhaustive"), (5000, "screened"),
+                         (0, "pair-bound")):
+        tracemalloc.start()
+        try:
+            rep = exact_error_report(code, W, pair_budget=budget)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.pair_mode == mode
+        assert peak <= 4 * table
+
+
+def test_type_rows_memory_at_long_words():
+    """64 random binary words of n=4,096: a 4,096-pair table of uint16 rows
+    (32 KB), counted 16 pairs at a time; before, 2,048 pairs x n int64 class
+    ids at once peaked at 188 MB."""
+    words = np.random.default_rng(0).integers(0, 2, (64, 4096))
+    W = bernoulli_family(2.0, 0)
+    tracemalloc.start()
+    try:
+        rows, pairs, k = evaluator._type_rows(words, W)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.dtype == np.uint16 and pairs.sum() == 64 * 64 and k <= 64
+    assert peak < 4 << 20
 
 
 def test_chernoff_ceiling_of_dead_and_underflowing_types():
