@@ -32,7 +32,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -75,20 +74,6 @@ def finite_float(text: str) -> float:
     return value
 
 
-def _seed_from_env(value):
-    if value is not None:
-        return value
-    env = os.environ.get("DIRL_SEED")
-    try:
-        return int(env) if env else 0
-    except ValueError:
-        raise ValidationError(f"DIRL_SEED must be an integer, not {env!r}") from None
-
-
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -98,7 +83,8 @@ def _manifest(args, seed=0):
     payload = {
         "command": " ".join(filter(None, (args.command,
                                           getattr(args, "channel_command", None)))),
-        "channel_sha256": _hash_file(args.channel) if args.channel else None,
+        "channel_sha256": (hashlib.sha256(Path(args.channel).read_bytes()).hexdigest()
+                           if args.channel else None),
         "parameters": {key: value for key, value in vars(args).items()
                        if key not in NOT_PARAMETERS},
         "seed": seed,
@@ -205,7 +191,7 @@ def cmd_evaluate(args) -> int:
         raise ValidationError(f"code file {args.code}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"cannot read code file {args.code}: {exc!r}") from None
-    seed = _seed_from_env(args.seed) if args.method == "mc" else None
+    seed = (args.seed or 0) if args.method == "mc" else None
     if args.method == "exact":
         report = exact_error_report(code, W, pair_budget=args.pair_budget)
     else:
@@ -355,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("exact", "mc"), default="exact")
     p.add_argument("--trials", type=int, help=f"mc only; default {DEFAULT_TRIALS}")
     p.add_argument("--seed", type=int,
-                   help="mc only: RNG seed; default DIRL_SEED, then 0")
+                   help="mc only: RNG seed; default 0")
     p.add_argument("--pair-budget", type=int,
                    help="exact only: with more ordered pairs, joint types ranked by "
                         "analytic ceiling get the DP until they cover this many "

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -95,7 +95,7 @@ class DICode:
     letter_count_exact: bool
 
     def __post_init__(self):
-        words, ents = _word_array(self.codewords), np.array(self.entropies, dtype=float)
+        words, ents = np.array(word_array(self.codewords)), np.array(self.entropies, dtype=float)
         if words.shape[1] != self.params.n or ents.shape != words.shape[:1]:
             raise ValidationError(f"need words of n = {self.params.n} letters, one entropy each")
         if not (np.isfinite(ents).all() and ents.min() >= 0) or (
@@ -103,10 +103,7 @@ class DICode:
                 not isinstance(self.entropies, np.ndarray)
                 and any(isinstance(h, bool) for h in self.entropies)):
             raise ValidationError("entropies must be finite non-negative numbers of bits")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, (int, float)) \
-                or not 0 <= self.delta < math.inf:
-            raise ValidationError(f"delta must be a finite number >= 0, got {self.delta!r}")
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", decoder_width(self.delta))
         for name, value in (("codewords", words), ("entropies", ents)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -120,21 +117,34 @@ class DICode:
         return self.params.n
 
 
-def _word_array(words) -> np.ndarray:
-    """Words as an (N, n) int64 array; no words, words of unequal length or
-    letters that are not non-negative integers (a bool is none) raise
-    ValidationError."""
+def word_array(words, W: ChannelModel | None = None) -> np.ndarray:
+    """The one word rule: words as an (N, n) int64 array, an int64 array as
+    it is (no copy).  No words, words of unequal length, letters that are
+    not integers (a bool is none) and, given W, letters outside its inputs
+    0..q-1 (without W, negative ones) raise ValidationError."""
     try:
-        array = np.array(words)
+        array = np.asarray(words)
     except ValueError:  # words of unequal length
         array = np.array(())
-    if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size \
-            or array.astype(np.int64).min() < 0 or (
-                # a JSON true among integer letters would read as letter 1
-                not isinstance(words, np.ndarray)
-                and any(isinstance(x, bool) for word in words for x in word)):
-        raise ValidationError("codewords must be words of one length over letters 0, 1, ...")
-    return array.astype(np.int64)
+    if array.dtype.kind not in "iu" or array.ndim != 2 or not array.size or (
+            # a JSON true among integer letters would read as letter 1
+            not isinstance(words, np.ndarray)
+            and any(isinstance(x, (bool, np.bool_)) for word in words for x in word)):
+        raise ValidationError("codewords must be non-empty words of equal length "
+                              "over integer letters 0, 1, ...")
+    array = array.astype(np.int64, copy=False)  # a uint64 past 2^63 turns negative
+    low, high = array.min(), array.max()
+    if low < 0 or W is not None and high >= W.n_inputs:
+        raise ValidationError(f"letter {low if low < 0 else high} is not a channel input")
+    return array
+
+
+def decoder_width(delta) -> float:
+    """delta as a float if it is a finite number >= 0 (a bool is none), else ValidationError."""
+    if isinstance(delta, bool) or not isinstance(delta, (int, float)) \
+            or not 0 <= delta < math.inf:
+        raise ValidationError(f"delta must be a finite number >= 0, got {delta!r}")
+    return float(delta)
 
 
 def derive_params(E: float, t: float, y_size: int, n: int) -> CodeParams:
@@ -270,10 +280,8 @@ def _distances(q: int, word: tuple) -> np.ndarray:
 
 
 def _largest_prime_leq(q: int) -> int:
-    for p in range(q, 1, -1):
-        if all(p % d for d in range(2, int(math.isqrt(p)) + 1)):
-            return p
-    raise ValidationError("no prime field available below alphabet size")
+    """The largest prime p <= q, for q >= 2."""
+    return next(p for p in range(q, 1, -1) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 def _reed_solomon_code(q: int, n: int, t: float) -> np.ndarray:
@@ -362,14 +370,18 @@ def assemble_code(W: ChannelModel, codewords, delta: float) -> DICode:
     Useful for evaluating hand-picked codes; no rate guarantee is attached
     (rate_floor is -inf).  The params record is back-solved so that the
     stored tau * sqrt(n) equals the requested delta; tau does not depend on
-    t, which it records as 1/2.
+    t, which it records as 1/2.  Every letter must be an input of W, and
+    delta must imply a positive finite exponent target (0 or 1e-300 do not).
     """
-    words = _word_array(codewords)
+    words, delta = word_array(codewords, W), decoder_width(delta)
     n = words.shape[1]
     _, c = typicality_constants(W.output_size)
     tau = delta / math.sqrt(n)
     # invert tau = (sqrt(2)-1) t beta^2 and E = c t^2 beta^4 / 6
     e_implied = c * tau * tau * (3.0 + 2.0 * math.sqrt(2.0)) / 6.0
+    if not 0 < e_implied < math.inf:
+        raise ValidationError(f"delta = {delta!r} gives exponent target {e_implied!r}, "
+                              "not a positive finite one")
     params = derive_params(e_implied, 0.5, W.output_size, n)
     ents = word_output_entropy(W, words)
     low = math.floor(ents.min())
@@ -390,14 +402,20 @@ def code_to_json(code: DICode) -> str:
 
 
 def code_from_json(text: str) -> DICode:
+    """Read a code from the interchange JSON layout; a key it does not
+    read, at the top level or under "params", is refused."""
     payload = json.loads(text)
-    p = dict(payload["params"])
-    fields = {k: kind(p.pop(k)) for k, kind in CODE_FIELDS}
+    p, moved = dict(payload["params"]), {k for k, _ in CODE_FIELDS}
+    for where, keys, read in (("", payload, {f.name for f in fields(DICode)} - moved),
+                              ('"params" ', p, {f.name for f in fields(CodeParams)} | moved)):
+        if unread := sorted(keys.keys() - read):
+            raise ValidationError(f"{where}keys {unread} are not read; it takes {sorted(read)}")
+    extra = {k: kind(p.pop(k)) for k, kind in CODE_FIELDS}
     return DICode(
         letter_alphabet=tuple(payload["letter_alphabet"]),
         codewords=payload["codewords"],
         delta=payload["delta"],
         entropies=payload["entropies"],
         params=CodeParams(**p),
-        **fields,
+        **extra,
     )

@@ -13,7 +13,8 @@ values.  An atom picks a count vector per group: its value is fixed by the
 owner's composition, its mass is the groups' product.  A report evaluates
 its own and cross types in one pass over the owner compositions, and each
 block of atoms gets its band test once for all the composition's types.
-Every entry, single pairs included, refuses a letter that is not an input.
+Every entry, single pairs included, takes its words by `codebook.word_array`
+(letters 0..q-1 of W) and refuses a law whose shape is not W's.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .channel import ChannelModel
-from .codebook import DICode, word_output_entropy
+from .codebook import DICode, decoder_width, word_array, word_output_entropy
 from .errors import SizeGuardError, ValidationError
 
 #: absolute safety cushion (bits) absorbing float roundoff at the band edges
@@ -152,12 +153,12 @@ class JointTypeDP:
     """
 
     def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
-        self.W, q = W, W.n_inputs
+        self.W, q, law_matrix = W, W.n_inputs, _law_matrix(W, law)
         #: values -> (class ids, owner-major, and the law rows of those classes)
         self._groups: dict[tuple, tuple] = {}
         for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
             values = tuple(sorted(set(logw[row != 0.0].tolist())))
-            rows = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
+            rows = np.stack([law_matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
             classes, laws = self._groups.get(values, ([], rows[:0]))
             self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((laws, rows))
         self._lattice = functools.cache(_lattice)  # (n, values) -> lattice
@@ -278,13 +279,12 @@ def _distinct(rows, pairs):
     return rows[starts], np.add.reduceat(pairs[order], starts, dtype=np.int64)
 
 
-def _channel_words(words, W: ChannelModel) -> np.ndarray:
-    """Words as an int64 array, refused unless every letter is an input of W."""
-    words = np.asarray(words, dtype=np.int64)
-    outside = words[(words < 0) | (words >= W.n_inputs)]
-    if outside.size:
-        raise ValidationError(f"letter {outside[0]} is not a channel input")
-    return words
+def _law_matrix(W: ChannelModel, law: ChannelModel | None) -> np.ndarray:
+    """The rows outputs are drawn from: W's, or `law`'s if it has W's shape."""
+    matrix = (law or W).matrix
+    if matrix.shape != W.matrix.shape:
+        raise ValidationError(f"law of shape {matrix.shape} is not the channel's {W.matrix.shape}")
+    return matrix
 
 
 def _pair_counts(words, q: int, src, own) -> np.ndarray:
@@ -305,7 +305,7 @@ def _type_rows(words, W: ChannelModel):
     The rows are a view past a leading cross flag, which sorts own types
     first and keeps a repeated word's own and cross types apart; merging
     the chunks' distinct rows holds about twice the table."""
-    words, q = _channel_words(words, W), W.n_inputs
+    words, q = word_array(words, W), W.n_inputs
     size, n = words.shape
     step = max(ATOM_CHUNK // max(n, q * q), 1)
     chunks = []
@@ -328,9 +328,7 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
     """Certified enclosure of P[Y^n in typical set of owner_word], Y^n drawn
     from the product law of source_word under `law` (default W); the typical
     set is always W's, whose log-probabilities are the decoder's reference."""
-    if len(source_word) != len(owner_word):
-        raise ValidationError("source and owner words must have equal length")
-    words = _channel_words([source_word, owner_word], W)
+    words, delta = word_array([source_word, owner_word], W), decoder_width(delta)
     lo, hi = JointTypeDP(W, law).count_probs(_pair_counts(words, W.n_inputs, [0], [1]), delta)
     return float(lo[0]), float(hi[0])
 
@@ -338,10 +336,8 @@ def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
 def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
                              law: ChannelModel | None = None) -> float:
     """Independent enumeration over all |Y|^n outputs (small n only)."""
-    if len(source_word) != len(owner_word):
-        raise ValidationError("source and owner words must have equal length")
-    source_word, owner_word = _channel_words([source_word, owner_word], W)
-    law_matrix, n = (law or W).matrix, len(owner_word)
+    source_word, owner_word = word_array([source_word, owner_word], W)
+    delta, law_matrix, n = decoder_width(delta), _law_matrix(W, law), len(owner_word)
     if W.output_size**n > 1 << 22:
         raise SizeGuardError("enumeration too large")
     mass, stat = np.ones(1), np.zeros(1)
@@ -475,14 +471,14 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     if n * trials > MC_CELL_GUARD:
         raise SizeGuardError(f"Monte Carlo draws of {n} x {trials} symbols "
                              f"exceed guard {MC_CELL_GUARD}")
-    cdf = (law or W).matrix.cumsum(axis=1)
+    cdf = _law_matrix(W, law).cumsum(axis=1)
     cdf /= cdf[:, -1:]
     edges = cdf[:, :-1]
     point_mass = ~((edges > 0.0) & (edges < 1.0)).any(axis=1)
     # a point mass's letter: its edges at 0, which every u in [0, 1) passes
     point_letter = (edges == 0.0).sum(axis=1)
     theta = code.delta * math.sqrt(n)
-    words = _channel_words(code.codewords, W)
+    words = word_array(code.codewords, W)
     h = word_output_entropy(W, words)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
     tables = np.ascontiguousarray(W.log2[words].transpose(1, 2, 0))

@@ -21,8 +21,6 @@ def _fmt(v: float) -> str:
 
 
 def _ticks(lo: float, hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (TICKS - 1)
     return [lo + i * step for i in range(TICKS)]
 

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import inspect
 import math
+import re
 import time
 import tracemalloc
 
@@ -441,3 +442,31 @@ def test_sweep_channel_formulas():
     assert row["normalized_value"] != ""
     spot = thm1_lower(W, 1000, 1e-4, 0.5)
     assert cur.points[0].value == spot.value
+
+
+# every refusal of a bound formula: (call, message fragment)
+BOUND_REFUSALS = {
+    "thm1-E": (lambda: thm1_lower(BSC, 10, 0.0, 0.5), "need E > 0, 0 < t < 1, n >= 1"),
+    "thm2-n": (lambda: thm2_upper(BSC, 0, 1e-3), "need E > 0 and n >= 1"),
+    "cor1-eta": (lambda: cor1_lower(1.0, -0.1, 1e-3, 0.5, 10), "eta >= 0"),
+    "cor2-E": (lambda: cor2_upper(1.0, 0.1, -1e-3), "need E > 0 and eta >= 0"),
+    "ex1-a": (lambda: ex1_bernoulli(1.0, 1e-3, 10), "need a > 1, E > 0, n >= 1"),
+    "ex1-t": (lambda: ex1_bernoulli(2.0, 1e-3, 10, t=1.0), "t must lie in (0, 1)"),
+    "ex2-E": (lambda: ex2_dmc(BSC, -1e-3, 10), "need E >= 0 and n >= 1"),
+    # costs 1e-20 apart: no tilt up to 1e18 brings the mean cost down to 1e-21
+    "tilt-diverged": (lambda: power_capacity(
+        make_channel(["a", "b"], [[0.9, 0.1], [0.1, 0.9]], cost=[0.0, 1e-20]), 1e-21),
+        "tilt search diverged"),
+    "stein-alpha": (lambda: thm5_stein(0.1, 1e-3, alpha=1.0), "need alpha > 1 and E > 0"),
+    "thm5-omega": (lambda: thm5_stein(1.0, 1e-3), "need 0 < omega < 1"),
+    "thm6-y-size": (lambda: thm6_stein(1, 1e-3, 10), "need |Y| >= 2 and n >= 1"),
+    "thm6-trunc": (lambda: thm6_stein(2, 1e-3, 10, delta_trunc=1.0),
+                   "truncation level must lie in (0, 1)"),
+    "trend-upper-n": (lambda: trend_upper_point(1), "the trend recipe needs n >= 2"),
+}
+
+
+@pytest.mark.parametrize("call,fragment", BOUND_REFUSALS.values(), ids=BOUND_REFUSALS.keys())
+def test_bound_refusals(call, fragment):
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        call()

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tracemalloc
 import weakref
 
@@ -11,6 +12,7 @@ from dicode import channel
 from dicode.channel import (
     ROW_EQUAL_TOL,
     bernoulli_family,
+    channel_to_spec,
     dedupe_and_purge,
     identity_channel,
     load_channel,
@@ -330,3 +332,62 @@ def test_rows_are_distributions():
         W = make_channel(list("abc"), m)
         assert np.all(W.matrix >= 0)
         assert np.allclose(W.matrix.sum(axis=1), 1.0, atol=1e-12)
+
+
+# every refusal of the channel layer: (call, exception type, message fragment)
+CHANNEL_REFUSALS = {
+    "matrix-not-2d": (lambda: make_channel(["a"], [0.5, 0.5]), ValidationError, "2-d"),
+    "no-input": (lambda: make_channel([], np.zeros((0, 2))), ValidationError,
+                 "at least one input"),
+    "one-output": (lambda: make_channel(["a"], [[1.0]]), ValidationError,
+                   "at least two outputs"),
+    "entry-above-1": (lambda: make_channel(["a"], [[1.5, -0.0]]), ValidationError,
+                      "entries above 1"),
+    "label-count": (lambda: make_channel(["a"], [[1, 0], [0, 1]]), ValidationError,
+                    "label count"),
+    "cost-length": (lambda: make_channel(["a", "b"], [[1, 0], [0, 1]], cost=[1.0]),
+                    ValidationError, "cost vector length"),
+    "negative-k-max": (lambda: bernoulli_family(2.0, -1), ValidationError, "k_max must be >= 0"),
+    # 1.5^-k rounds to one subnormal for two k near 1837, where it is not yet 0
+    "repeated-ladder-point": (lambda: bernoulli_family(1.5, 1837), ValidationError,
+                              "not distinct"),
+    "truncate-delta": (lambda: truncate_channel(identity_channel(2), 1.0, 4), ValidationError,
+                       "delta must lie in (0, 1)"),
+    "truncate-n": (lambda: truncate_channel(identity_channel(2), 0.5, 0), ValidationError,
+                   "n must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("call,kind,fragment", CHANNEL_REFUSALS.values(),
+                         ids=CHANNEL_REFUSALS.keys())
+def test_channel_refusals(call, kind, fragment):
+    with pytest.raises(kind, match=re.escape(fragment)):
+        call()
+
+
+# spec files load_channel refuses: (file text, or None for no file, and message fragment)
+SPEC_REFUSALS = {
+    "no-file": (None, "cannot read channel spec"),
+    "not-json": ("{", "cannot read channel spec"),
+    "not-an-object": ("[1, 2]", "must be a JSON object"),
+    "unknown-family": ('{"family": "poisson", "a": 2.0, "k_max": 3}', "unknown channel family"),
+    "no-matrix": ('{"inputs": ["a", "b"]}', "missing key 'matrix'"),
+}
+
+
+@pytest.mark.parametrize("text,fragment", SPEC_REFUSALS.values(), ids=SPEC_REFUSALS.keys())
+def test_spec_file_refusals(text, fragment, tmp_path):
+    path = tmp_path / "chan.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ValidationError, match=re.escape(fragment)):
+        load_channel(path)
+
+
+def test_spec_round_trip_keeps_costs(tmp_path):
+    W = make_channel(["a", "b"], [[0.9, 0.1], [0.2, 0.8]], cost=[0.0, 5.0])
+    spec = channel_to_spec(W)
+    assert spec["cost"] == [0.0, 5.0]
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(spec))
+    assert load_channel(path).cost.tolist() == [0.0, 5.0]

@@ -137,23 +137,9 @@ def test_reruns_byte_identical(bern_file, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
-def test_seed_env_fallback(bern_file, tmp_path, monkeypatch):
-    run = tmp_path / "code"
-    main(["construct", "--channel", str(bern_file), "--n", "6", "--E", "1e-5",
-          "--t", "0.5", "--out", str(run)])
-    monkeypatch.setenv("DIRL_SEED", "11")
-    out_env = tmp_path / "env"
-    main(["evaluate", "--channel", str(bern_file), "--code", str(run / "code.json"),
-          "--method", "mc", "--trials", "400", "--out", str(out_env)])
-    monkeypatch.delenv("DIRL_SEED")
-    out_flag = tmp_path / "flag"
-    main(["evaluate", "--channel", str(bern_file), "--code", str(run / "code.json"),
-          "--method", "mc", "--trials", "400", "--seed", "11", "--out", str(out_flag)])
-    assert read_outputs(out_env) == read_outputs(out_flag)
-
-
 def test_exact_run_records_no_seed(bern_file, tmp_path, monkeypatch):
-    """Exact reports read no seed, so DIRL_SEED stays out of their manifest."""
+    """Exact reports read no seed and record null; Monte Carlo without
+    --seed reads 0, whatever DIRL_SEED, which nothing reads any more, says."""
     code = tmp_path / "code.json"
     code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
                                                [(0, 1, 2), (3, 4, 5)], delta=1.0)))
@@ -165,7 +151,7 @@ def test_exact_run_records_no_seed(bern_file, tmp_path, monkeypatch):
                      "--method", method, "--out", str(out)]) == 0
         seeds[method] = (json.loads((out / "manifest.json").read_text())["seed"],
                          json.loads((out / "error_report.json").read_text())["seed"])
-    assert seeds == {"exact": (None, None), "mc": (5, 5)}
+    assert seeds == {"exact": (None, None), "mc": (0, 0)}
 
 
 def test_fig2_recipe_and_svg_regression(tmp_path, capsys):
@@ -275,6 +261,10 @@ MALFORMED = {
     "code-delta-inf": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/delta-inf.json"],
     "code-words-ragged": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/ragged.json"],
     "code-words-none": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/empty.json"],
+    # a key the code reader does not read, at the top level or under "params"
+    "code-key-unread": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/key-top.json"],
+    "code-params-key-unread": ["evaluate", "--channel", "{bern}", "--code",
+                               "{tmp}/key-params.json"],
     "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
     "code-n-mismatch-mc": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json",
                            "--method", "mc", "--trials", "10"],
@@ -376,6 +366,9 @@ def write_malformed_codes(payload, tmp_path):
     # -1 and NaN used to certify lambda1 = [1, 1], true to read as delta 1
     for name, delta in (("bool", True), ("negative", -1), ("nan", math.nan), ("inf", math.inf)):
         (tmp_path / f"delta-{name}.json").write_text(json.dumps(payload | {"delta": delta}))
+    (tmp_path / "key-top.json").write_text(json.dumps(payload | {"costs": [0, 5]}))
+    extra = payload | {"params": payload["params"] | {"costs": [0, 5]}}
+    (tmp_path / "key-params.json").write_text(json.dumps(extra))
     long_n = payload | {"params": payload["params"] | {"n": 2 * len(words[0])}}
     (tmp_path / "long-n.json").write_text(json.dumps(long_n))
 
@@ -405,16 +398,6 @@ def test_help_and_version_exit_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out
-
-
-def test_seed_env_must_be_an_integer(bern_file, tmp_path, monkeypatch, capsys):
-    code = tmp_path / "code.json"
-    code.write_text(code_to_json(assemble_code(bernoulli_family(2.0, 6),
-                                               [(0, 1, 2), (3, 4, 5)], delta=1.0)))
-    monkeypatch.setenv("DIRL_SEED", "abc")
-    assert main(["evaluate", "--channel", str(bern_file), "--code", str(code),
-                 "--method", "mc", "--trials", "10", "--out", str(tmp_path / "o")]) == 2
-    assert "error code=VALIDATION msg=DIRL_SEED" in capsys.readouterr().err
 
 
 # every option a manifest records, per command; a new option joins the

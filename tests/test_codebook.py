@@ -20,6 +20,7 @@ from dicode.codebook import (
     distance_code,
     entropy_binning,
     min_pairwise_hamming,
+    word_array,
     word_output_entropy,
 )
 from dicode.errors import SizeGuardError, ValidationError
@@ -394,6 +395,28 @@ def test_code_from_json_refuses_malformed_words(words, n):
     payload["params"]["n"] = n
     with pytest.raises(ValidationError):
         code_from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("where", ["top", "params"])
+def test_code_from_json_refuses_keys_it_does_not_read(where):
+    """As load_channel does for channel specs: an extra top-level key was
+    ignored, and an extra params key surfaced as CodeParams' TypeError."""
+    payload = json.loads(code_to_json(assemble_code(bernoulli_family(2.0, 4),
+                                                    [(0, 1, 1), (1, 0, 1)], delta=0.5)))
+    (payload if where == "top" else payload["params"])["extra"] = 1
+    with pytest.raises(ValidationError, match=r"keys \['extra'\] are not read"):
+        code_from_json(json.dumps(payload))
+
+
+def test_word_array_checks_an_int64_array_in_place():
+    """The evaluators check a code's int64 words without copying them; a
+    DICode holds its own copy, which freezing does not reach the caller's."""
+    W = bernoulli_family(2.0, 4)
+    words = np.array([(0, 1, 1), (1, 0, 5)])
+    assert word_array(words, W) is words
+    code = assemble_code(W, words, delta=0.5)
+    assert not np.shares_memory(code.codewords, words) and words.flags.writeable
+    assert word_array(code.codewords, W) is code.codewords
 
 
 def test_assemble_code_delta_round_trip():

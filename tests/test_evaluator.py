@@ -4,6 +4,7 @@ import math
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1316,3 +1317,86 @@ def test_letters_must_be_inputs_of_the_channel(words):
     for evaluate in evaluations:
         with pytest.raises(ValidationError, match="not a channel input"):
             evaluate()
+
+
+BSC = make_channel(["0", "1"], [[0.9, 0.1], [0.1, 0.9]])
+
+
+def stand_in_code(words):
+    """What the exact report and Monte Carlo read of a code, with its words
+    as given, so that the evaluators' own word check is what refuses them."""
+    return SimpleNamespace(codewords=words, size=len(words), blocklength=4, delta=1.0)
+
+
+def code_file(words):
+    payload = json.loads(code_to_json(assemble_code(BSC, [(0, 1, 1, 0), (1, 0, 1, 0)], 1.0)))
+    payload["codewords"], payload["entropies"] = words, [0.0] * len(words)
+    return json.dumps(payload)
+
+
+#: the entries that take words, each called with the same two words over BSC
+WORD_ENTRIES = {
+    "code-file": lambda words: exact_error_report(code_from_json(code_file(words)), BSC),
+    "assemble_code": lambda words: assemble_code(BSC, words, delta=1.0),
+    "typical_set_prob": lambda words: typical_set_prob(BSC, *words, 1.0),
+    "brute_force_typical_prob": lambda words: brute_force_typical_prob(BSC, *words, 1.0),
+    "exact_error_report": lambda words: exact_error_report(stand_in_code(words), BSC),
+    "monte_carlo_errors": lambda words: monte_carlo_errors(stand_in_code(words), BSC,
+                                                           trials=10, seed=1),
+}
+BAD_WORDS = {
+    "half": [(0.5, 1, 1, 0), (1, 0, 1, 0)],
+    "bool": [(True, 1, 1, False), (1, 0, 1, 0)],
+    "negative": [(-1, 1, 1, 0), (1, 0, 1, 0)],
+    "past-q": [(2, 1, 1, 0), (1, 0, 1, 0)],
+    "ragged": [(0, 1, 1), (1, 0, 1, 0)],
+}
+
+
+@pytest.mark.parametrize("words", BAD_WORDS.values(), ids=BAD_WORDS.keys())
+@pytest.mark.parametrize("entry", WORD_ENTRIES.values(), ids=WORD_ENTRIES.keys())
+def test_every_entry_applies_the_one_word_rule(entry, words):
+    """0.5 used to read as letter 0 and True as letter 1 in the evaluator,
+    and assemble_code raised numpy's IndexError on a letter past q."""
+    entry([(0, 1, 1, 0), (1, 0, 1, 0)])  # the same entry takes good words
+    with pytest.raises(ValidationError):
+        entry(words)
+
+
+#: laws whose shape is not BSC's: BSC's rows plus a third, one input, three outputs
+BAD_LAWS = {
+    "three-inputs": make_channel(list("abc"), [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]),
+    "one-input": make_channel(["a"], [[0.5, 0.5]]),
+    "three-outputs": make_channel(["a", "b"], [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]),
+}
+
+
+@pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
+def test_law_must_have_the_channels_shape(law):
+    """Both owner letters of BSC share one lattice group, so a 3-input law
+    had its rows read out of line: the DP certified [0.0207, 0.0207] for
+    the pair below, whose brute-force probability is 0.8857."""
+    word = (0, 1, 1, 0, 1, 0)
+    code = assemble_code(BSC, [word, (1, 1, 0, 0, 1, 1)], delta=1.0)
+    for evaluate in (lambda: typical_set_prob(BSC, word, word, 1.0, law=law),
+                     lambda: brute_force_typical_prob(BSC, word, word, 1.0, law=law),
+                     lambda: exact_error_report(code, BSC, law=law),
+                     lambda: monte_carlo_errors(code, BSC, trials=10, seed=1, law=law)):
+        with pytest.raises(ValidationError, match="law of shape"):
+            evaluate()
+
+
+@pytest.mark.parametrize("delta", [math.nan, -1.0, math.inf, True, "1"])
+def test_oracles_apply_the_codes_delta_rule(delta):
+    """NaN and -1 used to give a certified (0.0, 0.0)."""
+    for oracle in (typical_set_prob, brute_force_typical_prob):
+        with pytest.raises(ValidationError, match="delta must be a finite number"):
+            oracle(BSC, (0, 1), (0, 1), delta)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-300, 1e300])
+def test_assemble_code_refuses_a_delta_without_a_params_record(delta):
+    """A delta whose implied exponent target is 0 or infinite is refused by
+    name; it used to fail with "exponent target must be positive"."""
+    with pytest.raises(ValidationError, match=r"^delta = .* gives exponent target"):
+        assemble_code(BSC, [(0, 1, 1, 0), (1, 0, 1, 0)], delta=delta)
