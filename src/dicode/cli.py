@@ -9,11 +9,13 @@ A command accepts exactly the options it reads; every refusal is one
 `error code=... msg=...` line on stderr.  Exit codes: 0 success, 2
 validation failure (every parser error included), 3 size-guard refusal (a
 range axis or a `bounds` grid of more than GRID_LIMIT points, refused before
-it is built).  Three refusals depend on another option's value:
+it is built).  Four refusals depend on another option's value:
 --trials/--seed with `evaluate --method exact` and --pair-budget with
 `--method mc`; --formula, --channel, --E-axis and the single-value options
 with `bounds --recipe fig2`; a `bounds` value, axis or channel that no
---formula reads (`bounds.FORMULAS` declares the grid keys each one reads).
+--formula reads (`bounds.FORMULAS` declares the grid keys each one reads);
+an `evaluate` code file that does not belong to --channel
+(`codebook.check_code_channel`).
 geometry counts packings and coverings exactly up to
 geometry.EXACT_SIZE_LIMIT points and greedily above, as the bounds do.
 bounds accepts --seed and --jobs, and geometry --seed, and they change
@@ -39,7 +41,7 @@ from pathlib import Path
 from . import __version__
 from .bounds import FORMULAS, curves_to_csv, rows_to_csv, sweep
 from .channel import channel_to_spec, load_channel
-from .codebook import code_from_json, code_to_json, construct
+from .codebook import check_code_channel, code_from_json, code_to_json, construct
 from .errors import SizeGuardError, ValidationError
 from .evaluator import DEFAULT_PAIR_BUDGET, exact_error_report, monte_carlo_errors
 from .geometry import estimate_dimension, max_packing, min_covering
@@ -187,6 +189,7 @@ def cmd_evaluate(args) -> int:
     W = load_channel(args.channel)
     try:
         code = code_from_json(Path(args.code).read_text())
+        check_code_channel(code, W)
     except ValidationError as exc:
         raise ValidationError(f"code file {args.code}: {exc}") from None
     except (OSError, ValueError, KeyError, TypeError) as exc:

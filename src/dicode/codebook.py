@@ -401,6 +401,27 @@ def code_to_json(code: DICode) -> str:
     return json.dumps(payload, sort_keys=True, indent=1)
 
 
+def check_code_channel(code: DICode, W: ChannelModel) -> None:
+    """Refuse, with a ValidationError naming the field, a code that does not
+    belong to W: words whose letters are not inputs of W, a
+    `letter_alphabet` that is not distinct inputs of W holding every letter
+    the words use, or `entropies` that differ in any bit from
+    `word_output_entropy(W, words)`.  A code file for another channel
+    fails here, before any evaluation would ignore these fields."""
+    words = word_array(code.codewords, W)
+    try:
+        letters = word_array([code.letter_alphabet], W)[0]
+    except ValidationError:
+        letters = None
+    if letters is None or len(np.unique(letters)) < len(letters) \
+            or np.setdiff1d(words, letters).size:
+        raise ValidationError("letter_alphabet must be distinct inputs of the channel "
+                              "holding every letter of the codewords")
+    if code.entropies.tobytes() != word_output_entropy(W, words).tobytes():
+        raise ValidationError("entropies differ from the channel's output entropies "
+                              "of the codewords")
+
+
 def code_from_json(text: str) -> DICode:
     """Read a code from the interchange JSON layout; a key it does not
     read, at the top level or under "params", is refused."""

@@ -12,7 +12,10 @@ group of classes a*q + b whose owner letters reach one set of log2 W(y|b)
 values.  An atom picks a count vector per group: its value is fixed by the
 owner's composition, its mass is the groups' product.  A report evaluates
 its own and cross types in one pass over the owner compositions, and each
-block of atoms gets its band test once for all the composition's types.
+block of atoms gets its band test once for a batch of the composition's
+types.  The atom values do not depend on the types, so the band is tested
+first: the masses are built only at a batch's first block that reaches the
+band, and a composition with no atom in the band builds none.
 Every entry, single pairs included, takes its words by `codebook.word_array`
 (letters 0..q-1 of W) and refuses a law whose shape is not W's.
 """
@@ -161,6 +164,10 @@ class JointTypeDP:
             rows = np.stack([law_matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
             classes, laws = self._groups.get(values, ([], rows[:0]))
             self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((laws, rows))
+        #: 0/1 [class, group]: a count row times it is each group's positions
+        self._members = np.zeros((q * q, len(self._groups)), dtype=np.int64)
+        for g, (classes, _) in enumerate(self._groups.values()):
+            self._members[classes, g] = 1
         self._lattice = functools.cache(_lattice)  # (n, values) -> lattice
         self.states_max = 0
 
@@ -171,11 +178,14 @@ class JointTypeDP:
         STATE_GUARD check.  The rows are read in their own dtype; besides
         them a call holds O(1) scalars per type (its owner composition in a
         dtype that holds n, its order, lo and hi) and O(ATOM_CHUNK) working
-        entries.  One owner composition at a time, the groups' masses are
-        built for as many of its types as fit ATOM_CHUNK entries; each block
-        of at most ATOM_CHUNK atoms gets its values and band test once for
-        all of them and its masses broadcast ATOM_CHUNK // block types at a
-        time.  A type's interval depends only on its row, not on its dtype."""
+        entries.  One owner composition at a time, its types go in batches
+        whose masses fit ATOM_CHUNK entries; each block of at most
+        ATOM_CHUNK atoms gets its values and band test once for a batch, and
+        its masses broadcast ATOM_CHUNK // block types at a time.  A batch
+        builds the groups' masses at its first block with an atom in the
+        band widened by EDGE_FUZZ, so a composition none of whose atoms
+        reaches it builds none and its types read [0, 0].  A type's interval
+        depends only on its row, not on its dtype."""
         q, lo, hi = self.W.n_inputs, np.zeros(len(counts)), np.zeros(len(counts))
         if not len(counts):
             return lo, hi
@@ -187,18 +197,18 @@ class JointTypeDP:
         changes = (owners[order[1:]] != owners[order[:-1]]).any(axis=1)
         starts = np.flatnonzero(np.concatenate(([True], changes)))
         firsts, types_of = order[starts], np.split(order, starts[1:])
-        sizes = [[(math.comb(int(row[classes].sum()) + len(values) - 1, len(values) - 1),
-                   len(values)) for values, (classes, _) in self._groups.items()]
-                 for row in counts[firsts]]
-        atoms = [math.prod(size for size, _ in row) for row in sizes]
-        entries = max(size * k for row in sizes for size, k in row)
+        positions = (counts[firsts].astype(np.int64) @ self._members).tolist()  # n_g
+        ks = [len(values) for values in self._groups]
+        sizes = [[math.comb(n + k - 1, k - 1) for n, k in zip(row, ks)] for row in positions]
+        atoms = [math.prod(row) for row in sizes]
+        entries = max(size * k for row in sizes for size, k in zip(row, ks))
         if max(atoms) > STATE_GUARD or entries > STATE_GUARD:
             raise SizeGuardError(f"joint type of {max(atoms)} output-count atoms or {entries} "
                                  f"lattice entries of one group exceeds guard {STATE_GUARD}")
         self.states_max = max(self.states_max, max(atoms))
-        for own, row, size, types in zip(owners[firsts], counts[firsts], atoms, types_of):
-            parts = [(self._lattice(int(row[classes].sum()), values), classes, law)
-                     for values, (classes, law) in self._groups.items() if row[classes].any()]
+        for own, row, size, types in zip(owners[firsts], positions, atoms, types_of):
+            parts = [(self._lattice(n, values), classes, law)
+                     for n, (values, (classes, law)) in zip(row, self._groups.items()) if n]
             values = [lattice[0] for lattice, _, _ in parts]
             shape = [len(v) for v in values]
             theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
@@ -206,15 +216,16 @@ class JointTypeDP:
             # types whose masses, every group's lattice and zero column, fit ATOM_CHUNK
             batch = max(ATOM_CHUNK // (sum(shape) + len(shape)), 1)
             for first in range(0, len(types), batch):
-                t = types[first:first + batch]
-                masses = [_masses(law, pred, prefix, counts[t][:, classes])
-                          for (_, pred, prefix), classes, law in parts]
+                t, masses = types[first:first + batch], None
                 for start in range(0, size, width):
                     stop = min(start + width, size)
                     dev = np.abs(_atoms(values, shape, np.add, start, stop) + h_owner)
                     touch = np.flatnonzero(dev <= theta + EDGE_FUZZ)
                     if not touch.size:
                         continue
+                    if masses is None:  # the batch's first block that reaches the band
+                        masses = [_masses(law, pred, prefix, counts[t][:, classes])
+                                  for (_, pred, prefix), classes, law in parts]
                     inside = dev[touch] <= theta - EDGE_FUZZ
                     for sub in range(0, len(t), ATOM_CHUNK // width):
                         rows = slice(sub, sub + ATOM_CHUNK // width)
@@ -223,6 +234,8 @@ class JointTypeDP:
                         mass = np.take(mass, touch, axis=1)
                         hi[t[rows]] += mass.sum(axis=1)
                         lo[t[rows]] += np.compress(inside, mass, axis=1).sum(axis=1)
+                if masses is None:  # no atom reaches the band: nor will one for later batches
+                    break
         return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
@@ -271,9 +284,11 @@ def _distinct(rows, pairs):
     """Distinct rows of a non-empty C-contiguous 2-D integer array, which it
     sorts in place by their bytes (np.unique's order on the byte view), and
     the sum of `pairs` over the copies of each, as int64: one argsort of the
-    byte view and one reduceat."""
+    byte view and one reduceat.  The sort is stable, which takes sorted runs
+    (the merged chunks' tables) in one pass; equal rows are equal bytes and
+    their pairs an integer sum, so any order of them gives the same result."""
     view = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    order = np.argsort(view)
+    order = np.argsort(view, kind="stable")
     rows[...] = rows[order]
     starts = np.flatnonzero(np.concatenate(([True], view[1:] != view[:-1])))
     return rows[starts], np.add.reduceat(pairs[order], starts, dtype=np.int64)
@@ -456,7 +471,8 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     scored once and weighted by their counts, keyed by their random letters
     in mixed radix, ranked by np.unique wherever the key span would pass
     2^63 or, at the end, `trials`, and counted by np.bincount.  Results are
-    bit-identical to scoring every trial.  MC_CELL_GUARD bounds n x trials.
+    bit-identical to scoring every trial.  MC_CELL_GUARD bounds n x trials;
+    a negative seed raises ValidationError.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
     largest miss count over the N codewords, `lambda2` that of the largest
@@ -467,6 +483,8 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     n = code.blocklength
     if n * trials > MC_CELL_GUARD:
         raise SizeGuardError(f"Monte Carlo draws of {n} x {trials} symbols "

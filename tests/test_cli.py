@@ -268,6 +268,9 @@ MALFORMED = {
     "code-n-mismatch": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json"],
     "code-n-mismatch-mc": ["evaluate", "--channel", "{bern}", "--code", "{tmp}/long-n.json",
                            "--method", "mc", "--trials", "10"],
+    # a negative seed used to exit 1 with numpy's SeedSequence ValueError
+    "mc-seed-negative": ["evaluate", "--channel", "{bern}", "--code", "{code}",
+                         "--method", "mc", "--trials", "10", "--seed=-1"],
     "grid-lacks-n": ["bounds", "--channel", "{bern}", "--formula", "thm1_lower",
                      "--E-axis", "1e-4", "--t", "0.5"],
     "grid-lacks-d": ["bounds", "--formula", "cor2_upper", "--E-axis", "1e-4",
@@ -349,6 +352,13 @@ MALFORMED_BERN = {"k-max-bool": {"k_max": True}, "k-max-real": {"k_max": 6.7},
 MALFORMED_EXPLICIT = {"ragged": [[0.5, 0.5], [1.0]], "bool": [[True, False], [False, True]]}
 
 
+#: letter alphabets of the code over letters 0..5 that are not distinct
+#: BERN inputs holding every letter the words use
+ALPHABETS = {"zz": "zz", "repeated": [0, 1, 2, 3, 4, 5, 5], "missing": [0, 1, 2, 3, 4],
+             "not-input": [0, 1, 2, 3, 4, 5, 8], "real": [0.0, 1, 2, 3, 4, 5],
+             "bool": [True, 0, 2, 3, 4, 5], "empty": []}
+
+
 def write_malformed_codes(payload, tmp_path):
     """Code files that differ from a valid one in one field, by name."""
     words = payload["codewords"]
@@ -360,12 +370,15 @@ def write_malformed_codes(payload, tmp_path):
     for name, codewords in bad.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(payload | {"codewords": codewords}))
     rest = payload["entropies"][1:]
-    for name, first in (("bool", True), ("negative", -1.0), ("nan", math.nan)):
+    for name, first in (("bool", True), ("negative", -1.0), ("nan", math.nan), ("99", 99.0)):
         entropies = payload | {"entropies": [first] + rest}
         (tmp_path / f"entropy-{name}.json").write_text(json.dumps(entropies))
     # -1 and NaN used to certify lambda1 = [1, 1], true to read as delta 1
     for name, delta in (("bool", True), ("negative", -1), ("nan", math.nan), ("inf", math.inf)):
         (tmp_path / f"delta-{name}.json").write_text(json.dumps(payload | {"delta": delta}))
+    for name, letters in ALPHABETS.items():
+        (tmp_path / f"alphabet-{name}.json").write_text(
+            json.dumps(payload | {"letter_alphabet": letters}))
     (tmp_path / "key-top.json").write_text(json.dumps(payload | {"costs": [0, 5]}))
     extra = payload | {"params": payload["params"] | {"costs": [0, 5]}}
     (tmp_path / "key-params.json").write_text(json.dumps(extra))
@@ -389,6 +402,30 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")
     assert "ValidationError(" not in err[0]  # the message as text, not a repr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, field", [
+    ("entropy-99", "entropies"), ("entropy-other-channel", "entropies"),
+    *((f"alphabet-{name}", "letter_alphabet") for name in ALPHABETS)])
+def test_code_file_not_of_the_channel_names_its_field(name, field, bern_file, tmp_path,
+                                                      capsys):
+    """A code file whose entropies or letter alphabet do not match the
+    channel is refused with exit 2 in one line that names the field, by
+    both methods; so is a code assembled for another channel, whose stored
+    entropies are that channel's.  A first entropy of 99.0 and the letter
+    alphabet "zz" used to give the reports of the valid file."""
+    code = assemble_code(bernoulli_family(2.0, 6), [(0, 1, 2), (3, 4, 5)], delta=1.0)
+    write_malformed_codes(json.loads(code_to_json(code)), tmp_path)
+    other = assemble_code(bernoulli_family(3.0, 6), code.codewords, delta=1.0)
+    (tmp_path / "entropy-other-channel.json").write_text(code_to_json(other))
+    for method in (["--method", "exact"], ["--method", "mc", "--trials", "10"]):
+        assert main(["evaluate", "--channel", str(bern_file), "--code",
+                     str(tmp_path / f"{name}.json"), *method,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")
+        assert f": {field} " in err[0]
     assert not (tmp_path / "o").exists()
 
 

@@ -538,13 +538,23 @@ def gathered_count_probs(dp, counts, delta):
     return np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
 
 
+#: SHARED_OWNER_CASE at a delta whose band misses every atom of its types
+SHARED_OWNER_NO_ATOM = SHARED_OWNER_CASE[:3] + (0.01,)
+#: SHARED_OWNER_CASE at a delta where, at ATOM_CHUNK 4, an owner
+#: composition's first block of atoms misses the band and its second reaches it
+SHARED_OWNER_LATE_BLOCK = SHARED_OWNER_CASE[:3] + (0.1,)
+
+
 @settings(max_examples=40, deadline=None)
 @given(code_cases(max_n=8), st.sampled_from([5, 64]))
 @example(SHARED_OWNER_CASE, 5)
+@example(SHARED_OWNER_NO_ATOM, 5)
+@example(SHARED_OWNER_LATE_BLOCK, 4)
 def test_count_probs_equals_gathered_atom_sums(case, chunk):
     """Bit for bit, every type row of a random channel (2-4 inputs, 2-4
-    outputs) gets the interval of the unravel/gather atom sum; at ATOM_CHUNK 5
-    and 64 blocks end inside rows and a call's types span several chunks."""
+    outputs) gets the interval of the unravel/gather atom sum, which builds
+    every composition's masses; at ATOM_CHUNK 4, 5 and 64 blocks end inside
+    rows and a call's types span several chunks."""
     W, law, words, delta = case
     q = W.n_inputs
     rows = np.unique([type_row(q, a, b) for a in words for b in words], axis=0)
@@ -868,6 +878,33 @@ def test_mass_chunks_stay_within_atom_chunk(monkeypatch):
     assert hexes(split) == hexes([np.concatenate(p) for p in zip(
         dp.count_probs(rows[:20], 1.0), dp.count_probs(rows[20:], 1.0))])
     assert hexes(split) == hexes(gathered_count_probs(dp, rows, 1.0))
+
+
+def test_masses_are_built_only_where_the_band_has_an_atom(monkeypatch):
+    """The band is tested before any mass is built.  The frozen BERN6 code's
+    band is delta sqrt(n) = 0.065 bits wide, and its exhaustive report
+    builds the masses of 2 of its 23 owner compositions: 4 `_masses` calls
+    (2 groups each) over 466 type rows, against 67 calls and 15,190 rows
+    when every composition built them.  At a delta whose band misses every
+    atom, a report builds none and each type reads exactly [0.0, 0.0]."""
+    calls, build = [], evaluator._masses
+
+    def masses(law, pred, prefix, splits):
+        calls.append(len(splits))
+        return build(law, pred, prefix, splits)
+
+    monkeypatch.setattr(evaluator, "_masses", masses)
+    W = bernoulli_family(2.0, 6)
+    code = code_from_json(BERN6_CODE.read_text())
+    assert exact_error_report(code, W).lambda2 == (0.35589599609375,) * 2
+    assert (len(calls), sum(calls)) == (4, 466)
+    W, _, words, delta = SHARED_OWNER_NO_ATOM
+    calls.clear()
+    rows = np.unique([type_row(W.n_inputs, a, b) for a in words for b in words], axis=0)
+    assert hexes(JointTypeDP(W).count_probs(rows, delta)) == [(0.0).hex()] * (2 * len(rows))
+    report = exact_error_report(assemble_code(W, words, delta=delta), W)
+    assert (report.lambda1, report.lambda2) == ((1.0, 1.0), (0.0, 0.0))
+    assert calls == []
 
 
 def per_trial_monte_carlo(code, W, trials, seed, law=None):
