@@ -14,8 +14,10 @@ it is built).  Four refusals depend on another option's value:
 `--method mc`; --formula, --channel, --E-axis and the single-value options
 with `bounds --recipe fig2`; a `bounds` value, axis or channel that no
 --formula reads (`bounds.FORMULAS` declares the grid keys each one reads);
-an `evaluate` code file that does not belong to --channel
-(`codebook.check_code_channel`).
+an `evaluate` code file whose y_size, letter_alphabet or entropies are not
+--channel's (`codebook.check_code_channel`).  A code file stores its words,
+letter_alphabet, delta, entropies, rate_floor and E_target, t, y_size and
+n; `code_from_json` refuses one whose derived values differ.
 geometry counts packings and coverings exactly up to
 geometry.EXACT_SIZE_LIMIT points and greedily above, as the bounds do.
 bounds accepts --seed and --jobs, and geometry --seed, and they change

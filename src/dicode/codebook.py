@@ -34,7 +34,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,9 +51,6 @@ GREEDY_SCAN_LIMIT = 1 << 24
 LINEAR_SIZE_LIMIT = 1 << 20
 
 SQRT2_M1 = math.sqrt(2.0) - 1.0
-#: DICode fields stored under the JSON "params" key, with their types
-CODE_FIELDS = (("min_hamming", int), ("entropy_bin", tuple), ("rate", float),
-               ("rate_floor", float), ("letter_count_exact", bool))
 
 
 @dataclass(frozen=True)
@@ -78,30 +76,23 @@ class CodeParams:
 
 @dataclass(frozen=True, eq=False)
 class DICode:
-    """A constructed code: letters, codewords, and typical-set decoder data.
-    Both arrays are read-only; words not of params.n letters, and a delta or
-    entropies that are not finite non-negative numbers (a bool is none), are
-    refused."""
+    """A code: letters, codewords and decoder data, from which its rate,
+    minimum distance and entropy bin are derived.  Both arrays are
+    read-only; words not of params.n letters, and a delta or entropies that
+    are not finite numbers >= 0 (a bool delta is none), are refused."""
 
     letter_alphabet: tuple[int, ...]       # channel input indices
     codewords: np.ndarray                  # (N, n) int64 channel input indices
     delta: float
     entropies: np.ndarray                  # (N,) H of each codeword's output, bits
-    min_hamming: int
-    entropy_bin: tuple[float, float]
     params: CodeParams
-    rate: float
     rate_floor: float                      # construction guarantee on the rate
-    letter_count_exact: bool
 
     def __post_init__(self):
         words, ents = np.array(word_array(self.codewords)), np.array(self.entropies, dtype=float)
         if words.shape[1] != self.params.n or ents.shape != words.shape[:1]:
             raise ValidationError(f"need words of n = {self.params.n} letters, one entropy each")
-        if not (np.isfinite(ents).all() and ents.min() >= 0) or (
-                # a JSON true among the entropies would read as 1.0 bits
-                not isinstance(self.entropies, np.ndarray)
-                and any(isinstance(h, bool) for h in self.entropies)):
+        if not (np.isfinite(ents).all() and ents.min() >= 0):
             raise ValidationError("entropies must be finite non-negative numbers of bits")
         object.__setattr__(self, "delta", decoder_width(self.delta))
         for name, value in (("codewords", words), ("entropies", ents)):
@@ -115,6 +106,22 @@ class DICode:
     @property
     def blocklength(self) -> int:
         return self.params.n
+
+    @property
+    def rate(self) -> float:
+        return math.log2(self.size) / self.params.n
+
+    @cached_property
+    def min_hamming(self) -> int:
+        return min_pairwise_hamming(self.codewords)
+
+    @property
+    def entropy_bin(self) -> tuple[float, float]:
+        """The unit bin of the lowest entropy, capped as entropy_binning caps
+        it; for a constructed code, the bin of every word."""
+        last = max(1, math.ceil(self.params.n * math.log2(self.params.y_size)))
+        s = min(last, math.floor(self.entropies.min()) + 1)
+        return float(s - 1), float(s)
 
 
 def word_array(words, W: ChannelModel | None = None) -> np.ndarray:
@@ -331,37 +338,22 @@ def min_pairwise_hamming(codewords) -> int:
                 for i in range(len(words) - 1)), default=words.shape[1])
 
 
-def _code(params: CodeParams, letters, codewords, delta: float, entropies,
-          entropy_bin, rate_floor: float, exact: bool) -> DICode:
-    return DICode(
-        letter_alphabet=tuple(letters),
-        codewords=codewords,
-        delta=delta,
-        entropies=entropies,
-        min_hamming=min_pairwise_hamming(codewords),
-        entropy_bin=entropy_bin,
-        params=params,
-        rate=math.log2(len(codewords)) / params.n,
-        rate_floor=rate_floor,
-        letter_count_exact=exact,
-    )
-
-
 def construct(W: ChannelModel, n: int, E: float, t: float,
               code_mode: str = "greedy") -> DICode:
     """Full construction pipeline for one channel and target (n, E, t).
 
-    The reported rate_floor is Theorem 1's guaranteed rate
+    The reported rate_floor is Theorem 1's guaranteed rate at the letter
+    count |X0| that greedy packing finds,
         (1-t) log2 |X0| - H(t,1-t) - log2(ceil(n log2 |Y|)) / n
     (`bounds.thm1_rate`), which the achieved rate always meets or exceeds.
+    It equals `bounds.thm1_lower` where greedy packing is maximum.
     """
     params = derive_params(E, t, W.output_size, n)
-    pack = build_letter_alphabet(W, params.beta)
-    letters = pack.center_indices
+    letters = build_letter_alphabet(W, params.beta).center_indices
     letter_words = distance_code(len(letters), n, t, mode=code_mode)
-    kept, ent_bin, ents = entropy_binning(np.array(letters)[letter_words], W)
-    return _code(params, letters, kept, params.delta, ents, ent_bin,
-                 thm1_rate(len(letters), t, n, W.output_size), pack.exact)
+    kept, _, ents = entropy_binning(np.array(letters)[letter_words], W)
+    return DICode(letters, kept, params.delta, ents, params,
+                  thm1_rate(len(letters), t, n, W.output_size))
 
 
 def assemble_code(W: ChannelModel, codewords, delta: float) -> DICode:
@@ -382,17 +374,17 @@ def assemble_code(W: ChannelModel, codewords, delta: float) -> DICode:
     if not 0 < e_implied < math.inf:
         raise ValidationError(f"delta = {delta!r} gives exponent target {e_implied!r}, "
                               "not a positive finite one")
-    params = derive_params(e_implied, 0.5, W.output_size, n)
-    ents = word_output_entropy(W, words)
-    low = math.floor(ents.min())
-    return _code(params, np.unique(words).tolist(), words,
-                 delta, ents, (low, low + 1.0), -math.inf, False)
+    return DICode(tuple(np.unique(words).tolist()), words, delta, word_output_entropy(W, words),
+                  derive_params(e_implied, 0.5, W.output_size, n), -math.inf)
 
 
 def code_to_json(code: DICode) -> str:
-    """Serialize a code to the interchange JSON layout."""
+    """Serialize a code to the interchange JSON layout; "params" also holds
+    the derived facts (letter packing is greedy, so no count is exact)."""
+    derived = {"min_hamming": code.min_hamming, "entropy_bin": code.entropy_bin,
+               "rate": code.rate, "rate_floor": code.rate_floor, "letter_count_exact": False}
     payload = {
-        "params": asdict(code.params) | {k: getattr(code, k) for k, _ in CODE_FIELDS},
+        "params": asdict(code.params) | derived,
         "letter_alphabet": list(code.letter_alphabet),
         "codewords": code.codewords.tolist(),
         "delta": code.delta,
@@ -403,11 +395,14 @@ def code_to_json(code: DICode) -> str:
 
 def check_code_channel(code: DICode, W: ChannelModel) -> None:
     """Refuse, with a ValidationError naming the field, a code that does not
-    belong to W: words whose letters are not inputs of W, a
-    `letter_alphabet` that is not distinct inputs of W holding every letter
+    belong to W: a `y_size` not W's, words whose letters are not inputs of W,
+    a `letter_alphabet` that is not distinct inputs of W holding every letter
     the words use, or `entropies` that differ in any bit from
-    `word_output_entropy(W, words)`.  A code file for another channel
-    fails here, before any evaluation would ignore these fields."""
+    `word_output_entropy(W, words)`.  A code file for another channel fails
+    here, before any evaluation would ignore these fields."""
+    if code.params.y_size != W.output_size:
+        raise ValidationError(f"y_size {code.params.y_size!r} is not the channel's "
+                              f"{W.output_size} outputs")
     words = word_array(code.codewords, W)
     try:
         letters = word_array([code.letter_alphabet], W)[0]
@@ -423,20 +418,22 @@ def check_code_channel(code: DICode, W: ChannelModel) -> None:
 
 
 def code_from_json(text: str) -> DICode:
-    """Read a code from the interchange JSON layout; a key it does not
-    read, at the top level or under "params", is refused."""
+    """Read a code from the interchange JSON layout: its codewords,
+    letter_alphabet, delta, entropies, rate_floor (-inf or `bounds.thm1_rate`),
+    E_target, t, y_size and n; a key or value it would not write is refused."""
     payload = json.loads(text)
-    p, moved = dict(payload["params"]), {k for k, _ in CODE_FIELDS}
-    for where, keys, read in (("", payload, {f.name for f in fields(DICode)} - moved),
-                              ('"params" ', p, {f.name for f in fields(CodeParams)} | moved)):
-        if unread := sorted(keys.keys() - read):
-            raise ValidationError(f"{where}keys {unread} are not read; it takes {sorted(read)}")
-    extra = {k: kind(p.pop(k)) for k, kind in CODE_FIELDS}
-    return DICode(
-        letter_alphabet=tuple(payload["letter_alphabet"]),
-        codewords=payload["codewords"],
-        delta=payload["delta"],
-        entropies=payload["entropies"],
-        params=CodeParams(**p),
-        **extra,
-    )
+    p, letters = payload["params"], tuple(payload["letter_alphabet"])
+    floor = p.get("rate_floor")
+    if floor != -math.inf:
+        floor = thm1_rate(len(letters), p["t"], p["n"], p["y_size"])
+    code = DICode(letters, payload["codewords"], payload["delta"], payload["entropies"],
+                  derive_params(p["E_target"], p["t"], p["y_size"], p["n"]), floor)
+    layout = json.loads(code_to_json(code))
+    stale = sorted(key for read, wrote in ((payload, layout), (p, layout["params"]))
+                   for key in (read.keys() | wrote.keys()) - {"params"}
+                   if key not in read.keys() & wrote.keys()
+                   or json.dumps(read[key]) != json.dumps(wrote[key]))
+    if stale:
+        raise ValidationError(f"{' and '.join(stale)} differ{'s' * (len(stale) == 1)} from the "
+                              "layout the code writes (a stale value or an unread key)")
+    return code

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,9 +15,11 @@ from dicode.channel import bernoulli_family
 from dicode import cli
 from dicode.bounds import FORMULAS
 from dicode.cli import BOUNDS_VALUES, main
-from dicode.codebook import assemble_code, code_to_json
+from dicode.codebook import assemble_code, code_to_json, derive_params
 
 BERN = {"family": "bernoulli", "a": 2.0, "k_max": 6}
+#: the code construct builds on BERN at n=10, E=4.5e-7, t=0.5
+BERN6_CODE = Path(__file__).resolve().parents[1] / "bench" / "data" / "bern6_n10_code.json"
 IDENT = {"inputs": ["a", "b"], "matrix": [[1, 0], [0, 1]]}
 
 
@@ -406,19 +409,22 @@ def test_malformed_input_is_a_validation_error(argv, bern_file, tmp_path, capsys
 
 
 @pytest.mark.parametrize("name, field", [
-    ("entropy-99", "entropies"), ("entropy-other-channel", "entropies"),
+    ("entropy-99", "entropies"), ("entropy-other-channel", "entropies"), ("y-size-7", "y_size"),
     *((f"alphabet-{name}", "letter_alphabet") for name in ALPHABETS)])
 def test_code_file_not_of_the_channel_names_its_field(name, field, bern_file, tmp_path,
                                                       capsys):
-    """A code file whose entropies or letter alphabet do not match the
-    channel is refused with exit 2 in one line that names the field, by
-    both methods; so is a code assembled for another channel, whose stored
-    entropies are that channel's.  A first entropy of 99.0 and the letter
-    alphabet "zz" used to give the reports of the valid file."""
+    """A code file whose entropies, letter alphabet or output count y_size do
+    not match the channel is refused with exit 2 in one line that names the
+    field, by both methods; so is a code assembled for another channel, whose
+    stored entropies are that channel's.  A first entropy of 99.0, the letter
+    alphabet "zz" and y_size 7 used to give the reports of the valid file."""
     code = assemble_code(bernoulli_family(2.0, 6), [(0, 1, 2), (3, 4, 5)], delta=1.0)
     write_malformed_codes(json.loads(code_to_json(code)), tmp_path)
     other = assemble_code(bernoulli_family(3.0, 6), code.codewords, delta=1.0)
     (tmp_path / "entropy-other-channel.json").write_text(code_to_json(other))
+    # the parameters derive_params gives for |Y| = 7, so that the file loads
+    seven = dataclasses.replace(code, params=derive_params(code.params.E_target, 0.5, 7, 3))
+    (tmp_path / "y-size-7.json").write_text(code_to_json(seven))
     for method in (["--method", "exact"], ["--method", "mc", "--trials", "10"]):
         assert main(["evaluate", "--channel", str(bern_file), "--code",
                      str(tmp_path / f"{name}.json"), *method,
@@ -426,6 +432,30 @@ def test_code_file_not_of_the_channel_names_its_field(name, field, bern_file, tm
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")
         assert f": {field} " in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+#: derived values of the frozen BERN6 code file, edited; each file used to
+#: evaluate with exit 0 and the valid file's reports
+STALE = {"min_hamming": 99, "rate": 5.0, "lambda1_ceiling": 0.0, "beta": -1,
+         "entropy_bin": [0, 1], "letter_count_exact": True, "rate_floor": 10.0,
+         "guarantee_valid": False}
+
+
+@pytest.mark.parametrize("keys", [[key] for key in STALE] + [list(STALE)],
+                         ids=[*STALE, "all"])
+def test_code_file_with_a_stale_derived_value_names_it(keys, bern_file, tmp_path, capsys):
+    """A code file stores its words, letters, delta, entropies, rate floor
+    and (E, t, |Y|, n); every other value is derived from them, and a file
+    whose value differs is refused with exit 2 in one line naming the keys."""
+    payload = json.loads(BERN6_CODE.read_text())
+    payload["params"] |= {key: STALE[key] for key in keys}
+    (tmp_path / "stale.json").write_text(json.dumps(payload))
+    assert main(["evaluate", "--channel", str(bern_file), "--code", str(tmp_path / "stale.json"),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error code=VALIDATION msg=")
+    assert f": {' and '.join(sorted(keys))} differ" in err[0]
     assert not (tmp_path / "o").exists()
 
 

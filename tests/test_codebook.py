@@ -327,7 +327,8 @@ def test_construct_fidelity_separation():
      7, 1e-6, 0.4),
 ])
 def test_rate_floor_is_thm1_lower(W, n, E, t):
-    """The construction's guarantee is Theorem 1's bound, bit for bit."""
+    """The construction's guarantee is Theorem 1's rate at the greedy letter
+    count, equal to thm1_lower where greedy packing is maximum, as here."""
     code = construct(W, n, E, t)
     assert len(code.letter_alphabet) >= 2
     assert code.rate_floor == thm1_lower(W, n, E, t).value
@@ -340,6 +341,34 @@ def test_code_json_round_trip():
     assert code_to_json(again) == code_to_json(code)
     assert np.array_equal(again.codewords, code.codewords)
     assert np.array_equal(again.entropies, code.entropies)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=2,
+                     max_size=5),
+       y_size=st.integers(2, 3), n=st.integers(1, 6), t=st.sampled_from([0.25, 0.4, 0.5, 0.7]),
+       E=st.floats(1e-8, 1e-3), delta=st.floats(0.05, 3.0),
+       picks=st.lists(st.lists(st.integers(0, 4), min_size=6, max_size=6), min_size=1,
+                      max_size=5))
+@example(rows=[[1, 1, 0], [2, 2, 0]], y_size=2, n=3, t=0.5, E=1e-6, delta=1.0,
+         picks=[[0, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0]])  # 1 bit a letter: the capped bin
+def test_code_file_round_trips_and_derives_entropy_binnings_bin(rows, y_size, n, t, E, delta,
+                                                               picks):
+    """Every file that construct or assemble_code writes loads back to the
+    same text, and the entropy bin it derives is entropy_binning's: the bin of
+    every word of a constructed code, and of the lowest word of an assembled one."""
+    matrix = np.array(rows, float)[:, :y_size]
+    matrix[matrix.sum(1) == 0, 0] = 1
+    W = make_channel([str(x) for x in range(len(rows))], matrix / matrix.sum(1, keepdims=True))
+    words = list(dict.fromkeys(tuple(x % W.n_inputs for x in word[:n]) for word in picks))
+    built, assembled = construct(W, n, E, t), assemble_code(W, words, delta)
+    for code in (built, assembled):
+        text = code_to_json(code)
+        assert code_to_json(code_from_json(text)) == text
+    kept, bin_range, _ = entropy_binning(built.codewords, W)
+    assert len(kept) == built.size and built.entropy_bin == bin_range
+    lowest = assembled.codewords[[int(np.argmin(assembled.entropies))]]
+    assert assembled.entropy_bin == entropy_binning(lowest, W)[1]
 
 
 def test_codewords_are_one_read_only_int64_array():
@@ -400,11 +429,12 @@ def test_code_from_json_refuses_malformed_words(words, n):
 @pytest.mark.parametrize("where", ["top", "params"])
 def test_code_from_json_refuses_keys_it_does_not_read(where):
     """As load_channel does for channel specs: an extra top-level key was
-    ignored, and an extra params key surfaced as CodeParams' TypeError."""
+    ignored, and an extra params key surfaced as CodeParams' TypeError.  The
+    refusal names the key."""
     payload = json.loads(code_to_json(assemble_code(bernoulli_family(2.0, 4),
                                                     [(0, 1, 1), (1, 0, 1)], delta=0.5)))
     (payload if where == "top" else payload["params"])["extra"] = 1
-    with pytest.raises(ValidationError, match=r"keys \['extra'\] are not read"):
+    with pytest.raises(ValidationError, match=r"^extra differs from the layout"):
         code_from_json(json.dumps(payload))
 
 

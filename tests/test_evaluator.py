@@ -1366,8 +1366,10 @@ def stand_in_code(words):
 
 
 def code_file(words):
+    """The file of a two-word BSC code with its words replaced; its own
+    entropies stay, so that only the word rule can refuse it."""
     payload = json.loads(code_to_json(assemble_code(BSC, [(0, 1, 1, 0), (1, 0, 1, 0)], 1.0)))
-    payload["codewords"], payload["entropies"] = words, [0.0] * len(words)
+    payload["codewords"] = words
     return json.dumps(payload)
 
 
