@@ -21,8 +21,6 @@ from .errors import SizeGuardError, ValidationError
 from .evaluator import (
     ErrorReport,
     exact_error_report,
-    measure_lambda1,
-    measure_lambda2,
     monte_carlo_errors,
     typical_set_prob,
 )
@@ -47,8 +45,7 @@ __all__ = [
     "load_channel", "make_channel", "truncate_channel",
     "CodeParams", "DICode", "construct", "derive_params", "distance_code",
     "SizeGuardError", "ValidationError",
-    "ErrorReport", "exact_error_report", "measure_lambda1", "measure_lambda2",
-    "monte_carlo_errors", "typical_set_prob",
+    "ErrorReport", "exact_error_report", "monte_carlo_errors", "typical_set_prob",
     "DimensionEstimate", "PointCloud", "estimate_dimension", "max_packing", "min_covering",
     "binary_entropy", "entropy", "fidelity", "hypothesis_testing_divergence",
     "sqrt_embed", "typicality_constants",

@@ -95,9 +95,15 @@ def curves_to_csv(curves) -> str:
                                      for curve in curves for row in curve.rows()))
 
 
+def entropy_bin_count(n: int, y_size: int) -> int:
+    """max(1, ceil(n log2 |Y|)): the unit bins [s-1, s] that hold the output
+    entropy of every word of length n over |Y| outputs."""
+    return max(1, math.ceil(n * math.log2(y_size)))
+
+
 def _log_penalty(n: int, y_size: int) -> float:
     """The explicit finite-n rate penalty log2(ceil(n log2 |Y|)) / n."""
-    return math.log2(max(1, math.ceil(n * math.log2(y_size)))) / n
+    return math.log2(entropy_bin_count(n, y_size)) / n
 
 
 def thm1_rate(count: float, t: float, n: int, y_size: int) -> float:
@@ -368,17 +374,20 @@ def thm6_stein(y_size: int, E: float, n: int, alpha: float = 2.0,
     support-enumeration overcount.  Besides L, n0 and delta_part, extras hold
     the truncated floor omega_n and the error inflation envelopes for the
     truncated channel: multiplicative e^(2 delta_trunc) and additive
-    delta_trunc / 2.
+    delta_trunc / 2.  A point with n < n0 is flagged precondition-n0-unmet.
     """
     if y_size < 2 or n < 1:
         raise ValidationError("need |Y| >= 2 and n >= 1")
     if not 0 < delta_trunc < 1:
         raise ValidationError("truncation level must lie in (0, 1)")
-    return _stein(math.log2(n) - math.log2(delta_trunc / y_size), E, alpha,
-                  lambda_bounded, delta_part, y_size, ("support-overcount",),
-                  {"omega_n": delta_trunc / (n * y_size),
-                   "inflation_factor": math.exp(2.0 * delta_trunc),
-                   "inflation_additive": delta_trunc / 2.0})
+    point = _stein(math.log2(n) - math.log2(delta_trunc / y_size), E, alpha,
+                   lambda_bounded, delta_part, y_size, ("support-overcount",),
+                   {"omega_n": delta_trunc / (n * y_size),
+                    "inflation_factor": math.exp(2.0 * delta_trunc),
+                    "inflation_additive": delta_trunc / 2.0})
+    if n < point.extras["n0"]:
+        point = replace(point, flags=point.flags + ("precondition-n0-unmet",))
+    return point
 
 
 # ---------------------------------------------------------------------------

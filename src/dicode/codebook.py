@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bounds import packing_radius, thm1_rate
+from .bounds import entropy_bin_count, packing_radius, thm1_rate
 from .channel import ChannelModel
 from .errors import SizeGuardError, ValidationError
 from .geometry import max_packing
@@ -119,7 +119,7 @@ class DICode:
     def entropy_bin(self) -> tuple[float, float]:
         """The unit bin of the lowest entropy, capped as entropy_binning caps
         it; for a constructed code, the bin of every word."""
-        last = max(1, math.ceil(self.params.n * math.log2(self.params.y_size)))
+        last = entropy_bin_count(self.params.n, self.params.y_size)
         s = min(last, math.floor(self.entropies.min()) + 1)
         return float(s - 1), float(s)
 
@@ -323,7 +323,7 @@ def entropy_binning(codewords: np.ndarray, W: ChannelModel):
     """
     if not len(codewords):
         raise ValidationError("cannot bin an empty code")
-    n_bins = max(1, math.ceil(codewords.shape[1] * math.log2(W.output_size)))
+    n_bins = entropy_bin_count(codewords.shape[1], W.output_size)
     ents = word_output_entropy(W, codewords)
     bins = np.minimum(n_bins, np.floor(ents).astype(np.int64) + 1)
     best_s = int(np.argmax(np.bincount(bins)))

@@ -17,7 +17,8 @@ types.  The atom values do not depend on the types, so the band is tested
 first: the masses are built only at a batch's first block that reaches the
 band, and a composition with no atom in the band builds none.
 Every entry, single pairs included, takes its words by `codebook.word_array`
-(letters 0..q-1 of W) and refuses a law whose shape is not W's.
+(letters 0..q-1 of W) and draws the outputs from W, the channel the code was
+built for.
 """
 
 from __future__ import annotations
@@ -112,17 +113,17 @@ def _lattice(n: int, logw):
     return values, counts[:-1], prefix
 
 
-def _masses(law, pred, prefix, splits):
+def _masses(probs, pred, prefix, splits):
     """Probabilities of one group's count vectors, then a zero column, a row
     per row of `splits` (its positions per class).  Positions are added one
     at a time, classes in order: each moves every vector's mass one count
-    on, weighted by the class's `law` row."""
-    n, k, ends = int(splits[0].sum()), law.shape[1], np.cumsum(splits, axis=1)
+    on, weighted by the class's row of `probs`."""
+    n, k, ends = int(splits[0].sum()), probs.shape[1], np.cumsum(splits, axis=1)
     mass = np.zeros((2, len(splits), prefix[-1] + 1))
     mass[0, :, 0] = 1.0
     for m in range(n):
         old, new, size = mass[m % 2], mass[1 - m % 2], prefix[m + 1]
-        p = law[(ends <= m).sum(axis=1)]  # the source letter of position m
+        p = probs[(ends <= m).sum(axis=1)]  # the source letter of position m
         np.multiply(old[:, :size], p[:, -1:], out=new[:, :size])
         for y in range(k - 1):
             new[:, :size] += np.take(old, pred[y, :size], axis=1) * p[:, y, None]
@@ -145,25 +146,25 @@ def _atoms(parts, sizes, op, start, stop):
 
 
 class JointTypeDP:
-    """Certified acceptance probabilities of joint types under one (W, law).
+    """Certified acceptance probabilities of joint types under W.
 
     A joint type is a count row over the classes (a, b), class a*q + b.
     Owner letters whose reached outputs take the same k values log2 W(y|b)
     form a group, with C(n_g + k - 1, k - 1) count vectors of its n_g
-    positions; a class's law row is summed over the outputs of each value.
+    positions; a class's row p_c sums W(.|a) over the outputs of each value.
     Caches each group's lattice per n_g; `states_max` is the most atoms of
     one type evaluated.
     """
 
-    def __init__(self, W: ChannelModel, law: ChannelModel | None = None):
-        self.W, q, law_matrix = W, W.n_inputs, _law_matrix(W, law)
-        #: values -> (class ids, owner-major, and the law rows of those classes)
+    def __init__(self, W: ChannelModel):
+        self.W, q = W, W.n_inputs
+        #: values -> (class ids, owner-major, and the rows p_c of those classes)
         self._groups: dict[tuple, tuple] = {}
         for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
             values = tuple(sorted(set(logw[row != 0.0].tolist())))
-            rows = np.stack([law_matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
-            classes, laws = self._groups.get(values, ([], rows[:0]))
-            self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((laws, rows))
+            rows = np.stack([W.matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
+            classes, old = self._groups.get(values, ([], rows[:0]))
+            self._groups[values] = classes + list(range(b, q * q, q)), np.concatenate((old, rows))
         #: 0/1 [class, group]: a count row times it is each group's positions
         self._members = np.zeros((q * q, len(self._groups)), dtype=np.int64)
         for g, (classes, _) in enumerate(self._groups.values()):
@@ -207,8 +208,8 @@ class JointTypeDP:
                                  f"lattice entries of one group exceeds guard {STATE_GUARD}")
         self.states_max = max(self.states_max, max(atoms))
         for own, row, size, types in zip(owners[firsts], positions, atoms, types_of):
-            parts = [(self._lattice(n, values), classes, law)
-                     for n, (values, (classes, law)) in zip(row, self._groups.items()) if n]
+            parts = [(self._lattice(n, values), classes, probs)
+                     for n, (values, (classes, probs)) in zip(row, self._groups.items()) if n]
             values = [lattice[0] for lattice, _, _ in parts]
             shape = [len(v) for v in values]
             theta, h_owner = delta * math.sqrt(own.sum()), float(own @ self.W.entropies)
@@ -224,8 +225,8 @@ class JointTypeDP:
                     if not touch.size:
                         continue
                     if masses is None:  # the batch's first block that reaches the band
-                        masses = [_masses(law, pred, prefix, counts[t][:, classes])
-                                  for (_, pred, prefix), classes, law in parts]
+                        masses = [_masses(probs, pred, prefix, counts[t][:, classes])
+                                  for (_, pred, prefix), classes, probs in parts]
                     inside = dev[touch] <= theta - EDGE_FUZZ
                     for sub in range(0, len(t), ATOM_CHUNK // width):
                         rows = slice(sub, sub + ATOM_CHUNK // width)
@@ -242,9 +243,9 @@ class JointTypeDP:
 def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
     """Chernoff ceilings, in log2, on the typical-set acceptance probability
     of joint types given as count rows, from the tables `count_probs` reads:
-    class c = (a, b) has l_c(s) = log2 sum_v r_c(v) 2^(s v) over owner letter
-    b's group values v and law row r_c, which leaves out the outputs W(.|b)
-    never emits (no accepted word holds one).  By Markov on 2^(s S), a band
+    class c = (a, b) has l_c(s) = log2 sum_v p_c(v) 2^(s v) over owner letter
+    b's group values v and the class's row p_c, which leaves out the outputs
+    W(.|b) never emits (no accepted word holds one).  By Markov on 2^(s S), a band
     mass is at most 2^(L(s) - s edge), L = sum_c n_c l_c, edge -H - theta
     (s > 0) or -H + theta (s < 0) with the band of `hi`.  The least over
     TILTS plus a rounding margin, at most 0; -inf if a class has no live mass.
@@ -253,9 +254,9 @@ def false_accept_bound(dp: JointTypeDP, rows, delta: float) -> np.ndarray:
     """
     q = dp.W.n_inputs
     ell = np.empty((len(TILTS), q * q))
-    for values, (classes, laws) in dp._groups.items():
+    for values, (classes, probs) in dp._groups.items():
         with np.errstate(divide="ignore"):
-            x = np.log2(laws) + TILTS[:, None, None] * np.array(values)  # [s, row, value]
+            x = np.log2(probs) + TILTS[:, None, None] * np.array(values)  # [s, row, value]
             top = np.maximum(np.max(x, axis=2, keepdims=True), -1e300)  # dead: -inf, not nan
             ell[:, classes] = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
     dead = np.isneginf(ell).any(axis=0)
@@ -294,14 +295,6 @@ def _distinct(rows, pairs):
     return rows[starts], np.add.reduceat(pairs[order], starts, dtype=np.int64)
 
 
-def _law_matrix(W: ChannelModel, law: ChannelModel | None) -> np.ndarray:
-    """The rows outputs are drawn from: W's, or `law`'s if it has W's shape."""
-    matrix = (law or W).matrix
-    if matrix.shape != W.matrix.shape:
-        raise ValidationError(f"law of shape {matrix.shape} is not the channel's {W.matrix.shape}")
-    return matrix
-
-
 def _pair_counts(words, q: int, src, own) -> np.ndarray:
     """Joint-type count rows (int64) of the pairs (words[src[p]], words[own[p]])."""
     cls = words[src] * q
@@ -338,28 +331,27 @@ def _type_rows(words, W: ChannelModel):
     return rows[:, 1:], pairs, len(rows) - int(np.count_nonzero(rows[:, 0]))
 
 
-def typical_set_prob(W: ChannelModel, source_word, owner_word, delta: float,
-                     law: ChannelModel | None = None) -> tuple[float, float]:
+def typical_set_prob(W: ChannelModel, source_word, owner_word,
+                     delta: float) -> tuple[float, float]:
     """Certified enclosure of P[Y^n in typical set of owner_word], Y^n drawn
-    from the product law of source_word under `law` (default W); the typical
-    set is always W's, whose log-probabilities are the decoder's reference."""
+    from the product law of source_word under W."""
     words, delta = word_array([source_word, owner_word], W), decoder_width(delta)
-    lo, hi = JointTypeDP(W, law).count_probs(_pair_counts(words, W.n_inputs, [0], [1]), delta)
+    lo, hi = JointTypeDP(W).count_probs(_pair_counts(words, W.n_inputs, [0], [1]), delta)
     return float(lo[0]), float(hi[0])
 
 
-def brute_force_typical_prob(W: ChannelModel, source_word, owner_word, delta: float,
-                             law: ChannelModel | None = None) -> float:
+def brute_force_typical_prob(W: ChannelModel, source_word, owner_word,
+                             delta: float) -> float:
     """Independent enumeration over all |Y|^n outputs (small n only)."""
     source_word, owner_word = word_array([source_word, owner_word], W)
-    delta, law_matrix, n = decoder_width(delta), _law_matrix(W, law), len(owner_word)
+    delta, n = decoder_width(delta), len(owner_word)
     if W.output_size**n > 1 << 22:
         raise SizeGuardError("enumeration too large")
     mass, stat = np.ones(1), np.zeros(1)
     for xs, xo in zip(source_word, owner_word):
         with np.errstate(divide="ignore"):
             logs = np.log2(W.matrix[xo])
-        mass = np.kron(mass, law_matrix[xs])
+        mass = np.kron(mass, W.matrix[xs])
         stat = (stat[:, None] + logs[None, :]).ravel()
     inside = np.abs(stat + word_output_entropy(W, owner_word)) <= delta * math.sqrt(n)
     return float(mass[inside].sum())
@@ -371,27 +363,25 @@ def _exponent(value: float, n: int) -> float:
 
 
 def exact_error_report(code: DICode, W: ChannelModel,
-                       pair_budget: int = DEFAULT_PAIR_BUDGET,
-                       law: ChannelModel | None = None) -> ErrorReport:
+                       pair_budget: int = DEFAULT_PAIR_BUDGET) -> ErrorReport:
     """Certified error intervals and measured exponents via the exact DP.
 
     lambda1 is the worst miss max_j (1 - P_j[own typical set]), lambda2 the
     worst false accept over ordered codeword pairs; each distinct joint type
     evaluated gets the DP once, own and cross types in one `count_probs`
     call.  When N(N-1) exceeds the pair budget, the cross types are ranked
-    by their Chernoff ceilings `false_accept_bound` (read from the DP's law
-    rows, so also under a separate `law`), highest first, ties in row order,
-    and a type is evaluated when fewer than pair_budget pairs precede it;
-    `pairs_exact` counts every pair of an evaluated type.  lambda2's hi
-    keeps the largest skipped ceiling, `analytic_ceiling`: 0 only if no
-    live output word reaches the type, else at least the smallest positive
-    double.  pair_mode is "exhaustive" when every type is evaluated,
-    "pair-bound" when none is, else "screened".  A negative pair_budget
-    raises ValidationError.
+    by their Chernoff ceilings `false_accept_bound`, highest first, ties in
+    row order, and a type is evaluated when fewer than pair_budget pairs
+    precede it; `pairs_exact` counts every pair of an evaluated type.
+    lambda2's hi keeps the largest skipped ceiling, `analytic_ceiling`: 0
+    only if no live output word reaches the type, else at least the
+    smallest positive double.  pair_mode is "exhaustive" when every type
+    is evaluated, "pair-bound" when none is, else "screened".  A negative
+    pair_budget raises ValidationError.
     """
     if pair_budget < 0:
         raise ValidationError(f"pair budget must be >= 0, got {pair_budget}")
-    dp = JointTypeDP(W, law=law)
+    dp = JointTypeDP(W)
     rows, pairs, k = _type_rows(code.codewords, W)  # u_j against u_k's set
     cross, pairs = rows[k:], pairs[k:]
     evaluate, ceiling = np.ones(len(cross), dtype=bool), 0.0
@@ -415,19 +405,20 @@ def exact_error_report(code: DICode, W: ChannelModel,
         dp_types=len(lo), dp_states_max=dp.states_max, pairs_exact=int(pairs[evaluate].sum()))
 
 
-def measure_lambda1(code: DICode, W: ChannelModel,
-                    law: ChannelModel | None = None) -> tuple[float, float]:
+def measure_lambda1(code: DICode, W: ChannelModel) -> tuple[float, float]:
     """Worst-case miss probability max_j (1 - P_j[own typical set]): the
-    `lambda1` of `exact_error_report` at pair budget 0."""
-    return exact_error_report(code, W, 0, law).lambda1
+    `lambda1` of `exact_error_report` at pair budget 0.  Kept only because
+    the benchmark's tracer wraps it by name; call `exact_error_report`."""
+    return exact_error_report(code, W, 0).lambda1
 
 
 def measure_lambda2(code: DICode, W: ChannelModel,
-                    pair_budget: int = DEFAULT_PAIR_BUDGET,
-                    law: ChannelModel | None = None):
+                    pair_budget: int = DEFAULT_PAIR_BUDGET):
     """Worst-case false-accept probability over ordered codeword pairs, as
-    ((lo, hi), pair_mode, analytic_ceiling or 0) of `exact_error_report`."""
-    r = exact_error_report(code, W, pair_budget, law)
+    ((lo, hi), pair_mode, analytic_ceiling or 0) of `exact_error_report`.
+    Kept only because the benchmark's tracer wraps it by name; call
+    `exact_error_report`."""
+    r = exact_error_report(code, W, pair_budget)
     return r.lambda2, r.pair_mode, r.analytic_ceiling or 0.0
 
 
@@ -457,8 +448,7 @@ def _rank(key):
     return key, uniq.size
 
 
-def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
-                       law: ChannelModel | None = None) -> ErrorReport:
+def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int) -> ErrorReport:
     """Empirical error estimates with 95% Wilson intervals.
 
     Per codeword j a generator spawned from the master seed with spawn key
@@ -489,7 +479,7 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int,
     if n * trials > MC_CELL_GUARD:
         raise SizeGuardError(f"Monte Carlo draws of {n} x {trials} symbols "
                              f"exceed guard {MC_CELL_GUARD}")
-    cdf = _law_matrix(W, law).cumsum(axis=1)
+    cdf = W.matrix.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     edges = cdf[:, :-1]
     point_mass = ~((edges > 0.0) & (edges < 1.0)).any(axis=1)

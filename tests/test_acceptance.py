@@ -18,6 +18,7 @@ from dicode.bounds import (
     thm1_lower,
     thm2_upper,
     thm5_stein,
+    thm6_stein,
     trend_lower_point,
     trend_upper_point,
 )
@@ -28,12 +29,10 @@ from dicode.channel import (
     truncate_channel,
 )
 from dicode.cli import main as cli_main
-from dicode.codebook import assemble_code, construct
+from dicode.codebook import assemble_code, construct, word_output_entropy
 from dicode.evaluator import (
     brute_force_typical_prob,
     exact_error_report,
-    measure_lambda1,
-    measure_lambda2,
     typical_set_prob,
 )
 from dicode.geometry import PointCloud, estimate_dimension, max_packing, min_covering
@@ -210,8 +209,8 @@ def test_criterion_7_asymmetric_error_regime():
     ]
     for W, code in evaluated:
         assert code.blocklength <= 10 and W.output_size == 2
-        lam1 = measure_lambda1(code, W)[1]
-        lam2 = measure_lambda2(code, W)[0][1]
+        report = exact_error_report(code, W)
+        lam1, lam2 = report.lambda1[1], report.lambda2[1]
         assert lam1 < 1
         rhs = math.inf if lam2 <= 0 else -math.log2(lam2)
         for j, k in itertools.permutations(range(code.size), 2):
@@ -219,24 +218,29 @@ def test_criterion_7_asymmetric_error_regime():
             Q = product_distribution(W, code.codewords[k])
             assert hypothesis_testing_divergence(P, Q, lam1) >= rhs - 1e-9
 
-    # (c) truncated-channel error inflation within both envelopes
+    # (c) truncated-channel error inflation within both of thm6_stein's
+    # envelopes: P_V[W's typical set] by enumeration of the 3^6 outputs
     W = make_channel(["a", "b"], [[0.9, 0.095, 0.005], [0.25, 0.74, 0.01]])
     delta_trunc = 0.5
     V = truncate_channel(W, delta_trunc, 6)
     code = assemble_code(W, [(0, 0, 1, 0, 1, 0), (1, 1, 0, 1, 0, 1)], delta=0.9)
-    factor = math.exp(2 * delta_trunc)
+    envelopes = thm6_stein(W.output_size, 1e-3, 6, delta_trunc=delta_trunc).extras
+    factor, additive = envelopes["inflation_factor"], envelopes["inflation_additive"]
+    assert (factor, additive) == (math.exp(2 * delta_trunc), delta_trunc / 2)
+    theta = code.delta * math.sqrt(code.blocklength)
     for j, word in enumerate(code.codewords):
-        base_lo, base_hi = typical_set_prob(W, word, word, code.delta)
-        v_lo, v_hi = typical_set_prob(W, word, word, code.delta, law=V)
-        assert 1 - v_hi <= factor * (1 - base_lo) + 1e-9
-        assert 1 - v_hi <= (1 - base_lo) + delta_trunc / 2 + 1e-9
         for k, owner in enumerate(code.codewords):
-            if k == j:
-                continue
+            with np.errstate(divide="ignore"):
+                stat = np.log2(product_distribution(W, owner))
+            typical = np.abs(stat + word_output_entropy(W, owner)) <= theta
+            v = float(product_distribution(V, word)[typical].sum())
             b_lo, b_hi = typical_set_prob(W, word, owner, code.delta)
-            t_lo, t_hi = typical_set_prob(W, word, owner, code.delta, law=V)
-            assert t_lo <= factor * b_hi + 1e-9
-            assert t_lo <= b_hi + delta_trunc / 2 + 1e-9
+            if k == j:  # a miss
+                assert 1 - v <= factor * (1 - b_lo) + 1e-9
+                assert 1 - v <= (1 - b_lo) + additive + 1e-9
+            else:  # a false accept
+                assert v <= factor * b_hi + 1e-9
+                assert v <= b_hi + additive + 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 120
     _report("7 asymmetric error regime", elapsed, 120)

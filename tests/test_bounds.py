@@ -294,6 +294,16 @@ def test_stein_scaling_shapes():
     assert base.value == thm5_stein(0.05, 1.0, delta_part=delta).value
 
 
+def test_thm6_flags_a_blocklength_below_n0():
+    """At E = 1e-3 (alpha 2, lambda 1/2) thm6_stein holds from n0 = 4,000
+    on: its sweep row at n = 100 is flagged, its row at n = 10^5 is not."""
+    low, high = sweep("thm6_stein", [{"y_size": 2, "E": 1e-3, "n": n}
+                                     for n in (100, 10**5)]).points
+    assert low.extras["n0"] == high.extras["n0"] == pytest.approx(4000.0)
+    assert low.flags == ("support-overcount", "precondition-n0-unmet")
+    assert high.flags == ("support-overcount",)
+
+
 def test_trend_recipe_gates():
     ns = [10**k for k in range(3, 10)]
     lows = [trend_lower_point(n).value / math.log2(n) for n in ns]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dicode import evaluator
-from dicode.channel import bernoulli_family, identity_channel, make_channel, truncate_channel
+from dicode.channel import bernoulli_family, identity_channel, make_channel
 from dicode.cli import main
 from dicode.codebook import (
     assemble_code,
@@ -28,8 +28,6 @@ from dicode.evaluator import (
     brute_force_typical_prob,
     choice_letters,
     exact_error_report,
-    measure_lambda1,
-    measure_lambda2,
     monte_carlo_errors,
     typical_set_prob,
     wilson_interval,
@@ -166,10 +164,9 @@ def test_long_bsc_simplex_own_pair_certifies_a_tiny_miss():
 def test_lambda_measurements_identity_code():
     W = identity_channel(2)
     code = construct(W, 6, 1e-5, 1 / 3)
-    assert measure_lambda1(code, W) == (0.0, 0.0)
-    (lo, hi), mode, _ = measure_lambda2(code, W)
-    assert (lo, hi) == (0.0, 0.0)
-    assert mode == "exhaustive"
+    rep = exact_error_report(code, W)
+    assert rep.lambda1 == rep.lambda2 == (0.0, 0.0)
+    assert rep.pair_mode == "exhaustive"
 
 
 def test_lambda_bounds_of_constructed_code():
@@ -188,12 +185,13 @@ def test_lambda2_against_enumeration():
     W = random_channel(rng, 3, 2)
     code = assemble_code(W, [(0, 1, 2, 0, 1), (2, 0, 1, 2, 0), (1, 2, 0, 1, 2)],
                          delta=0.9)
-    (lo, hi), mode, _ = measure_lambda2(code, W)
+    rep = exact_error_report(code, W)
+    lo, hi = rep.lambda2
     want = max(
         brute_force_typical_prob(W, code.codewords[j], code.codewords[k], 0.9)
         for j in range(3) for k in range(3) if j != k)
     assert lo - 1e-12 <= want <= hi + 1e-12
-    l1 = measure_lambda1(code, W)
+    l1 = rep.lambda1
     want1 = max(1 - brute_force_typical_prob(W, w, w, 0.9) for w in code.codewords)
     assert l1[0] - 1e-12 <= want1 <= l1[1] + 1e-12
 
@@ -201,8 +199,6 @@ def test_lambda2_against_enumeration():
 def test_negative_pair_budget_is_refused():
     W = bernoulli_family(2.0, 6)
     code = construct(W, 6, 1e-5, 0.5)
-    with pytest.raises(ValidationError, match="pair budget"):
-        measure_lambda2(code, W, pair_budget=-1)
     with pytest.raises(ValidationError, match="pair budget"):
         exact_error_report(code, W, pair_budget=-1)
 
@@ -217,18 +213,6 @@ def test_pair_bound_only_mode():
     assert rep.lambda2[1] >= full.lambda2[1] - 1e-12
 
 
-def test_pair_bound_under_another_law_encloses_the_value():
-    # with the rows swapped each source word emits the other word's outputs
-    # and is accepted, so the ceiling must read the law's rows, not W's
-    W = make_channel(["a", "b"], [[0.98, 0.02], [0.02, 0.98]])
-    V = make_channel(["a", "b"], [[0.02, 0.98], [0.98, 0.02]])
-    code = assemble_code(W, [(0,) * 2000, (1,) * 2000], delta=10.0)
-    (lo, _), mode, _ = measure_lambda2(code, W, law=V)
-    assert mode == "exhaustive" and lo > 0.99
-    (_, hi), mode, ceiling = measure_lambda2(code, W, 0, law=V)
-    assert mode == "pair-bound" and hi >= lo and ceiling == 1.0
-
-
 def test_monte_carlo_reproducible_and_consistent():
     W = bernoulli_family(2.0, 4)
     code = assemble_code(W, [(0, 2, 1, 3), (1, 3, 2, 0), (2, 0, 3, 1)], delta=0.8)
@@ -238,8 +222,8 @@ def test_monte_carlo_reproducible_and_consistent():
     rep3 = monte_carlo_errors(code, W, trials=4000, seed=43)
     assert rep3 != rep1  # different stream
 
-    exact1 = measure_lambda1(code, W)
-    exact2, _, _ = measure_lambda2(code, W)
+    exact = exact_error_report(code, W)
+    exact1, exact2 = exact.lambda1, exact.lambda2
     # Wilson intervals should overlap the exact enclosures
     assert rep1.lambda1[0] <= exact1[1] + 1e-9
     assert rep1.lambda1[1] >= exact1[0] - 1e-9
@@ -250,7 +234,7 @@ def test_monte_carlo_reproducible_and_consistent():
 def test_monte_carlo_coverage_over_seeds():
     W = make_channel(["a", "b"], [[0.85, 0.15], [0.3, 0.7]])
     code = assemble_code(W, [(0, 0, 1, 0), (1, 1, 0, 1)], delta=0.7)
-    lam1 = measure_lambda1(code, W)
+    lam1 = exact_error_report(code, W).lambda1
     covered = 0
     for seed in range(20):
         rep = monte_carlo_errors(code, W, trials=2000, seed=seed)
@@ -265,20 +249,6 @@ def test_identity_monte_carlo_zero():
     rep = monte_carlo_errors(code, W, trials=500, seed=7)
     assert rep.lambda1[0] == 0.0
     assert rep.lambda2[0] == 0.0
-
-
-def test_truncated_law_evaluation():
-    W = make_channel(["a", "b"],
-                     [[0.9, 0.095, 0.005], [0.25, 0.74, 0.01]])
-    V = truncate_channel(W, 0.5, 6)
-    code = assemble_code(W, [(0, 0, 1, 0, 1, 0), (1, 1, 0, 1, 0, 1)], delta=0.9)
-    base = exact_error_report(code, W)
-    shifted = exact_error_report(code, W, law=V)
-    factor = math.exp(2 * 0.5)
-    assert shifted.lambda1[0] <= factor * base.lambda1[1] + 1e-9
-    assert shifted.lambda1[0] <= base.lambda1[1] + 0.25 + 1e-9
-    assert shifted.lambda2[0] <= factor * base.lambda2[1] + 1e-9
-    assert shifted.lambda2[0] <= base.lambda2[1] + 0.25 + 1e-9
 
 
 def test_wilson_interval_basic():
@@ -316,7 +286,7 @@ def test_oracles_refuse_words_of_unequal_length():
 
 @st.composite
 def word_pair_cases(draw, max_n=7, zeros=False):
-    """(W, law, source, owner, delta): hypothesis picks the alphabet sizes,
+    """(W, source, owner, delta): hypothesis picks the alphabet sizes,
     the words and the zero pattern; a drawn seed gives the continuous values,
     so that no statistic value sits exactly on a band edge."""
     n_in = draw(st.integers(2, 4))
@@ -326,27 +296,22 @@ def word_pair_cases(draw, max_n=7, zeros=False):
     source = tuple(draw(st.lists(letters, min_size=n, max_size=n)))
     owner = tuple(draw(st.lists(letters, min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    matrices = []
-    for _ in range(2):
-        m = rng.random((n_in, n_out)) + 0.05
-        if zeros:
-            # zero out some entries, keeping one positive entry per row
-            cut = rng.random((n_in, n_out)) < 0.3
-            cut[np.arange(n_in), rng.integers(0, n_out, n_in)] = False
-            m[cut] = 0.0
-        matrices.append(m / m.sum(axis=1, keepdims=True))
-    labels = [str(i) for i in range(n_in)]
-    W = make_channel(labels, matrices[0])
-    law = make_channel(labels, matrices[1]) if draw(st.booleans()) else None
-    return W, law, source, owner, float(rng.uniform(0.2, 1.5))
+    m = rng.random((n_in, n_out)) + 0.05
+    if zeros:
+        # zero out some entries, keeping one positive entry per row
+        cut = rng.random((n_in, n_out)) < 0.3
+        cut[np.arange(n_in), rng.integers(0, n_out, n_in)] = False
+        m[cut] = 0.0
+    W = make_channel([str(i) for i in range(n_in)], m / m.sum(axis=1, keepdims=True))
+    return W, source, owner, float(rng.uniform(0.2, 1.5))
 
 
 @settings(max_examples=60, deadline=None)
 @given(word_pair_cases(zeros=True))
 def test_typical_set_prob_encloses_enumeration(case):
-    W, law, source, owner, delta = case
-    lo, hi = typical_set_prob(W, source, owner, delta, law=law)
-    truth = brute_force_typical_prob(W, source, owner, delta, law=law)
+    W, source, owner, delta = case
+    lo, hi = typical_set_prob(W, source, owner, delta)
+    truth = brute_force_typical_prob(W, source, owner, delta)
     assert lo - 1e-12 <= truth <= hi + 1e-12
     assert hi - lo <= 1e-6
 
@@ -354,19 +319,19 @@ def test_typical_set_prob_encloses_enumeration(case):
 @settings(max_examples=40, deadline=None)
 @given(word_pair_cases(max_n=10, zeros=True), st.randoms(use_true_random=False))
 def test_typical_set_prob_invariant_under_position_permutation(case, random):
-    W, law, source, owner, delta = case
+    W, source, owner, delta = case
     order = list(range(len(source)))
     random.shuffle(order)
     permuted = typical_set_prob(W, [source[i] for i in order], [owner[i] for i in order],
-                                delta, law=law)
+                                delta)
     assert [v.hex() for v in permuted] == [
-        v.hex() for v in typical_set_prob(W, source, owner, delta, law=law)]
+        v.hex() for v in typical_set_prob(W, source, owner, delta)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(word_pair_cases(max_n=8, zeros=True), st.data())
 def test_measurements_equal_per_pair_calls(case, data):
-    W, law, source, owner, delta = case
+    W, source, owner, delta = case
     n_in, n = W.n_inputs, len(source)
     extra = data.draw(st.lists(st.lists(st.integers(0, n_in - 1), min_size=n, max_size=n)
                                .map(tuple), max_size=3))
@@ -374,14 +339,13 @@ def test_measurements_equal_per_pair_calls(case, data):
     if len(words) < 2:
         return
     code = assemble_code(W, words, delta=delta)
-    per_pair = [typical_set_prob(W, words[j], words[k], code.delta, law=law)
+    per_pair = [typical_set_prob(W, words[j], words[k], code.delta)
                 for j in range(len(words)) for k in range(len(words)) if j != k]
-    (lo, hi), mode, _ = measure_lambda2(code, W, law=law)
-    assert mode == "exhaustive"
-    assert (lo, hi) == (max(p[0] for p in per_pair), max(p[1] for p in per_pair))
-    own = [typical_set_prob(W, w, w, code.delta, law=law) for w in words]
-    assert measure_lambda1(code, W, law=law) == (max(1.0 - p[1] for p in own),
-                                                  max(1.0 - p[0] for p in own))
+    rep = exact_error_report(code, W)
+    assert rep.pair_mode == "exhaustive"
+    assert rep.lambda2 == (max(p[0] for p in per_pair), max(p[1] for p in per_pair))
+    own = [typical_set_prob(W, w, w, code.delta) for w in words]
+    assert rep.lambda1 == (max(1.0 - p[1] for p in own), max(1.0 - p[0] for p in own))
 
 
 #: dyadic output distributions: their log-probabilities are integers, so
@@ -391,9 +355,9 @@ DYADIC = [(1.0,), (0.5, 0.5), (0.5, 0.25, 0.25), (0.25,) * 4, (0.5, 0.25, 0.125,
 
 @st.composite
 def code_cases(draw, max_n=6, max_words=5):
-    """(W, law, words, delta): distinct words of one length; W is either a
+    """(W, words, delta): distinct words of one length; W is either a
     random channel with zeros or, half of the time, a dyadic one."""
-    W, law, source, owner, delta = draw(word_pair_cases(max_n=max_n, zeros=True))
+    W, source, owner, delta = draw(word_pair_cases(max_n=max_n, zeros=True))
     if draw(st.booleans()):
         rows = []
         for _ in range(W.n_inputs):
@@ -404,25 +368,25 @@ def code_cases(draw, max_n=6, max_words=5):
     word = st.lists(st.integers(0, W.n_inputs - 1), min_size=len(source),
                     max_size=len(source)).map(tuple)
     extra = draw(st.lists(word, max_size=max_words - 2))
-    return W, law, list(dict.fromkeys([source, owner] + extra)), delta
+    return W, list(dict.fromkeys([source, owner] + extra)), delta
 
 
-def assert_batch_equals_single_pairs(W, law, words, delta):
+def assert_batch_equals_single_pairs(W, words, delta):
     """One batched evaluation of every ordered pair's joint type gives each
     type the interval of `typical_set_prob` on that pair alone, bit for bit."""
     q = W.n_inputs
     rows = sorted({tuple(type_row(q, a, b)) for a in words for b in words})
-    batched = dict(zip(rows, zip(*JointTypeDP(W, law=law).count_probs(np.array(rows), delta))))
+    batched = dict(zip(rows, zip(*JointTypeDP(W).count_probs(np.array(rows), delta))))
     for a in words:
         for b in words:
-            single = typical_set_prob(W, a, b, delta, law=law)
+            single = typical_set_prob(W, a, b, delta)
             assert ([v.hex() for v in batched[tuple(type_row(q, a, b))]]
                     == [v.hex() for v in single])
 
 
 #: source letters 0 and 1 share owner letter 0, so one owner letter's count
-#: vectors take their mass from two law rows
-SHARED_OWNER_CASE = (make_channel(["a", "b"], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]), None,
+#: vectors take their mass from two rows of W
+SHARED_OWNER_CASE = (make_channel(["a", "b"], [[0.2, 0.3, 0.5], [0.6, 0.3, 0.1]]),
                      [(0, 0, 1, 1), (0, 0, 0, 0), (1, 1, 0, 0)], 0.7)
 
 
@@ -448,7 +412,7 @@ def test_type_rows_equal_at_every_chunk_size(case):
     np.unique's byte order, in the narrowest dtype holding n, at chunks of
     one pair (ATOM_CHUNK 1 and 3), of several and of all; a repeated word
     keeps its own type and its cross pairs apart."""
-    W, _, words, _ = case
+    W, words, _ = case
     q, dtype = W.n_inputs, np.min_scalar_type(len(words[0]))
     for words in (words, words + words[:1]):
         want_own = Counter(tuple(type_row(q, a, a)) for a in words)
@@ -517,16 +481,16 @@ def gathered_count_probs(dp, counts, delta):
     for own in np.unique(owners, axis=0):
         types = np.flatnonzero((owners == own).all(axis=1))
         row = counts[types[0]]
-        parts = [(dp._lattice(int(row[classes].sum()), values), classes, law)
-                 for values, (classes, law) in dp._groups.items() if row[classes].any()]
+        parts = [(dp._lattice(int(row[classes].sum()), values), classes, probs)
+                 for values, (classes, probs) in dp._groups.items() if row[classes].any()]
         shape = [len(lattice[0]) for lattice, _, _ in parts]
         size = math.prod(shape)
         theta, h_owner = delta * math.sqrt(own.sum()), float(own @ dp.W.entropies)
         width = min(size, evaluator.ATOM_CHUNK)
         for first in range(0, len(types), evaluator.ATOM_CHUNK // width):
             t = types[first:first + evaluator.ATOM_CHUNK // width]
-            masses = [evaluator._masses(law, pred, prefix, counts[t][:, classes])
-                      for (_, pred, prefix), classes, law in parts]
+            masses = [evaluator._masses(probs, pred, prefix, counts[t][:, classes])
+                      for (_, pred, prefix), classes, probs in parts]
             for start in range(0, size, width):
                 idx = np.unravel_index(np.arange(start, min(start + width, size)), shape)
                 dev = np.abs(sum(lat[0][i] for (lat, _, _), i in zip(parts, idx)) + h_owner)
@@ -539,10 +503,10 @@ def gathered_count_probs(dp, counts, delta):
 
 
 #: SHARED_OWNER_CASE at a delta whose band misses every atom of its types
-SHARED_OWNER_NO_ATOM = SHARED_OWNER_CASE[:3] + (0.01,)
+SHARED_OWNER_NO_ATOM = SHARED_OWNER_CASE[:2] + (0.01,)
 #: SHARED_OWNER_CASE at a delta where, at ATOM_CHUNK 4, an owner
 #: composition's first block of atoms misses the band and its second reaches it
-SHARED_OWNER_LATE_BLOCK = SHARED_OWNER_CASE[:3] + (0.1,)
+SHARED_OWNER_LATE_BLOCK = SHARED_OWNER_CASE[:2] + (0.1,)
 
 
 @settings(max_examples=40, deadline=None)
@@ -555,12 +519,12 @@ def test_count_probs_equals_gathered_atom_sums(case, chunk):
     outputs) gets the interval of the unravel/gather atom sum, which builds
     every composition's masses; at ATOM_CHUNK 4, 5 and 64 blocks end inside
     rows and a call's types span several chunks."""
-    W, law, words, delta = case
+    W, words, delta = case
     q = W.n_inputs
     rows = np.unique([type_row(q, a, b) for a in words for b in words], axis=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "ATOM_CHUNK", chunk)
-        dp = JointTypeDP(W, law=law)
+        dp = JointTypeDP(W)
         got = dp.count_probs(rows, delta)
         want = gathered_count_probs(dp, rows, delta)
     assert [v.hex() for v in np.concatenate(got).tolist()] == [
@@ -578,7 +542,7 @@ def test_count_probs_of_concatenated_rows_equals_separate_calls(case, chunk):
     """The own and cross rows a report evaluates together get, bit for bit,
     the intervals of two separate calls, at ATOM_CHUNK values small enough
     to split mass chunks, type sub-chunks and atom blocks."""
-    W, law, words, delta = case
+    W, words, delta = case
     q = W.n_inputs
     own = np.unique([type_row(q, a, a) for a in words], axis=0)
     cross = np.array([type_row(q, a, b) for a in words for b in words if a != b],
@@ -586,8 +550,8 @@ def test_count_probs_of_concatenated_rows_equals_separate_calls(case, chunk):
     cross = np.unique(cross, axis=0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "ATOM_CHUNK", chunk)
-        joint = JointTypeDP(W, law=law).count_probs(np.concatenate((own, cross)), delta)
-        dp = JointTypeDP(W, law=law)
+        joint = JointTypeDP(W).count_probs(np.concatenate((own, cross)), delta)
+        dp = JointTypeDP(W)
         apart = [dp.count_probs(rows, delta) for rows in (own, cross)]
     assert hexes(joint) == hexes([np.concatenate(p) for p in zip(*apart)])
 
@@ -598,14 +562,14 @@ def test_lambda2_screened_mode_is_upper_bound(case):
     """At every pair budget from 0 to N(N-1) the screened interval encloses
     the exhaustive one, the DP covers at least the budget's pairs, and the
     mode is exhaustive exactly when it covers every pair."""
-    W, law, words, delta = case
+    W, words, delta = case
     if len(words) < 2:
         return
     code = assemble_code(W, words, delta=delta)
     pairs = code.size * (code.size - 1)
-    full, _, _ = measure_lambda2(code, W, law=law)
+    full = exact_error_report(code, W).lambda2
     for budget in range(pairs + 1):
-        rep = exact_error_report(code, W, budget, law=law)
+        rep = exact_error_report(code, W, budget)
         (lo, hi), mode, ceiling = rep.lambda2, rep.pair_mode, rep.analytic_ceiling or 0.0
         assert lo <= full[0] and hi >= full[1]
         assert 0.0 <= ceiling <= 1.0
@@ -616,30 +580,30 @@ def test_lambda2_screened_mode_is_upper_bound(case):
 @settings(max_examples=60, deadline=None)
 @given(word_pair_cases(zeros=True))
 def test_chernoff_ceiling_bounds_dp_and_enumeration(case):
-    """With and without a separate law, the ceiling is at least the DP's hi
-    and the enumerated acceptance probability."""
-    W, law, source, owner, delta = case
-    dp, row = JointTypeDP(W, law=law), [type_row(W.n_inputs, source, owner)]
+    """The ceiling is at least the DP's hi and the enumerated acceptance
+    probability."""
+    W, source, owner, delta = case
+    dp, row = JointTypeDP(W), [type_row(W.n_inputs, source, owner)]
     ceiling = 2.0 ** evaluator.false_accept_bound(dp, row, delta)[0]
     assert ceiling >= dp.count_probs(row, delta)[1][0]
-    assert ceiling >= min(1.0, brute_force_typical_prob(W, source, owner, delta, law=law))
+    assert ceiling >= min(1.0, brute_force_typical_prob(W, source, owner, delta))
 
 
-def owner_major_false_accept_bound(W, law, rows, delta):
+def owner_major_false_accept_bound(W, rows, delta):
     """`false_accept_bound` as it was computed from groups of owner letters:
-    the law rows owner-major, and class a*q + b scattered from row
+    the class rows owner-major, and class a*q + b scattered from row
     (position of b)*q + a."""
     q, tilts = W.n_inputs, evaluator.TILTS
     groups = {}
     for b, (row, logw) in enumerate(zip(W.matrix, W.log2)):
         values = tuple(sorted(set(logw[row != 0.0].tolist())))
-        laws = np.stack([(law or W).matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
-        letters, before = groups.get(values, ([], laws[:0]))
-        groups[values] = letters + [b], np.concatenate((before, laws))
+        probs = np.stack([W.matrix[:, logw == v].sum(axis=1) for v in values], axis=1)
+        letters, before = groups.get(values, ([], probs[:0]))
+        groups[values] = letters + [b], np.concatenate((before, probs))
     ell = np.empty((len(tilts), q * q))
-    for values, (letters, laws) in groups.items():
+    for values, (letters, probs) in groups.items():
         with np.errstate(divide="ignore"):
-            x = np.log2(laws) + tilts[:, None, None] * np.array(values)
+            x = np.log2(probs) + tilts[:, None, None] * np.array(values)
             top = np.maximum(np.max(x, axis=2, keepdims=True), -1e300)
             lse = top[..., 0] + np.log2(np.exp2(x - top).sum(axis=2))
         ell[:, (np.arange(q) * q + np.array(letters)[:, None]).ravel()] = lse
@@ -658,15 +622,14 @@ def owner_major_false_accept_bound(W, law, rows, delta):
 @given(code_cases(max_n=8))
 @example(SHARED_OWNER_CASE)
 def test_chernoff_ceilings_read_the_class_table(case):
-    """Bit for bit, with and without a separate law, the ceilings of every
-    type row of a random channel (2-4 inputs, 2-4 outputs) are those of the
-    owner-major scatter the class ids replace."""
-    W, law, words, delta = case
+    """Bit for bit, the ceilings of every type row of a random channel (2-4
+    inputs, 2-4 outputs) are those of the owner-major scatter the class ids
+    replace."""
+    W, words, delta = case
     rows = np.unique([type_row(W.n_inputs, a, b) for a in words for b in words], axis=0)
-    for law in (law, None):
-        got = evaluator.false_accept_bound(JointTypeDP(W, law=law), rows, delta)
-        want = owner_major_false_accept_bound(W, law, rows, delta)
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    got = evaluator.false_accept_bound(JointTypeDP(W), rows, delta)
+    want = owner_major_false_accept_bound(W, rows, delta)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 #: the frozen BERN6 n=10 code that the benchmark certifies
@@ -739,7 +702,7 @@ def test_chunked_chernoff_ceilings_equal_whole_table(chunk, count):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(evaluator, "ATOM_CHUNK", chunk)
         got = evaluator.false_accept_bound(JointTypeDP(W), cross, code.delta)
-    want = owner_major_false_accept_bound(W, None, cross, code.delta)
+    want = owner_major_false_accept_bound(W, cross, code.delta)
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
@@ -789,17 +752,20 @@ def test_chernoff_ceiling_of_dead_and_underflowing_types():
     row = [type_row(2, (0, 1, 1), (0, 1, 0))]
     assert evaluator.false_accept_bound(JointTypeDP(W), row, 0.5)[0] == -np.inf
     code = assemble_code(W, [(0, 1, 1), (0, 1, 0)], delta=0.5)
-    assert measure_lambda2(code, W, 0) == ((0.0, 0.0), "pair-bound", 0.0)
+    rep = exact_error_report(code, W, 0)
+    assert (rep.lambda2, rep.pair_mode, rep.analytic_ceiling) == ((0.0, 0.0), "pair-bound", 0.0)
     # BSC(0.01), all zeros against all ones at n = 300: about 2^-1900
     W = make_channel(["0", "1"], [[0.99, 0.01], [0.01, 0.99]])
     code = assemble_code(W, [(0,) * 300, (1,) * 300], delta=1.0)
     row = [type_row(2, code.codewords[0], code.codewords[1])]
     assert -np.inf < evaluator.false_accept_bound(JointTypeDP(W), row, code.delta)[0] < -1075
-    assert measure_lambda2(code, W, 0) == ((0.0, 5e-324), "pair-bound", 5e-324)
+    rep = exact_error_report(code, W, 0)
+    assert (rep.lambda2, rep.pair_mode, rep.analytic_ceiling) \
+        == ((0.0, 5e-324), "pair-bound", 5e-324)
 
 
 def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
-    """Class (0, 1) is dead: law row 0 puts no mass where W row 1 is positive,
+    """Class (0, 1) is dead: W row 0 puts no mass where W row 1 is positive,
     so every type holding it has interval [0, 0].  With a small ATOM_CHUNK
     the batch mixes types summed in several chunks with one-chunk types that
     share a block of rows."""
@@ -810,7 +776,7 @@ def test_batch_mixes_large_adds_and_dead_classes(monkeypatch):
     dp = JointTypeDP(W)
     dp.count_probs(np.unique([type_row(3, a, b) for a in words for b in words], axis=0), 0.8)
     assert dp.states_max > 8
-    assert_batch_equals_single_pairs(W, None, words, 0.8)
+    assert_batch_equals_single_pairs(W, words, 0.8)
     assert typical_set_prob(W, words[0], words[1], 0.8) == (0.0, 0.0)
 
 
@@ -859,9 +825,9 @@ def test_mass_chunks_stay_within_atom_chunk(monkeypatch):
     assert dp.states_max == 84**2
     batches, build = [], evaluator._masses
 
-    def masses(law, pred, prefix, splits):
+    def masses(probs, pred, prefix, splits):
         batches.append(len(splits) * (int(prefix[-1]) + 1))
-        return build(law, pred, prefix, splits)
+        return build(probs, pred, prefix, splits)
 
     monkeypatch.setattr(evaluator, "_masses", masses)
     monkeypatch.setattr(evaluator, "ATOM_CHUNK", 1 << 12)
@@ -889,16 +855,16 @@ def test_masses_are_built_only_where_the_band_has_an_atom(monkeypatch):
     atom, a report builds none and each type reads exactly [0.0, 0.0]."""
     calls, build = [], evaluator._masses
 
-    def masses(law, pred, prefix, splits):
+    def masses(probs, pred, prefix, splits):
         calls.append(len(splits))
-        return build(law, pred, prefix, splits)
+        return build(probs, pred, prefix, splits)
 
     monkeypatch.setattr(evaluator, "_masses", masses)
     W = bernoulli_family(2.0, 6)
     code = code_from_json(BERN6_CODE.read_text())
     assert exact_error_report(code, W).lambda2 == (0.35589599609375,) * 2
     assert (len(calls), sum(calls)) == (4, 466)
-    W, _, words, delta = SHARED_OWNER_NO_ATOM
+    W, words, delta = SHARED_OWNER_NO_ATOM
     calls.clear()
     rows = np.unique([type_row(W.n_inputs, a, b) for a in words for b in words], axis=0)
     assert hexes(JointTypeDP(W).count_probs(rows, delta)) == [(0.0).hex()] * (2 * len(rows))
@@ -907,10 +873,9 @@ def test_masses_are_built_only_where_the_band_has_an_atom(monkeypatch):
     assert calls == []
 
 
-def per_trial_monte_carlo(code, W, trials, seed, law=None):
+def per_trial_monte_carlo(code, W, trials, seed):
     """Reference scorer: every trial scored on its own, in trial order; the
     distinct output words are counted separately with np.unique(axis=1)."""
-    law_matrix = (law or W).matrix
     n = code.blocklength
     theta = code.delta * math.sqrt(n)
     h = np.array([word_output_entropy(W, w) for w in code.codewords])
@@ -927,7 +892,7 @@ def per_trial_monte_carlo(code, W, trials, seed, law=None):
         # outputs: n x trials symbols drawn letterwise
         y = np.empty((n, trials), dtype=np.int64)
         for i, x in enumerate(word):
-            y[i] = rng.choice(W.output_size, size=trials, p=law_matrix[x])
+            y[i] = rng.choice(W.output_size, size=trials, p=W.matrix[x])
         distinct += np.unique(y, axis=1).shape[1]
         accepted = np.zeros(code.size, dtype=np.int64)
         for start in range(0, trials, evaluator.MC_BLOCK):
@@ -957,15 +922,15 @@ def per_trial_monte_carlo(code, W, trials, seed, law=None):
 @settings(max_examples=40, deadline=None)
 @given(word_pair_cases(max_n=8, zeros=True), st.data())
 def test_monte_carlo_equals_per_trial_scoring(case, data):
-    W, law, source, owner, delta = case
+    W, source, owner, delta = case
     n = len(source)
     word = st.lists(st.integers(0, W.n_inputs - 1), min_size=n, max_size=n).map(tuple)
     extra = data.draw(st.lists(st.just(owner) | word, max_size=3))
     code = assemble_code(W, list(dict.fromkeys([source] + extra)), delta=delta)
     trials = data.draw(st.sampled_from([1, 511, 512, 513, 1500]) | st.integers(1, 1200))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    assert (monte_carlo_errors(code, W, trials, seed, law=law).to_json()
-            == per_trial_monte_carlo(code, W, trials, seed, law=law).to_json())
+    assert (monte_carlo_errors(code, W, trials, seed).to_json()
+            == per_trial_monte_carlo(code, W, trials, seed).to_json())
 
 
 @pytest.mark.parametrize("rows, words", [
@@ -984,29 +949,25 @@ def test_monte_carlo_long_words_rank_keys(rows, words):
     assert rep.to_json() == per_trial_monte_carlo(code, W, trials=1500, seed=3).to_json()
 
 
-#: full-support rows, and the same rows with input 1 a point mass on output 1
-FULL3 = [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.1, 0.3, 0.6]]
+#: full-support rows but input 1, a point mass on output 1
 POINT3 = [[0.5, 0.3, 0.2], [0.0, 1.0, 0.0], [0.1, 0.3, 0.6]]
 ID3_WORDS = [(0, 1, 2, 0, 1, 2), (1, 1, 2, 2, 0, 0), (2, 0, 0, 1, 1, 2), (0, 1, 2, 0, 1, 1)]
 
 
-@pytest.mark.parametrize("W, law, words, delta", [
+@pytest.mark.parametrize("W, words, delta", [
     # BERN6 rows 0 (x = 0) and 1 (x = 1) are point masses, rows 2 and 4 are not
-    (bernoulli_family(2.0, 6), None,
+    (bernoulli_family(2.0, 6),
      [(0, 1, 2, 4, 2, 4, 0, 1), (2, 2, 4, 4, 1, 0, 2, 4), (1, 4, 2, 0, 4, 2, 2, 1),
       (0, 0, 1, 1, 2, 2, 4, 4)], 1.0),
-    (make_channel(["a", "b", "c"], FULL3), make_channel(["a", "b", "c"], POINT3),
-     ID3_WORDS, 0.6),
-    (make_channel(["a", "b", "c"], POINT3), make_channel(["a", "b", "c"], FULL3),
-     ID3_WORDS, 0.6),
+    (make_channel(["a", "b", "c"], POINT3), ID3_WORDS, 0.6),
     # every position skips its draws
-    (identity_channel(3), None, ID3_WORDS, 0.6),
-], ids=["bern6-mixed", "law-point-mass", "W-point-mass", "identity"])
-def test_monte_carlo_point_mass_rows(W, law, words, delta):
+    (identity_channel(3), ID3_WORDS, 0.6),
+], ids=["bern6-mixed", "W-point-mass", "identity"])
+def test_monte_carlo_point_mass_rows(W, words, delta):
     code = assemble_code(W, words, delta=delta)
     for trials, seed in ((1, 0), (700, 5), (3000, 11)):
-        assert (monte_carlo_errors(code, W, trials, seed, law=law).to_json()
-                == per_trial_monte_carlo(code, W, trials, seed, law=law).to_json())
+        assert (monte_carlo_errors(code, W, trials, seed).to_json()
+                == per_trial_monte_carlo(code, W, trials, seed).to_json())
 
 
 def test_monte_carlo_identity_code_draws_nothing(monkeypatch):
@@ -1205,8 +1166,8 @@ def test_bern6_outputs_of_equal_log_probability_share_a_count():
 
 def test_permuted_rows_share_a_lattice_and_enclose_enumeration():
     """Rows that permute one distribution (some entries zero) give every
-    owner letter the same values, so all letters form one group; with and
-    without a separate law, the interval encloses the enumeration."""
+    owner letter the same values, so all letters form one group; the
+    interval encloses the enumeration."""
     rng = np.random.default_rng(3)
     for trial in range(60):
         k, q, n = int(rng.integers(2, 5)), int(rng.integers(2, 4)), int(rng.integers(1, 9))
@@ -1214,15 +1175,10 @@ def test_permuted_rows_share_a_lattice_and_enclose_enumeration():
         base[0] += 0.05
         W = make_channel([str(i) for i in range(q)],
                          [rng.permutation(base / base.sum()) for _ in range(q)])
-        law = None
-        if trial % 2:
-            m = rng.random((q, k)) * (rng.random((q, k)) > 0.2)
-            m[:, 0] += 0.02
-            law = make_channel([str(i) for i in range(q)], m / m.sum(axis=1, keepdims=True))
         source, owner = (tuple(int(v) for v in rng.integers(0, q, n)) for _ in range(2))
         delta = float(rng.uniform(0.1, 1.5))
-        truth = brute_force_typical_prob(W, source, owner, delta, law)
-        assert encloses(typical_set_prob(W, source, owner, delta, law), truth, rel=1e-12)
+        truth = brute_force_typical_prob(W, source, owner, delta)
+        assert encloses(typical_set_prob(W, source, owner, delta), truth, rel=1e-12)
 
 
 def test_symmetric_channel_letters_share_one_lattice():
@@ -1400,29 +1356,6 @@ def test_every_entry_applies_the_one_word_rule(entry, words):
     entry([(0, 1, 1, 0), (1, 0, 1, 0)])  # the same entry takes good words
     with pytest.raises(ValidationError):
         entry(words)
-
-
-#: laws whose shape is not BSC's: BSC's rows plus a third, one input, three outputs
-BAD_LAWS = {
-    "three-inputs": make_channel(list("abc"), [[0.9, 0.1], [0.1, 0.9], [0.5, 0.5]]),
-    "one-input": make_channel(["a"], [[0.5, 0.5]]),
-    "three-outputs": make_channel(["a", "b"], [[0.8, 0.1, 0.1], [0.1, 0.1, 0.8]]),
-}
-
-
-@pytest.mark.parametrize("law", BAD_LAWS.values(), ids=BAD_LAWS.keys())
-def test_law_must_have_the_channels_shape(law):
-    """Both owner letters of BSC share one lattice group, so a 3-input law
-    had its rows read out of line: the DP certified [0.0207, 0.0207] for
-    the pair below, whose brute-force probability is 0.8857."""
-    word = (0, 1, 1, 0, 1, 0)
-    code = assemble_code(BSC, [word, (1, 1, 0, 0, 1, 1)], delta=1.0)
-    for evaluate in (lambda: typical_set_prob(BSC, word, word, 1.0, law=law),
-                     lambda: brute_force_typical_prob(BSC, word, word, 1.0, law=law),
-                     lambda: exact_error_report(code, BSC, law=law),
-                     lambda: monte_carlo_errors(code, BSC, trials=10, seed=1, law=law)):
-        with pytest.raises(ValidationError, match="law of shape"):
-            evaluate()
 
 
 @pytest.mark.parametrize("delta", [math.nan, -1.0, math.inf, True, "1"])
