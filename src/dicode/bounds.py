@@ -195,9 +195,10 @@ def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
             - H(t,1-t) - log2(ceil(n))/n          (default t = E^(1/4))
     upper = log2 log_sqrt(a)( a / sqrt(1 - e^-E/2) )
 
-    Both are also reported normalized by log2 log2 (1/E).  When the inner
-    logarithm of the lower bound is nonpositive the lower value is NaN and
-    flagged 'lower-undefined' (the bound is vacuous there).
+    Both are also reported normalized by log2 log2 (1/E), and both extras
+    hold the t used.  When the inner logarithm of the lower bound is
+    nonpositive the lower value is NaN and flagged 'lower-undefined' (the
+    bound is vacuous there).
     """
     if a <= 1 or E <= 0 or n < 1:
         raise ValidationError("need a > 1, E > 0, n >= 1")
@@ -222,7 +223,7 @@ def ex1_bernoulli(a: float, E: float, n: int, t: float | None = None):
     loglog = math.log2(math.log2(1.0 / E))
     return BoundPoint(lower, tuple(flags),
                       extras={"normalized": lower - loglog, "t": t}), \
-        BoundPoint(upper, (), extras={"normalized": upper - loglog})
+        BoundPoint(upper, (), extras={"normalized": upper - loglog, "t": t})
 
 
 def _log2_hamming_volume(q: int, n: int, radius: int) -> float:
@@ -455,9 +456,12 @@ def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
     """Evaluate one formula over an explicit list of grid-point dicts, in order.
 
     The formula's function is looked up by name at call time, and a grid key
-    it lacks takes that function's default.  A channel formula without W, a
-    grid point lacking a parameter with no default, or a grid point with
-    y_size alongside W raises ValidationError.
+    it lacks takes that function's default.  The curve's grid records every
+    parameter each call used but the channel: a default, the channel's
+    y_size, and for a default of None the value the point's extras report
+    under the key's name.  A channel formula without W, a grid point lacking
+    a parameter with no default, or a grid point with y_size alongside W
+    raises ValidationError.
     """
     if formula_id not in FORMULAS:
         raise ValidationError(f"unknown formula id {formula_id!r}")
@@ -475,9 +479,13 @@ def sweep(formula_id: str, grid, W: ChannelModel | None = None) -> BoundCurve:
         if key not in fixed and any(key not in g for g in grid):
             raise ValidationError(f"formula {formula_id!r} needs grid parameter {key!r}")
     optional = dict(zip(keys[required:], defaults))
-    points = tuple(evaluate(*map({**optional, **g, **fixed}.__getitem__, keys)) for g in grid)
+    calls = [{**optional, **g, **fixed} for g in grid]
+    points = tuple(evaluate(*map(call.__getitem__, keys)) for call in calls)
     if half is not None:
         points = tuple(p[half] for p in points)
     if flags:
         points = tuple(replace(p, flags=p.flags + tuple(flags)) for p in points)
-    return BoundCurve(formula_id, grid, points)
+    used = tuple({**g, **{key: p.extras[key] if call[key] is None else call[key]
+                          for key in keys if key != "W" and key not in g}}
+                 for g, call, p in zip(grid, calls, points))
+    return BoundCurve(formula_id, used, points)

@@ -50,6 +50,8 @@ DEFAULT_PAIR_BUDGET = 10**6
 WILSON_Z = 1.959963984540054
 #: distinct Monte Carlo output words scored per block; N x block stays in cache
 MC_BLOCK = 512
+#: score all |Y|^n output words once if they fit this many (word, owner) entries
+MC_TABLE_CELLS = 1 << 20
 #: refuse Monte Carlo draws of more than this many n x trials symbols
 MC_CELL_GUARD = 1 << 26
 
@@ -68,7 +70,9 @@ class ErrorReport:
     dp_types: int | None = None       # distinct joint types evaluated
     dp_states_max: int | None = None  # largest lattice of one type (atoms)
     pairs_exact: int | None = None    # ordered pairs covered by the exact DP
-    mc_words_scored: int | None = None  # distinct MC output words, summed
+    # distinct MC output words each codeword drew, summed over codewords,
+    # whether scored per codeword or read from the whole output space's table
+    mc_words_scored: int | None = None
 
     def to_json(self) -> str:
         """Every field, lambdas as {"lo", "hi"} and exponents as E1/E2_measured."""
@@ -438,8 +442,26 @@ def wilson_interval(successes: int, trials: int):
 
 def choice_letters(cdf, u, out):
     """Letters Generator.choice(p=p) draws from uniforms u, given its CDF of p
-    (cumsum / last entry): the count of edges <= u; the last, 1.0, never is."""
+    (cumsum / last entry): the count of edges <= u; the last, 1.0, never is.
+    Two outputs have one edge, so one compare."""
+    if len(cdf) == 2:
+        return np.greater_equal(u, cdf[0], out=out)
     return (u >= cdf[:-1, None]).sum(axis=0, dtype=out.dtype, out=out)
+
+
+def _accept_table(tables, h, theta):
+    """Owner tests of every output word, a 0/1 float64 [word, owner] table:
+    word w's letters are its digits in radix |Y|, position 0 most
+    significant.  The statistic grows one position at a time over the
+    words' prefixes, so each (word, owner) cell is summed in position order
+    from 0.0, as scoring the word alone sums it; the last step holds the
+    table and its prefixes one position shorter."""
+    stat = np.zeros((1, tables.shape[2]))
+    for logs in tables:  # |Y| x N: log2 W(y | owner letter) at this position
+        stat = (stat[:, None, :] + logs).reshape(-1, stat.shape[1])
+    stat += h
+    np.abs(stat, out=stat)
+    return np.less_equal(stat, theta, out=stat)
 
 
 def _rank(key):
@@ -457,12 +479,25 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int) ->
     stream); they score the owner test of u_j (first kind) and every other
     test (second kind).  A point-mass letter (no CDF edge strictly inside
     (0, 1)) takes no draws: the PCG64 stream is advanced by `trials` doubles.
-    Each codeword's distinct output words (`mc_words_scored`, summed) are
-    scored once and weighted by their counts, keyed by their random letters
-    in mixed radix, ranked by np.unique wherever the key span would pass
-    2^63 or, at the end, `trials`, and counted by np.bincount.  Results are
-    bit-identical to scoring every trial.  MC_CELL_GUARD bounds n x trials;
-    a negative seed raises ValidationError.
+    Either way the draws are the same; two paths score them:
+
+    - Whole output space: when it has S = |Y|^n <= trials words and S x N is
+      at most MC_TABLE_CELLS entries, every word is scored against every
+      owner once (`_accept_table`, at most 2 S N additions); each codeword's
+      trials are keyed by their whole word, counted by np.bincount to length
+      S and tallied as counts @ table, exact in float64.  S <= trials caps
+      the table at one codeword's trials scored one at a time: a code whose
+      codewords draw few distinct words (mostly point-mass letters) can cost
+      more here than per codeword, but never more than that.
+    - Per codeword: each codeword's distinct output words are scored once
+      and weighted by their counts, keyed by their random letters in mixed
+      radix, ranked by np.unique wherever the key span would pass 2^63 or,
+      at the end, `trials`, and counted by np.bincount.
+
+    `mc_words_scored` is, on either path, the sum over codewords of the
+    distinct output words each drew.  Results are bit-identical to scoring
+    every trial.  MC_CELL_GUARD bounds n x trials; a negative seed raises
+    ValidationError.
 
     What the intervals cover: `lambda1` is the 95% Wilson interval of the
     largest miss count over the N codewords, `lambda2` that of the largest
@@ -490,41 +525,54 @@ def monte_carlo_errors(code: DICode, W: ChannelModel, trials: int, seed: int) ->
     h = word_output_entropy(W, words)
     # per position, a |Y| x N table: log2 W(y | owner letter) for every owner
     tables = np.ascontiguousarray(W.log2[words].transpose(1, 2, 0))
-    radix = W.output_size
+    radix, space = W.output_size, W.output_size**n
+    table, key_type = None, np.int64
+    if space <= trials and space * code.size <= MC_TABLE_CELLS:
+        table, key_type = _accept_table(tables, h, theta), np.min_scalar_type(space - 1)
     trial_ids = np.arange(trials)
 
     worst_miss = worst_false = scored = 0
     for j, word in enumerate(words):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(j,)))
-        # outputs: n x trials letters; key: mixed-radix id of the random letters
+        # outputs: n x trials letters; key: the whole word's index in the
+        # table, else the mixed-radix id of the random letters
         y = np.empty((n, trials), dtype=np.min_scalar_type(radix - 1))
-        key, span = np.zeros(trials, dtype=np.int64), 1
+        key, span = np.zeros(trials, dtype=key_type), 1
         for i, x in enumerate(word):
             if point_mass[x]:
                 rng.bit_generator.advance(trials)
                 y[i] = point_letter[x]
-                continue
-            choice_letters(cdf[x], rng.random(trials), y[i])
+                if table is None:
+                    continue
+            else:
+                choice_letters(cdf[x], rng.random(trials), y[i])
             if span * radix > 1 << 63:
                 key, span = _rank(key)
-            key, span = key * radix + y[i], span * radix
-        if span > trials:
-            key, _ = _rank(key)
-        counts = np.bincount(key)
-        # all trials of a key carry one word, so any one can stand for it
-        first = np.empty(counts.size, dtype=np.int64)
-        first[key] = trial_ids
-        seen = np.flatnonzero(counts)
-        first, counts = first[seen], counts[seen]
-        scored += first.size
-        accepted = np.zeros(code.size, dtype=np.int64)
-        for start in range(0, first.size, MC_BLOCK):
-            y_blk = y[:, first[start:start + MC_BLOCK]]
-            # distinct words x owners statistic, summed in position order
-            stat = np.zeros((y_blk.shape[1], code.size))
-            for i in range(n):
-                stat += tables[i][y_blk[i]]
-            accepted += counts[start:start + MC_BLOCK] @ (np.abs(stat + h) <= theta)
+            key *= radix
+            key += y[i]
+            span *= radix
+        if table is not None:
+            counts = np.bincount(key, minlength=space)
+            scored += int(np.count_nonzero(counts))
+            accepted = (counts @ table).astype(np.int64)
+        else:
+            if span > trials:
+                key, _ = _rank(key)
+            counts = np.bincount(key)
+            # all trials of a key carry one word, so any one can stand for it
+            first = np.empty(counts.size, dtype=np.int64)
+            first[key] = trial_ids
+            seen = np.flatnonzero(counts)
+            first, counts = first[seen], counts[seen]
+            scored += first.size
+            accepted = np.zeros(code.size, dtype=np.int64)
+            for start in range(0, first.size, MC_BLOCK):
+                y_blk = y[:, first[start:start + MC_BLOCK]]
+                # distinct words x owners statistic, summed in position order
+                stat = np.zeros((y_blk.shape[1], code.size))
+                for i in range(n):
+                    stat += tables[i][y_blk[i]]
+                accepted += counts[start:start + MC_BLOCK] @ (np.abs(stat + h) <= theta)
         worst_miss = max(worst_miss, trials - int(accepted[j]))
         accepted[j] = 0
         worst_false = max(worst_false, int(accepted.max()))

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import functools
 import inspect
+import io
 import math
 import re
 import time
@@ -335,6 +337,21 @@ def test_sweep_csv_deterministic_and_ordered():
     assert rows[0].startswith("cor2_upper,")
     # rows follow grid order
     assert [float(r.split(",")[2]) for r in rows] == [g["E"] for g in grid]
+
+
+def test_sweep_csv_names_the_defaults_used():
+    """A row computed at a formula's default writes the value it used in
+    that parameter's column: alpha 2 for thm5/thm6, t = E^(1/4) for both
+    ex1 halves.  A default that is no CSV column leaves the others empty."""
+    grid = [{"a": 2.0, "omega": 0.1, "y_size": 2, "E": 1e-3, "n": 100}]
+    curves = [sweep(f, grid) for f in ("ex1_bern_lower", "ex1_bern_upper", "thm5_stein",
+                                       "thm6_stein", "trend_lower")]
+    rows = list(csv.DictReader(io.StringIO(curves_to_csv(curves))))
+    t = format(1e-3**0.25, ".17g")
+    assert [(r["t"], r["eta"], r["alpha"]) for r in rows] == [
+        (t, "", ""), (t, "", ""), ("", "", "2"), ("", "", "2"), ("", "", "")]
+    assert curves[3].grid == ({**grid[0], "alpha": 2.0, "delta_trunc": 0.5, "lambda": 0.5,
+                               "delta_part": curves[3].points[0].extras["delta_part"]},)
 
 
 def test_sweep_empty_grid_header_only():

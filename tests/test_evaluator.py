@@ -984,16 +984,86 @@ def test_monte_carlo_identity_code_draws_nothing(monkeypatch):
     assert rep.mc_words_scored == len(ID3_WORDS)
 
 
-@pytest.mark.parametrize("trials", [1023, 1024, 1025])
-def test_monte_carlo_key_span_at_trials(trials):
-    """2^10 output words: 1023 trials rank their keys before counting them,
-    1024 and 1025 count the mixed-radix keys directly."""
+def check_key_span(trials):
     W = make_channel(["a", "b"], [[0.6, 0.4], [0.45, 0.55]])
     words = [tuple(int(b) for b in f"{w:010b}") for w in (0b0101100111, 0b1110001010, 0)]
     code = assemble_code(W, words, delta=1.0)
     for seed in range(3):
         assert (monte_carlo_errors(code, W, trials, seed).to_json()
                 == per_trial_monte_carlo(code, W, trials, seed).to_json())
+
+
+@pytest.mark.parametrize("trials", [1023, 1024, 1025])
+def test_monte_carlo_key_span_at_trials(trials):
+    """2^10 output words: 1023 trials rank their keys before counting them,
+    1024 and 1025 score the whole output space once."""
+    check_key_span(trials)
+
+
+@pytest.mark.parametrize("trials", [1023, 1024, 1025])
+def test_monte_carlo_key_span_without_table(trials, monkeypatch):
+    """With no table allowed, 1024 and 1025 trials count the mixed-radix
+    keys directly."""
+    monkeypatch.setattr(evaluator, "MC_TABLE_CELLS", 0)
+    check_key_span(trials)
+
+
+def table_calls(monkeypatch):
+    """Record each `_accept_table` call's table shape (output words, owners)."""
+    calls = []
+
+    def recorded(tables, h, theta):
+        table = build(tables, h, theta)
+        calls.append(table.shape)
+        return table
+
+    build = evaluator._accept_table
+    monkeypatch.setattr(evaluator, "_accept_table", recorded)
+    return calls
+
+
+#: BERN6 words of n=8 (2^8 output words) mixing point-mass letters 0 and 1
+#: with random ones
+BERN6_MIXED = [(0, 1, 2, 4, 2, 4, 0, 1), (2, 2, 4, 4, 1, 0, 2, 4), (1, 4, 2, 0, 4, 2, 2, 1),
+               (0, 0, 1, 1, 2, 2, 4, 4), (3, 5, 7, 6, 2, 3, 1, 0)]
+
+
+@pytest.mark.parametrize("trials", [255, 256, 257])
+def test_monte_carlo_whole_space_at_trials(trials, monkeypatch):
+    """S = 2^8 output words: 256 and 257 trials score each of them once
+    against every owner, 255 score each codeword's distinct words."""
+    calls = table_calls(monkeypatch)
+    W = bernoulli_family(2.0, 6)
+    code = assemble_code(W, BERN6_MIXED, delta=1.0)
+    for seed in range(3):
+        assert (monte_carlo_errors(code, W, trials, seed).to_json()
+                == per_trial_monte_carlo(code, W, trials, seed).to_json())
+    assert calls == ([] if trials < 256 else [(256, len(BERN6_MIXED))] * 3)
+
+
+@pytest.mark.parametrize("spare", [0, -1])
+def test_monte_carlo_table_entry_cap(spare, monkeypatch):
+    """A table of S x N entries is built at a cap of S x N, not one below."""
+    calls = table_calls(monkeypatch)
+    monkeypatch.setattr(evaluator, "MC_TABLE_CELLS", 256 * len(BERN6_MIXED) + spare)
+    W = bernoulli_family(2.0, 6)
+    code = assemble_code(W, BERN6_MIXED, delta=1.0)
+    assert (monte_carlo_errors(code, W, 600, 4).to_json()
+            == per_trial_monte_carlo(code, W, 600, 4).to_json())
+    assert len(calls) == (1 if spare == 0 else 0)
+
+
+def test_monte_carlo_whole_space_many_words(monkeypatch):
+    """100 distinct BERN6 words of n=10 over its random letters 2-5, at the
+    frozen code's delta: the table path, as scoring every trial."""
+    calls = table_calls(monkeypatch)
+    W = bernoulli_family(2.0, 6)
+    rows = np.unique(np.random.default_rng(5).choice([2, 3, 4, 5], (400, 10)), axis=0)
+    code = assemble_code(W, rows[::4], delta=code_from_json(BERN6_CODE.read_text()).delta)
+    assert code.size == 100
+    assert (monte_carlo_errors(code, W, 1100, 1).to_json()
+            == per_trial_monte_carlo(code, W, 1100, 1).to_json())
+    assert calls == [(1024, 100)]
 
 
 #: letter laws of 2-8 outputs with zeros first, inside and last, and a point mass
@@ -1038,6 +1108,24 @@ def test_monte_carlo_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
+
+
+def test_monte_carlo_table_memory(monkeypatch):
+    """At the entry cap (2^14 output words x 64 owners = 2^20) the table's
+    8 MB and its last prefixes' 4 MB are the peak, within 1 MB."""
+    calls = table_calls(monkeypatch)
+    W = make_channel(["a", "b"], [[0.7, 0.3], [0.2, 0.8]])
+    words = [tuple(int(b) for b in f"{w:014b}") for w in range(0, 1 << 14, 256)]
+    code = assemble_code(W, words, delta=1.0)
+    assert 2**14 * code.size == evaluator.MC_TABLE_CELLS
+    tracemalloc.start()
+    try:
+        monte_carlo_errors(code, W, trials=1 << 14, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [(1 << 14, 64)]
+    assert peak < 13 << 20
 
 
 # ---------------------------------------------------------------------------
