@@ -265,7 +265,7 @@ def ex2_dmc(W: ChannelModel, E: float, n: int):
         return zero, zero
 
     off = ~np.eye(q, dtype=bool)
-    beta = float(purged.sqrt_cloud.distances[off].min()) / 2.0
+    beta = purged.sqrt_cloud.distances.min_distance() / 2.0
     fmax = float(purged.fidelities[off].max())
     _, c = typicality_constants(purged.output_size)
 

@@ -7,7 +7,7 @@ and they compare and hash by identity.  A channel owns the tables derived
 from it, each built on first use and dying with the channel: the `log2`
 matrix the exact DP and Monte Carlo decoders read, the letter `entropies`,
 the letter `fidelities` that only `bounds.ex2_dmc` reads, the `purged` form,
-and the `sqrt_cloud` / `raw_cloud` point clouds whose distance matrices the
+and the `sqrt_cloud` / `raw_cloud` point clouds whose distance triangles the
 packing and covering counts share.  Every table array is read-only.
 """
 

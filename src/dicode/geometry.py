@@ -5,11 +5,14 @@ distances >= 2*delta (open balls disjoint); a delta-covering is a subset of
 centers whose closed delta-balls contain every cloud point.  Exact counts are
 computed by branch and bound and are only allowed up to EXACT_SIZE_LIMIT
 points; greedy results are labeled as one-sided bounds, never as the true
-packing or covering number.
+packing or covering number.  Every count reads the cloud's distance triangle
+(`PointCloud.distances`), built once per cloud with each pairwise distance
+stored once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -19,16 +22,87 @@ import numpy as np
 from .errors import SizeGuardError, ValidationError
 
 EXACT_SIZE_LIMIT = 64
-DISTANCE_SIZE_LIMIT = 4096   # a 128 MB float matrix
-DISTANCE_BLOCK = 64          # rows built at once, through one (64, m) scratch array
+DISTANCE_SIZE_LIMIT = 4096   # a 64 MB distance triangle
+DISTANCE_BLOCK = 64          # rows per triangle block, each built through one (64, m) scratch array
 
 METRICS = ("euclidean", "total-variation")
+
+
+class DistanceTriangle:
+    """The pairwise distances of an m-point cloud, each pair stored once.
+
+    Block k holds rows DISTANCE_BLOCK*k ... DISTANCE_BLOCK*(k+1) - 1 from
+    column DISTANCE_BLOCK*k on: its diagonal square whole, and everything to
+    the right of it.  The blocks follow one another in one read-only buffer of
+    about m^2/2 floats.  The distances are bitwise symmetric, so an entry left
+    of a block is read from the block that holds its transpose.
+    """
+
+    def __init__(self, size: int, buffer: np.ndarray):
+        buffer.flags.writeable = False
+        self.size = size
+        self.buffer = buffer
+        self.blocks = tuple(block for _, block in _blocks(buffer, size))
+
+    def __getitem__(self, ij: tuple[int, int]) -> np.float64:
+        """The distance between points i and j (negative indices count from the end)."""
+        i, j = sorted(range(self.size)[k] for k in ij)
+        k = i // DISTANCE_BLOCK
+        return self.blocks[k][i - k * DISTANCE_BLOCK, j - k * DISTANCE_BLOCK]
+
+    def row(self, i: int) -> np.ndarray:
+        """Distances from point i to every point, as a new array: a column of
+        each block above i's, then i's row of its own block."""
+        k = i // DISTANCE_BLOCK
+        return np.concatenate([b[:, i - j * DISTANCE_BLOCK] for j, b in enumerate(self.blocks[:k])]
+                              + [self.blocks[k][i - k * DISTANCE_BLOCK]])
+
+    def _mirrored(self, out: np.ndarray, fill) -> np.ndarray:
+        """Fill the (m, m) array out block by block: fill(block, the block's
+        rows of out from its first column on), then the part right of the
+        block's square copied, transposed, below that square."""
+        for k, block in enumerate(self.blocks):
+            lo, hi = k * DISTANCE_BLOCK, k * DISTANCE_BLOCK + len(block)
+            fill(block, out[lo:hi, lo:])
+            out[hi:, lo:hi] = out[lo:hi, hi:].T
+        return out
+
+    def square(self) -> np.ndarray:
+        """The (m, m) distance matrix, as a new array."""
+        m = self.size
+        return self._mirrored(np.empty((m, m)), lambda block, out: np.copyto(out, block))
+
+    def within(self, delta: float) -> np.ndarray:
+        """The (m, m) uint8 ball table: entry (i, j) is 1 when d(i, j) <= delta."""
+        m = self.size
+        balls = np.empty((m, m), dtype=bool)
+        self._mirrored(balls, lambda block, out: np.less_equal(block, delta, out=out))
+        return balls.view(np.uint8)
+
+    def min_distance(self) -> float:
+        """The smallest distance between two points of distinct indices (m >= 2)."""
+        least = math.inf
+        for block in self.blocks:
+            rows = len(block)
+            least = min(least, block[:, rows:].min(initial=math.inf),
+                        block[:, :rows][np.triu_indices(rows, 1)].min(initial=math.inf))
+        return float(least)
+
+
+def _blocks(buffer: np.ndarray, m: int):
+    """(first row, block view) of each triangle block of an m-point cloud in
+    buffer, in order."""
+    start = 0
+    for lo in range(0, m, DISTANCE_BLOCK):
+        rows, width = min(DISTANCE_BLOCK, m - lo), m - lo
+        yield lo, buffer[start:start + rows * width].reshape(rows, width)
+        start += rows * width
 
 
 @dataclass(frozen=True)
 class PointCloud:
     """Immutable cloud: the points are a read-only copy, so the distance
-    matrix can be built once and shared by every count on the cloud."""
+    triangle can be built once and shared by every count on the cloud."""
 
     points: np.ndarray              # (m, d)
     metric: str = "euclidean"
@@ -45,16 +119,16 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def distance_matrix(self) -> np.ndarray:
-        """Build the (m, m) distance matrix anew, DISTANCE_BLOCK rows at a time.
+    def distance_matrix(self) -> DistanceTriangle:
+        """Build the distance triangle anew, one block at a time.
 
         Each block adds its squared (euclidean) or absolute (total variation)
         coordinate differences one coordinate at a time, in index order, as
         numpy's own sum does below 8 coordinates (from 8 up it groups the sum
-        and may round differently).  p_i - p_j is exactly -(p_j - p_i), so the
-        matrix is bitwise symmetric (greedy covering relies on it).  Clouds
-        above DISTANCE_SIZE_LIMIT points are refused before anything is
-        allocated.
+        and may round differently), through one scratch array.  p_i - p_j is
+        exactly -(p_j - p_i), so the distances are bitwise symmetric (the
+        triangle relies on it).  Clouds above DISTANCE_SIZE_LIMIT points are
+        refused before anything is allocated.
         """
         p = self.points
         m = p.shape[0]
@@ -63,27 +137,26 @@ class PointCloud:
         euclidean = self.metric == "euclidean"
         fold = np.square if euclidean else np.abs
         coords = np.ascontiguousarray(p.T)
-        dist = np.zeros((m, m))
-        scratch = np.empty((DISTANCE_BLOCK, m))
-        for lo in range(0, m, DISTANCE_BLOCK):
-            rows = dist[lo:lo + DISTANCE_BLOCK]
-            diff = scratch[:len(rows)]
+        buffer = np.zeros(sum(min(DISTANCE_BLOCK, m - lo) * (m - lo)
+                              for lo in range(0, m, DISTANCE_BLOCK)))
+        scratch = np.empty(DISTANCE_BLOCK * m)
+        for lo, block in _blocks(buffer, m):
+            hi = lo + len(block)
+            diff = scratch[:block.size].reshape(block.shape)
             for x in coords:
-                np.subtract(x[lo:lo + DISTANCE_BLOCK, None], x, out=diff)
+                np.subtract(x[lo:hi, None], x[lo:], out=diff)
                 fold(diff, out=diff)
-                rows += diff
+                block += diff
         if euclidean:
-            np.sqrt(dist, out=dist)
+            np.sqrt(buffer, out=buffer)
         else:
-            dist *= 0.5
-        return dist
+            buffer *= 0.5
+        return DistanceTriangle(m, buffer)
 
     @cached_property
-    def distances(self) -> np.ndarray:
-        """The distance matrix, built on first use and then shared read-only."""
-        dist = self.distance_matrix()
-        dist.flags.writeable = False
-        return dist
+    def distances(self) -> DistanceTriangle:
+        """The distance triangle, built on first use and then shared."""
+        return self.distance_matrix()
 
 
 @dataclass(frozen=True)
@@ -108,16 +181,17 @@ class DimensionEstimate:
     exact_counts: bool
 
 
-def _greedy_packing(dist: np.ndarray, delta: float) -> list[int]:
-    """Farthest-point maximal packing, seeded at index 0, ties by index."""
+def _greedy_packing(dist: DistanceTriangle, delta: float) -> list[int]:
+    """Farthest-point maximal packing, seeded at index 0, ties by index; it
+    reads one triangle row per pick."""
     chosen = [0]
-    mindist = dist[0].copy()
+    mindist = dist.row(0)
     while True:
         far = int(np.argmax(mindist))
         if mindist[far] < 2 * delta:
             break
         chosen.append(far)
-        mindist = np.minimum(mindist, dist[far])
+        np.minimum(mindist, dist.row(far), out=mindist)
     return sorted(chosen)
 
 
@@ -182,22 +256,21 @@ def _column_counts(rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _greedy_covering(dist: np.ndarray, delta: float) -> list[int]:
-    """Greedy set cover: repeatedly take the ball covering most uncovered
-    points; ties by lowest center index.
+def _greedy_covering(balls: np.ndarray) -> list[int]:
+    """Greedy set cover over a symmetric (m, m) uint8 ball table: repeatedly
+    take the ball covering most uncovered points; ties by lowest center index.
 
-    The distance matrix is bitwise symmetric, so row p of `balls` marks the
-    balls that contain p, and gains[c], the uncovered points in ball c, is a
-    column sum of the uncovered points' rows.  After a pick the gains are
-    recounted from whichever side is smaller: the rows still uncovered, or
-    the rows just covered, subtracted.  Once no ball holds two uncovered
+    Row p of `balls` marks the balls that contain p, so gains[c], the
+    uncovered points in ball c, is a column sum of the uncovered points'
+    rows.  After a pick the gains are recounted from whichever side is
+    smaller: the rows still uncovered, or the rows just covered, subtracted.  Once no ball holds two uncovered
     points, the rest of the greedy sequence covers each uncovered point by
     the lowest-index ball holding it, all in one step.  So a cover costs one
-    threshold pass over the matrix and about m^2 bytes at its peak.
+    threshold pass over the distances (`DistanceTriangle.within`) and about
+    m^2 bytes at its peak.
     """
-    balls = (dist <= delta).view(np.uint8)
     gains = _column_counts(balls)
-    uncovered = np.ones(dist.shape[0], dtype=bool)
+    uncovered = np.ones(balls.shape[0], dtype=bool)
     left = uncovered.size
     chosen: list[int] = []
     while left:
@@ -233,7 +306,7 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     ball = _row_masks(inside)
     apart = _row_masks(~(inside.T @ inside))  # no ball holds both points
     full = (1 << dist.shape[0]) - 1
-    best = _greedy_covering(dist, delta)
+    best = _greedy_covering(inside.view(np.uint8))
     best_len = len(best)
     coverers = [np.flatnonzero(col).tolist() for col in inside.T]
     order = sorted(range(len(coverers)), key=lambda p: (len(coverers[p]), p))
@@ -260,12 +333,13 @@ def _exact_covering(dist: np.ndarray, delta: float) -> list[int]:
     return sorted(best)
 
 
-#: (kind, mode) -> count on a distance matrix at radius delta
+#: (kind, mode) -> count on a distance triangle at radius delta; the exact
+#: searches read the square matrix, the greedy cover one ball table
 _COUNTS = {
     ("packing", "greedy"): _greedy_packing,
-    ("packing", "exact"): _exact_packing,
-    ("covering", "greedy"): _greedy_covering,
-    ("covering", "exact"): _exact_covering,
+    ("packing", "exact"): lambda dist, delta: _exact_packing(dist.square(), delta),
+    ("covering", "greedy"): lambda dist, delta: _greedy_covering(dist.within(delta)),
+    ("covering", "exact"): lambda dist, delta: _exact_covering(dist.square(), delta),
 }
 
 

@@ -175,6 +175,17 @@ def test_ex2_beta_packs_every_purged_letter(W):
     assert max_packing(W.purged.sqrt_cloud, beta, "exact").count == W.purged.n_inputs
 
 
+def test_ex2_beta_reads_every_block_of_the_triangle():
+    """274 purged letters fill 5 blocks of the distance triangle; beta is half
+    the smallest off-diagonal entry of the whole matrix, bit for bit."""
+    W = bernoulli_family(1.1, 300)
+    p = W.purged.sqrt_cloud.points
+    assert len(p) == 274
+    ref = np.sqrt(((p[:, None, :] - p[None, :, :]) ** 2).sum(axis=2))
+    beta = ex2_dmc(W, 1e-6, 100)[0].extras["beta"]
+    assert beta == ref[~np.eye(len(p), dtype=bool)].min() / 2.0
+
+
 def test_ex2_identity_limits():
     W = identity_channel(2)
     lo, up = ex2_dmc(W, 0.0, 100)

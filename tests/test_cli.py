@@ -188,6 +188,18 @@ def test_geometry_counts_exactly_up_to_size_limit(task, bern_file, tmp_path):
         assert [row.split(",")[2] for row in rows[1:]] == [exact, exact]
 
 
+@pytest.mark.parametrize("task", ["covering", "packing"])
+def test_ladder_greedy_centres_recorded(task, tmp_path):
+    """The 1,002-point ladder's greedy counts and centres at two radii, byte
+    for byte as recorded when every count read a square distance matrix."""
+    ladder = tmp_path / "ladder.json"
+    ladder.write_text(json.dumps({"family": "bernoulli", "a": 2.0, "k_max": 1000}))
+    assert main(["geometry", "--channel", str(ladder), "--task", task,
+                 "--radii", "1e-3,1e-5", "--out", str(tmp_path / "o")]) == 0
+    recorded = Path(__file__).parent / "data" / f"ladder_{task}.csv"
+    assert (tmp_path / "o" / "geometry.csv").read_bytes() == recorded.read_bytes()
+
+
 def test_geometry_dimension_command(bern_file, tmp_path, capsys):
     rc = main(["geometry", "--channel", str(bern_file), "--task", "dimension",
                "--radii", "0.4,0.2,0.1,0.05,0.025", "--out", str(tmp_path / "g")])

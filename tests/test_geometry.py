@@ -24,6 +24,7 @@ from dicode.geometry import (
     _exact_covering,
     _exact_packing,
     _greedy_covering,
+    _greedy_packing,
     _row_masks,
     estimate_dimension,
     max_packing,
@@ -84,7 +85,7 @@ def test_packing_invariants_random_clouds():
         exact_c2 = min_covering(cloud, 2 * delta, "exact")
         greedy_c = min_covering(cloud, delta, "greedy")
         exact_c = min_covering(cloud, delta, "exact")
-        d = cloud.distance_matrix()
+        d = cloud.distance_matrix().square()
         # packing validity: centers pairwise >= 2 delta
         for i, j in itertools.combinations(exact_p.center_indices, 2):
             assert d[i, j] >= 2 * delta
@@ -205,9 +206,12 @@ def test_cloud_points_are_a_read_only_copy():
     assert cloud.points[0, 0] == 0.0
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 2.0
-    with pytest.raises(ValueError):
-        cloud.distances[0, 1] = 0.0
-    assert np.array_equal(cloud.distances, cloud.distance_matrix())
+    dist = cloud.distances
+    for view in (dist.buffer, *dist.blocks):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+    assert cloud.distances is dist
+    assert np.array_equal(bits(dist.buffer), bits(cloud.distance_matrix().buffer))
 
 
 def test_channel_clouds_shared_per_channel():
@@ -254,6 +258,18 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def assert_triangle_of(dist, ref):
+    """The triangle's blocks are ref's DISTANCE_BLOCK-row blocks from their
+    diagonal on, bit for bit, and its buffer holds them in order and nothing
+    else."""
+    m, step = ref.shape[0], geometry.DISTANCE_BLOCK
+    assert dist.size == m and len(dist.blocks) == -(-m // step)
+    for k, block in enumerate(dist.blocks):
+        assert np.array_equal(bits(block), bits(ref[k * step:(k + 1) * step, k * step:]))
+    assert np.array_equal(bits(dist.buffer), bits(np.concatenate(
+        [block.ravel() for block in dist.blocks] + [np.empty(0)])))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), m=st.integers(1, 80), dim=st.integers(1, 3),
        metric=st.sampled_from(geometry.METRICS))
@@ -263,10 +279,12 @@ def test_greedy_covering_equals_rescanning(data, m, dim, metric):
     coords = data.draw(st.lists(st.integers(0, 4), min_size=m * dim, max_size=m * dim))
     cloud = PointCloud(np.array(coords, dtype=float).reshape(m, dim), metric)
     dist = cloud.distance_matrix()
-    assert np.array_equal(bits(dist), bits(dist.T))
+    square = dist.square()
+    assert np.array_equal(bits(square), bits(square.T))
     for _ in range(3):
         i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
-        assert _greedy_covering(dist, dist[i, j]) == rescanning_greedy_covering(dist, dist[i, j])
+        r = dist[i, j]
+        assert _greedy_covering(dist.within(r)) == rescanning_greedy_covering(square, r)
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,14 +300,15 @@ def test_greedy_covering_counts_past_a_byte(data, m, dim, metric):
     order = data.draw(st.permutations(range(m)))
     points = np.concatenate([centre + 1e-9 * jitter, grid])[list(order)]
     dist = PointCloud(points, metric).distance_matrix()
+    square = dist.square()
     cluster = np.argsort(order)[:size]
-    radii = [dist[np.ix_(cluster, cluster)].max()]
-    assert np.count_nonzero(dist <= radii[0], axis=0).max() > 255
+    radii = [square[np.ix_(cluster, cluster)].max()]
+    assert np.count_nonzero(square <= radii[0], axis=0).max() > 255
     for _ in range(2):
         i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
         radii.append(dist[i, j])
     for r in radii:
-        assert _greedy_covering(dist, r) == rescanning_greedy_covering(dist, r)
+        assert _greedy_covering(dist.within(r)) == rescanning_greedy_covering(square, r)
 
 
 def test_greedy_covering_ball_of_257_points():
@@ -297,7 +316,8 @@ def test_greedy_covering_ball_of_257_points():
     # the whole cover; a count wrapped at 256 would read 1 and pick two balls
     cloud = line_cloud([0.0] * 200 + [1.0] + [2.0] * 56)
     dist = cloud.distance_matrix()
-    assert _greedy_covering(dist, 1.0) == rescanning_greedy_covering(dist, 1.0) == [200]
+    assert _greedy_covering(dist.within(1.0)) == [200]
+    assert rescanning_greedy_covering(dist.square(), 1.0) == [200]
 
 
 def test_greedy_covering_finishes_single_point_balls():
@@ -305,27 +325,29 @@ def test_greedy_covering_finishes_single_point_balls():
     # point 4 is then covered by the lower-index ball 3, not by its own
     cloud = line_cloud([5, 0, 0.5, 0.9, 1.3])
     dist = cloud.distance_matrix()
-    assert _greedy_covering(dist, 0.5) == rescanning_greedy_covering(dist, 0.5) == [0, 2, 3]
+    assert _greedy_covering(dist.within(0.5)) == [0, 2, 3]
+    assert rescanning_greedy_covering(dist.square(), 0.5) == [0, 2, 3]
 
 
 def test_greedy_covering_recounts_ladder_clusters():
     # the first ball holds nearly all of the ladder's 302 points, so the gains
     # are recounted from the few rows left uncovered
     dist = bernoulli_family(2.0, 300).sqrt_cloud.distances
+    square = dist.square()
     for E in (1e-9, 1e-6, 1e-3):
         r = covering_radius(E)
-        assert _greedy_covering(dist, r) == rescanning_greedy_covering(dist, r)
+        assert _greedy_covering(dist.within(r)) == rescanning_greedy_covering(square, r)
 
 
 def test_greedy_covering_memory():
     # one threshold pass of m^2 bytes; recounting from the smaller side never
     # gathers the first ball's ~990 rows, which took a second m^2
     dist = bernoulli_family(2.0, 1000).sqrt_cloud.distances
-    m = dist.shape[0]
+    m = dist.size
     for E in (1e-9, 1e-3):
         tracemalloc.start()
         try:
-            _greedy_covering(dist, covering_radius(E))
+            _greedy_covering(dist.within(covering_radius(E)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -342,7 +364,7 @@ def test_greedy_covering_degenerate_ball():
         with pytest.raises(ValidationError, match="degenerate ball"):
             rescanning_greedy_covering(dist, 1.0)
         with pytest.raises(ValidationError, match="degenerate ball"):
-            _greedy_covering(dist, 1.0)
+            _greedy_covering((dist <= 1.0).view(np.uint8))
 
 
 @pytest.mark.parametrize("metric", geometry.METRICS)
@@ -356,8 +378,16 @@ def test_distance_matrix_blocks_bitwise_equal(m, metric, data, blocks, dim):
         -1e6, 1e6, allow_nan=False, allow_infinity=False)))
     cloud = PointCloud(points, metric)
     dist = cloud.distance_matrix()
-    assert np.array_equal(bits(dist), bits(broadcast_distance_matrix(cloud)))
-    assert np.array_equal(bits(dist), bits(dist.T))
+    ref = broadcast_distance_matrix(cloud)
+    assert_triangle_of(dist, ref)
+    assert np.array_equal(bits(ref), bits(ref.T))
+    assert np.array_equal(bits(dist.square()), bits(ref))
+    for i in range(m):
+        assert np.array_equal(bits(dist.row(i)), bits(ref[i]))
+    for r in (ref[0, m // 2], ref[m // 3, m - 1]):
+        assert np.array_equal(dist.within(r), ref <= r)
+    if m > 1:
+        assert dist.min_distance() == ref[~np.eye(m, dtype=bool)].min()
 
 
 @pytest.mark.parametrize("metric", geometry.METRICS)
@@ -373,7 +403,8 @@ def test_distance_matrix_sums_coordinates_in_index_order(metric):
             total += (a - b) * (a - b) if metric == "euclidean" else abs(a - b)
         want = math.sqrt(total) if metric == "euclidean" else 0.5 * total
         assert dist[i, j].tobytes() == np.float64(want).tobytes()
-    assert np.array_equal(bits(dist), bits(dist.T))
+    square = dist.square()
+    assert np.array_equal(bits(square), bits(square.T))
 
 
 def test_distance_matrix_size_guard_fails_fast(tmp_path, capsys):
@@ -398,9 +429,54 @@ def test_distance_matrix_size_guard_fails_fast(tmp_path, capsys):
 
 def test_distance_matrix_size_guard_edge(monkeypatch):
     monkeypatch.setattr(geometry, "DISTANCE_SIZE_LIMIT", 100)
-    assert PointCloud(np.zeros((100, 1))).distance_matrix().shape == (100, 100)
+    assert PointCloud(np.zeros((100, 1))).distance_matrix().square().shape == (100, 100)
     with pytest.raises(SizeGuardError):
         PointCloud(np.zeros((101, 1))).distance_matrix()
+
+
+def test_distance_triangle_memory():
+    """The 1,002-point ladder's triangle takes 0.53 of the square's 8 m^2
+    bytes, and its build adds only its (64, m) scratch array, the points'
+    coordinates and numpy's ufunc buffers (at most 3 x 8,192 floats): 0.61
+    of 8 m^2 in all."""
+    for cloud in (bernoulli_family(2.0, 1000).sqrt_cloud,
+                  bernoulli_family(2.0, 1000).raw_cloud):
+        m = len(cloud)
+        tracemalloc.start()
+        try:
+            dist = cloud.distances
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dist.buffer.nbytes < 0.54 * 8 * m * m
+        scratch = 8 * geometry.DISTANCE_BLOCK * m + cloud.points.nbytes
+        assert peak <= dist.buffer.nbytes + scratch + 3 * 8 * 8192
+
+
+def square_greedy_packing(dist, delta):
+    """Farthest-point packing on the square matrix's rows (reference)."""
+    chosen = [0]
+    mindist = dist[0].copy()
+    while True:
+        far = int(np.argmax(mindist))
+        if mindist[far] < 2 * delta:
+            break
+        chosen.append(far)
+        mindist = np.minimum(mindist, dist[far])
+    return sorted(chosen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), m=st.integers(1, 200), dim=st.integers(1, 3),
+       metric=st.sampled_from(geometry.METRICS))
+def test_greedy_packing_reads_triangle_rows(data, m, dim, metric):
+    coords = data.draw(st.lists(st.integers(0, 6), min_size=m * dim, max_size=m * dim))
+    dist = PointCloud(np.array(coords, dtype=float).reshape(m, dim), metric).distance_matrix()
+    square = dist.square()
+    for _ in range(3):
+        i, j = data.draw(st.integers(0, m - 1)), data.draw(st.integers(0, m - 1))
+        r = max(dist[i, j] / 2, 0.01)
+        assert _greedy_packing(dist, r) == square_greedy_packing(square, r)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -444,7 +520,7 @@ def scanning_exact_covering(dist, delta):
     inside = dist <= delta
     ball = _row_masks(inside)
     full = (1 << m) - 1
-    best = _greedy_covering(dist, delta)
+    best = _greedy_covering(inside.view(np.uint8))
     best_len = len(best)
     coverers = [np.flatnonzero(col).tolist() for col in inside.T]
 
@@ -508,7 +584,7 @@ TWO_OPTIMA = [(np.array([[2, 2], [6, 8], [0, 7], [1, 2], [7, 3]]) / 8, "euclidea
 @example(case=TWO_OPTIMA[1])
 def test_exact_searches_pick_the_reference_centers(case):
     points, metric, radius = case
-    dist = PointCloud(points, metric).distances
+    dist = PointCloud(points, metric).distances.square()
     assert _exact_covering(dist, radius) == scanning_exact_covering(dist, radius)
     assert _exact_packing(dist, radius) == scanning_exact_packing(dist, radius)
 
@@ -549,7 +625,7 @@ def test_exact_packing_equals_bound_free_reference(m, seed, radius):
     """On simplex clouds of up to 24 points the clique-cover bound keeps the
     centres of the search without it, as grid clouds check above."""
     points = np.sqrt(np.random.default_rng(seed).dirichlet(np.ones(3), m))
-    dist = PointCloud(points).distances
+    dist = PointCloud(points).distances.square()
     assert _exact_packing(dist, radius) == first_max_packing(dist, radius)
 
 
@@ -564,7 +640,7 @@ SIMPLEX_64_PACKINGS = {
 
 
 def test_exact_packing_of_a_simplex_cloud():
-    dist = PointCloud(SIMPLEX_64).distances
+    dist = PointCloud(SIMPLEX_64).distances.square()
     assert _exact_packing(dist, 0.15) == first_max_packing(dist, 0.15)
     for radius, centres in SIMPLEX_64_PACKINGS.items():
         assert _exact_packing(dist, radius) == centres
@@ -583,5 +659,5 @@ PLANAR_64_COVERS = {
 def test_exact_covering_of_a_random_planar_cloud(radius):
     """Uncovered points no two of which share a ball each need their own, so
     the search prunes far more at these radii and still finds these centres."""
-    dist = PointCloud(PLANAR_64).distances
+    dist = PointCloud(PLANAR_64).distances.square()
     assert _exact_covering(dist, radius) == PLANAR_64_COVERS[radius]
